@@ -22,7 +22,6 @@ from .rademacher import (
 from .diagonal import (
     DiagonalTensor,
     DualDiagonalForm,
-    RankOneTerm,
     averaging_decomposition,
     build_dual_form,
     dense_expansion,
@@ -65,7 +64,6 @@ __all__ = [
     "integrate_step_product",
     "DiagonalTensor",
     "DualDiagonalForm",
-    "RankOneTerm",
     "averaging_decomposition",
     "build_dual_form",
     "dense_expansion",

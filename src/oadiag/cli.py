@@ -48,7 +48,7 @@ _COMMON_FLAGS = (
     ("--tol", dict(action="append", metavar="NAME=VALUE", help="tolerance override")),
     ("--out", dict(type=str, help="output path (default: stdout)")),
     ("--format", dict(choices=["json", "csv"], help="output format (default json)")),
-    ("--workers", dict(type=int, help="concurrent sweep workers (default 1)")),
+    ("--workers", dict(type=int, help="accepted for compatibility; sweeps run sequentially")),
     ("--config", dict(type=str, help="JSON config file; explicit flags win")),
     ("--timing", dict(action="store_true", default=None,
                       help="attach wall times (breaks byte-identical output)")),

@@ -3,9 +3,10 @@
 A diagonal tensor u = sum_i a_i e_i (x) ... (x) e_i admits an exact finite
 decomposition into rank-one tensors obtained by averaging over the k-ary
 Rademacher system: the integrand is piecewise constant on k^n intervals, so
-the integral representation becomes a weighted finite sum.  Off-diagonal
-contributions cancel exactly because products of distinct-level step
-functions integrate to zero.
+the integral representation becomes the mean of k^n rank-one tensors.  The
+decomposition is one complex array of shape (k^n, k, n): piece, slot,
+coordinate.  Off-diagonal contributions cancel exactly because products of
+distinct-level step functions integrate to zero.
 
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
@@ -18,15 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
-from .numerics import BudgetError, LpParams, Scalar, ensure_finite, lq_norm, phase, phase_root
+from .numerics import (MAX_PIECES, BudgetError, LpParams, Scalar, ensure_finite, lq_norm,
+                       phase, phase_root)
 
 __all__ = [
     "DiagonalTensor",
-    "RankOneTerm",
     "DualDiagonalForm",
     "averaging_decomposition",
     "dense_expansion",
@@ -37,9 +37,11 @@ __all__ = [
     "pair",
 ]
 
-MAX_PIECES = 10 ** 6
 MAX_DENSE_ENTRIES = 10 ** 5
-_CHUNK = 1 << 16
+# Pieces per chunk.  It bounds the peak memory of pi_upper_bound, and the
+# in-order summation inside each dense_expansion einsum: about 4096 unit
+# roundoffs (4.5e-13), under the 1e-12 reconstruction tolerance.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +62,6 @@ class DiagonalTensor:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class RankOneTerm:
-    """weight * slots[0] (x) ... (x) slots[k-1]."""
-
-    weight: float
-    slots: Tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("rank-one weights are nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,55 +125,58 @@ def _slot_coefficients(u: DiagonalTensor, symmetric: bool) -> np.ndarray:
     return np.vstack([first[None, :], rest])
 
 
-def _piece_digits(k: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Base-k digits of the piece indices: column i-1 is the level-i digit."""
-    m = np.arange(start, stop, dtype=np.int64)[:, None]
-    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-    return (m // divisors) % k
+def _piece_slots(u: DiagonalTensor, symmetric: bool, start: int, stop: int) -> np.ndarray:
+    """Slot vectors of the pieces start, ..., stop-1: shape (stop-start, k, n).
 
-
-def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
-                            max_pieces: int = MAX_PIECES) -> List[RankOneTerm]:
-    """Exact rank-one decomposition of u by k-ary Rademacher averaging.
-
-    Evaluates the averaged integrand on each of the k^n constancy pieces with
-    weight 1/k^n.  Expanding the returned sum in the basis reproduces u: the
-    diagonal coefficients equal a_i and every off-diagonal coefficient
-    vanishes by the product-integral orthogonality.
+    Entry [m, j, i] is c[j, i] * omega^d, where d is the level-(i+1) base-k
+    digit of the piece index start+m and omega = exp(2 pi i / k).
     """
     n = u.dim
     k = u.params.k
-    pieces = k ** n
+    m = np.arange(start, stop, dtype=np.int64)[:, None]
+    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
+    phases = np.exp(2j * np.pi / k) ** ((m // divisors) % k)
+    return _slot_coefficients(u, symmetric)[None, :, :] * phases[:, None, :]
+
+
+def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
+                            max_pieces: int = MAX_PIECES) -> np.ndarray:
+    """Exact rank-one decomposition of u by k-ary Rademacher averaging.
+
+    Evaluates the averaged integrand on each of the k^n constancy pieces and
+    returns the slot vectors as one (k^n, k, n) array (piece, slot,
+    coordinate).  Every piece carries the same weight 1/k^n, so u is the mean
+    over the pieces of slots[m, 0] (x) ... (x) slots[m, k-1]: the diagonal
+    coefficients equal a_i and every off-diagonal coefficient vanishes by the
+    product-integral orthogonality.
+    """
+    pieces = u.params.k ** u.dim
     if pieces > max_pieces:
         raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
-    c = _slot_coefficients(u, symmetric)
-    omega = np.exp(2j * np.pi / k)
-    digits = _piece_digits(k, n, 0, pieces)
-    phases = omega ** digits
-    weight = 1.0 / pieces
-    terms: List[RankOneTerm] = []
-    for row in phases:
-        slots = tuple(c[j] * row for j in range(k))
-        terms.append(RankOneTerm(weight, slots))
-    return terms
+    return _piece_slots(u, symmetric, 0, pieces)
 
 
-def dense_expansion(terms: List[RankOneTerm], dim: int, k: int,
-                    max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
-    """Coefficient tensor (shape (dim,)*k) of a sum of rank-one terms.
+def dense_expansion(slots: np.ndarray, max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
+    """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
 
-    Summation runs in the fixed order of the term list, so results do not
-    depend on any internal scheduling.
+    slots has shape (pieces, k, n), as averaging_decomposition returns it.
+    Each chunk of pieces is contracted by one einsum, which sums its _CHUNK
+    pieces in order; the chunk partials are then summed pairwise, so the
+    rounding error stays near _CHUNK unit roundoffs whatever the piece count.
     """
-    if dim ** k > max_entries:
-        raise BudgetError(f"dense expansion needs {dim ** k} entries, cap is {max_entries}")
-    out = np.zeros((dim,) * k, dtype=complex)
-    for term in terms:
-        block = np.array(term.weight, dtype=complex)
-        for slot in term.slots:
-            block = np.multiply.outer(block, slot)
-        out += block
-    return out
+    pieces, k, n = slots.shape
+    if n ** k > max_entries:
+        raise BudgetError(f"dense expansion needs {n ** k} entries, cap is {max_entries}")
+    if n == 1:
+        # one coordinate: the outer product is a plain product, for any k
+        slots = np.prod(slots, axis=1, keepdims=True)
+    # einsum sublist form: piece axis 0 is summed, slot j becomes output axis j+1
+    axes = list(range(1, slots.shape[1] + 1))
+    partials = []
+    for start in range(0, pieces, _CHUNK):
+        block = slots[start:start + _CHUNK]
+        partials.append(np.einsum(*[x for j in axes for x in (block[:, j - 1], [0, j])], axes))
+    return (np.sum(np.stack(partials, axis=-1), axis=-1) / pieces).reshape((n,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +218,11 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     pieces = k ** n
     if pieces > max_pieces:
         raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
-    c = _slot_coefficients(u, symmetric)
-    omega = np.exp(2j * np.pi / k)
     best = 0.0
     for start in range(0, pieces, _CHUNK):
-        stop = min(start + _CHUNK, pieces)
-        phases = omega ** _piece_digits(k, n, start, stop)
-        products = np.ones(stop - start)
-        for j in range(k):
-            slot_block = c[j][None, :] * phases
-            products *= np.sum(np.abs(slot_block) ** p, axis=1) ** (1.0 / p)
-        best = max(best, float(np.max(products)))
+        slots = _piece_slots(u, symmetric, start, min(start + _CHUNK, pieces))
+        norms = np.sum(np.abs(slots) ** p, axis=2) ** (1.0 / p)
+        best = max(best, float(np.max(np.prod(norms, axis=1))))
     return best
 
 

@@ -10,10 +10,10 @@ output files stay byte-reproducible.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +70,8 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 SWEEP_DEFAULT_KS = (2, 3)
 SWEEP_DEFAULT_NS = (2, 4, 8)
+# Cap on the records one command may produce.
+MAX_CASES = 20000
 
 
 class ConfigError(ValueError):
@@ -86,12 +88,15 @@ def format_scalar(z: Scalar) -> str:
 
 
 def parse_scalar(text: str) -> complex:
-    """Parse a real or re+imi complex literal."""
+    """Parse a real or re+imi complex literal; NaN and Inf are rejected."""
     cleaned = text.strip().replace(" ", "")
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise ConfigError(f"cannot parse coefficient {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"coefficient {text!r} is not finite")
+    return value
 
 
 @dataclass
@@ -239,7 +244,7 @@ def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[ResultRecord]:
     """Exhaustive product-integral check over all level tuples up to depth."""
     k = cfg.k
     tuple_count = cfg.depth ** k
-    if tuple_count > 20000:
+    if tuple_count > MAX_CASES:
         raise BudgetError(f"{tuple_count} level tuples exceed the sweep cap")
     records = []
     index = 0
@@ -462,8 +467,7 @@ def _sweep_case_record(cfg: ExperimentConfig, index: int,
 
     # rank-one reconstruction of the diagonal tensor
     u = DiagonalTensor(a, params)
-    terms = averaging_decomposition(u)
-    tensor = dense_expansion(terms, n, k)
+    tensor = dense_expansion(averaging_decomposition(u))
     idx = np.arange(n)
     diag = tensor[tuple([idx] * k)].copy()
     tensor[tuple([idx] * k)] = 0.0
@@ -530,22 +534,16 @@ def _sweep_case_record(cfg: ExperimentConfig, index: int,
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
-    """Grid of seeded random instances running every invariant suite."""
+    """Grid of seeded random instances running every invariant suite.
+
+    Cases run one after another in index order; ``workers`` is accepted and
+    echoed in the config but does not change how the sweep runs.
+    """
     cases = _sweep_cases(cfg)
-    if len(cases) > 20000:
+    if len(cases) > MAX_CASES:
         raise BudgetError(f"{len(cases)} sweep cases exceed the cap")
-
-    def run_one(item: Tuple[int, Tuple[int, float, int, int]]) -> ResultRecord:
-        index, case = item
-        return _timed(cfg, lambda: _sweep_case_record(cfg, index, case))
-
-    if cfg.workers == 1:
-        records = [run_one(item) for item in enumerate(cases)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(run_one, enumerate(cases)))
-    records.sort(key=lambda r: r.case_index)
-    return records
+    return [_timed(cfg, lambda: _sweep_case_record(cfg, index, case))
+            for index, case in enumerate(cases)]
 
 
 COMMANDS: Dict[str, Callable[[ExperimentConfig], List[ResultRecord]]] = {

@@ -33,6 +33,10 @@ class BudgetError(RuntimeError):
     """An enumeration (pieces, dense coefficients, ...) would exceed its cap."""
 
 
+# Cap on the k^n constancy pieces any single enumeration may visit.
+MAX_PIECES = 10 ** 6
+
+
 def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.ndarray:
     """Return the input as an array, rejecting NaN/Inf components."""
     arr = np.atleast_1d(np.asarray(values))

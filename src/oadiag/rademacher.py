@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import BudgetError, Scalar
+from .numerics import MAX_PIECES, BudgetError, Scalar
 
 __all__ = [
     "CycloScalar",
@@ -32,8 +32,6 @@ __all__ = [
     "integrate_product_bruteforce",
     "integrate_step_product",
 ]
-
-MAX_PIECES = 10 ** 6
 
 
 @dataclass(frozen=True)

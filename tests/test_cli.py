@@ -67,6 +67,13 @@ def test_exit_code_contract(tmp_path, capsys):
     assert budget == 3
 
 
+@pytest.mark.parametrize("coeffs", ["nan,1", "1,-nan", "nan+1i,2", "inf,1", "1+infi"])
+def test_non_finite_coefficients_are_a_config_error(coeffs, capsys):
+    code, _, err = run(["oa-norm", "--k", "2", "--p", "4", "--coeffs=" + coeffs], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "coefficient" in err
+
+
 def test_sweep_determinism_and_worker_independence(tmp_path):
     base = ["sweep", "--seed", "5", "--trials", "1", "--n", "2"]
     assert main(base + ["--out", str(tmp_path / "a.json")]) == 0

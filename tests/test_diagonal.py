@@ -21,8 +21,7 @@ def reconstruction_defects(a, params, symmetric):
     """Max off-diagonal magnitude and max diagonal error of the expansion."""
     u = DiagonalTensor(a, params)
     n = u.dim
-    terms = averaging_decomposition(u, symmetric=symmetric)
-    tensor = dense_expansion(terms, n, params.k)
+    tensor = dense_expansion(averaging_decomposition(u, symmetric=symmetric))
     idx = np.arange(n)
     diag = tensor[tuple([idx] * params.k)].copy()
     tensor[tuple([idx] * params.k)] = 0.0
@@ -36,22 +35,24 @@ def reconstruction_defects(a, params, symmetric):
 
 def test_single_coefficient_decomposition():
     u = DiagonalTensor([1.0], LpParams(4.0, 2))
-    terms = averaging_decomposition(u)
-    assert len(terms) == 2
-    assert all(t.weight == 0.5 for t in terms)
-    signs = sorted(round(t.slots[0][0].real) for t in terms)
+    slots = averaging_decomposition(u)
+    assert slots.shape == (2, 2, 1)  # pieces, slots, coordinates
+    signs = sorted(round(s.real) for s in slots[:, 0, 0])
     assert signs == [-1, 1]
-    for t in terms:
-        assert np.allclose(t.slots[0], t.slots[1])
-    tensor = dense_expansion(terms, 1, 2)
+    for piece in slots:
+        assert np.allclose(piece[0], piece[1])
+    tensor = dense_expansion(slots)
+    # every piece carries weight 1/2
+    weighted = sum(0.5 * np.multiply.outer(piece[0], piece[1]) for piece in slots)
+    assert np.array_equal(tensor, weighted)
     assert abs(tensor[0, 0] - 1.0) < 1e-15
 
 
 def test_two_coefficient_cancellation_is_exact_scale():
     u = DiagonalTensor([1.0, 1.0], LpParams(4.0, 2))
-    terms = averaging_decomposition(u)
-    assert len(terms) == 4
-    tensor = dense_expansion(terms, 2, 2)
+    slots = averaging_decomposition(u)
+    assert slots.shape[0] == 4
+    tensor = dense_expansion(slots)
     assert abs(tensor[0, 1]) < 1e-15
     assert abs(tensor[1, 0]) < 1e-15
     assert tensor[0, 0] == pytest.approx(1.0, rel=1e-14)
@@ -61,8 +62,7 @@ def test_two_coefficient_cancellation_is_exact_scale():
 def test_degree_three_decomposition_matches_signed_diagonal():
     a = np.array([1.0, -1.0])
     u = DiagonalTensor(a, LpParams(4.0, 3))
-    terms = averaging_decomposition(u)
-    assert len(terms) == 9
+    assert averaging_decomposition(u).shape == (9, 3, 2)
     off, diag = reconstruction_defects(a, LpParams(4.0, 3), symmetric=True)
     assert off <= 1e-12 * np.sum(np.abs(a))
     assert diag <= 1e-12
@@ -70,19 +70,18 @@ def test_degree_three_decomposition_matches_signed_diagonal():
 
 def test_symmetric_variant_has_equal_slots():
     u = DiagonalTensor([2.0, -3.0, 1.5], LpParams(5.0, 3))
-    for term in averaging_decomposition(u, symmetric=True):
-        for slot in term.slots[1:]:
-            assert np.array_equal(slot, term.slots[0])
+    for piece in averaging_decomposition(u, symmetric=True):
+        for slot in piece[1:]:
+            assert np.array_equal(slot, piece[0])
 
 
 def test_asymmetric_variant_concentrates_phase_in_first_slot():
     u = DiagonalTensor([-2.0, 3.0], LpParams(5.0, 3))
-    terms = averaging_decomposition(u, symmetric=False)
-    first = terms[0]
+    first = averaging_decomposition(u, symmetric=False)[0]
     # slot 0 carries the sign of -2, the remaining slots the plain modulus root
-    assert first.slots[0][0].real < 0
-    assert first.slots[1][0].real > 0
-    assert np.array_equal(first.slots[1], first.slots[2])
+    assert first[0][0].real < 0
+    assert first[1][0].real > 0
+    assert np.array_equal(first[1], first[2])
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -102,6 +101,24 @@ def test_reconstruction_seeded(symmetric, complex_coeffs):
         assert diag <= 1e-12 * max(np.max(np.abs(a)), 1e-300)
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_reconstruction_stays_within_tolerance_at_many_pieces(n):
+    # 3^10 and 3^11 pieces: adding them one after another drifted past 1e-12.
+    # The coefficients are case 1 of `oadiag sweep --k 3 --p 6 --n N --trials 2`.
+    rng = np.random.default_rng([0, 1])
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    off, diag = reconstruction_defects(a, LpParams(6.0, 3), symmetric=True)
+    assert off / np.sum(np.abs(a)) <= 1e-12
+    assert diag / np.max(np.abs(a)) <= 1e-12
+
+
+def test_dense_expansion_single_coordinate_any_degree():
+    u = DiagonalTensor([-2.0], LpParams(70.0, 60))
+    tensor = dense_expansion(averaging_decomposition(u))
+    assert tensor.shape == (1,) * 60
+    assert abs(tensor.reshape(-1)[0] + 2.0) < 1e-12
+
+
 def test_decomposition_budget():
     u = DiagonalTensor(np.ones(25), LpParams(4.0, 2))
     with pytest.raises(BudgetError):
@@ -112,7 +129,7 @@ def test_decomposition_budget():
 
 def test_dense_expansion_budget():
     with pytest.raises(BudgetError):
-        dense_expansion([], 50, 4)
+        dense_expansion(np.zeros((0, 4, 50), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
