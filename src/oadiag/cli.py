@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -106,10 +107,7 @@ def _parse_tolerances(items: Optional[List[str]]) -> dict:
     return tolerances
 
 
-_CONFIG_FILE_KEYS = {
-    "k", "p", "n", "seed", "trials", "depth", "coeffs", "tolerances",
-    "format", "workers", "timing", "inject_failure", "restarts", "iters", "out",
-}
+_CONFIG_FILE_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) - {"command"}
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -138,17 +136,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         merged = dict(settings.get("tolerances") or {})
         merged.update(flag_tolerances)
         settings["tolerances"] = merged
-    for name in ("k", "p", "n", "seed", "trials", "restarts", "iters",
-                 "out", "format", "workers", "timing"):
+    # coeffs and tolerances are merged above; flags a subcommand lacks read as None
+    for name in _CONFIG_FILE_KEYS - {"coeffs", "tolerances"}:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value
-    if getattr(args, "depth", None) is not None:
-        settings["depth"] = args.depth
-    if getattr(args, "inject_failure", None) is not None:
-        settings["inject_failure"] = args.inject_failure
-
-    settings.setdefault("tolerances", {})
     try:
         return ExperimentConfig(command=args.command, **settings)
     except TypeError as exc:
@@ -164,8 +156,12 @@ def _resolve_out_path(out: str) -> Path:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value with a leading minus, such as -3,4, for an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--coeffs":
+            argv[i - 1:i + 1] = [f"--coeffs={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         records, summary = run_command(cfg)

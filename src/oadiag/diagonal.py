@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (MAX_PIECES, BudgetError, LpParams, Scalar, ensure_finite, lq_norm,
-                       phase, phase_root)
+from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, BudgetError, LpParams, Scalar,
+                       ensure_finite, lq_norm, phase, phase_root)
 
 __all__ = [
     "DiagonalTensor",
@@ -37,7 +37,6 @@ __all__ = [
     "pair",
 ]
 
-MAX_DENSE_ENTRIES = 10 ** 5
 # Pieces per chunk.  It bounds the peak memory of pi_upper_bound, and the
 # in-order summation inside each dense_expansion einsum: about 4096 unit
 # roundoffs (4.5e-13), under the 1e-12 reconstruction tolerance.
@@ -156,7 +155,7 @@ def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
     return _piece_slots(u, symmetric, 0, pieces)
 
 
-def dense_expansion(slots: np.ndarray, max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
+def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES) -> np.ndarray:
     """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
 
     slots has shape (pieces, k, n), as averaging_decomposition returns it.

@@ -11,10 +11,10 @@ output files stay byte-reproducible.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,11 +27,12 @@ from .diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
 )
-from .numerics import BudgetError, LpParams, Scalar
+from .numerics import MAX_CASES, BudgetError, LpParams, Scalar
 from .oapoly import (
+    AdditivityReport,
+    MultilinearForm,
     OrthAddPolynomial,
     diagonal_of_multilinear,
-    evaluate,
     extend_diagonal_functional,
     is_orthogonally_additive,
     multilinear_norm_ascent,
@@ -40,7 +41,6 @@ from .oapoly import (
     norm_numeric,
     norm_witness,
 )
-from .oapoly import MultilinearForm
 from .rademacher import integrate_product, integrate_product_bruteforce
 
 __all__ = [
@@ -70,8 +70,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 SWEEP_DEFAULT_KS = (2, 3)
 SWEEP_DEFAULT_NS = (2, 4, 8)
-# Cap on the records one command may produce.
-MAX_CASES = 20000
 
 
 class ConfigError(ValueError):
@@ -119,9 +117,7 @@ class ExperimentConfig:
     iters: int = 500
 
     def tol(self, name: str) -> float:
-        if name in self.tolerances:
-            return self.tolerances[name]
-        return DEFAULT_TOLERANCES[name]
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -172,23 +168,13 @@ class ExperimentConfig:
             raise ConfigError("additivity-test requires --n or --coeffs")
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "command": self.command,
-            "k": self.k,
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "trials": self.trials,
-            "depth": self.depth,
-            "coeffs": None if self.coeffs is None else [format_scalar(z) for z in self.coeffs],
-            "tolerances": {name: self.tolerances[name] for name in sorted(self.tolerances)},
-            "format": self.format,
-            "workers": self.workers,
-            "timing": self.timing,
-            "inject_failure": self.inject_failure,
-            "restarts": self.restarts,
-            "iters": self.iters,
-        }
+        """Every field except the output path, with coefficients as literals."""
+        doc = asdict(self)
+        del doc["out"]
+        if self.coeffs is not None:
+            doc["coeffs"] = [format_scalar(z) for z in self.coeffs]
+        doc["tolerances"] = dict(sorted(self.tolerances.items()))
+        return doc
 
 
 @dataclass
@@ -203,16 +189,7 @@ class ResultRecord:
     wall_time_ms: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "command": self.command,
-            "case_index": self.case_index,
-            "parameters": self.parameters,
-            "values": self.values,
-            "deviations": self.deviations,
-            "passes": self.passes,
-            "passed": self.passed,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -222,130 +199,72 @@ def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _finish_record(record: ResultRecord) -> ResultRecord:
-    record.passed = all(record.passes.values())
-    return record
+Case = Tuple[Dict[str, object], Dict[str, float], Dict[str, float], Dict[str, bool]]
 
 
-def _timed(cfg: ExperimentConfig, builder: Callable[[], ResultRecord]) -> ResultRecord:
-    if not cfg.timing:
-        return builder()
-    start = time.perf_counter()
-    record = builder()
-    record.wall_time_ms = (time.perf_counter() - start) * 1e3
-    return record
+def _run_cases(cfg: ExperimentConfig, count: int,
+               case: Callable[[int], Case]) -> List[ResultRecord]:
+    """One record per case index, in index order.
 
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[ResultRecord]:
-    """Exhaustive product-integral check over all level tuples up to depth."""
-    k = cfg.k
-    tuple_count = cfg.depth ** k
-    if tuple_count > MAX_CASES:
-        raise BudgetError(f"{tuple_count} level tuples exceed the sweep cap")
+    case(index) returns (parameters, values, deviations, passes); a record
+    passes when all its pass flags do.  Wall time is measured only under
+    cfg.timing, so untimed output stays byte-reproducible.
+    """
+    if count > MAX_CASES:
+        raise BudgetError(f"{count} cases exceed the cap of {MAX_CASES}")
     records = []
-    index = 0
-    levels_range = range(1, cfg.depth + 1)
-    for levels in itertools.product(levels_range, repeat=k):
-        def build(levels=levels, index=index) -> ResultRecord:
-            rule = integrate_product(levels, k)
-            brute = integrate_product_bruteforce(levels, k)
-            expected = 1 if len(set(levels)) == 1 else 0
-            deviations = {
-                "rule_vs_expected": float(abs(rule - expected)),
-                "bruteforce_vs_rule": float(abs(brute - rule)),
-            }
-            tol = cfg.tol("rademacher")
-            passes = {name: dev <= tol for name, dev in deviations.items()}
-            return _finish_record(ResultRecord(
-                command=cfg.command,
-                case_index=index,
-                parameters={"k": k, "levels": list(levels)},
-                values={"rule": float(rule), "bruteforce": float(brute),
-                        "expected": float(expected)},
-                deviations=deviations,
-                passes=passes,
-                passed=True,
-            ))
-
-        records.append(_timed(cfg, build))
-        index += 1
+    for index in range(count):
+        start = time.perf_counter() if cfg.timing else None
+        parameters, values, deviations, passes = case(index)
+        wall_time_ms = None if start is None else (time.perf_counter() - start) * 1e3
+        records.append(ResultRecord(cfg.command, index, parameters, values, deviations, passes,
+                                    all(passes.values()), wall_time_ms))
     return records
 
 
-def cmd_pi_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
-    """Closed form, decomposition upper bound and dual lower bound for one tensor."""
-    params = LpParams(cfg.p, cfg.k)
-
-    def build() -> ResultRecord:
-        u = DiagonalTensor(np.array(cfg.coeffs, dtype=complex), params)
-        closed = pi_norm_closed_form(u)
-        upper = pi_upper_bound(u)
-        lower = pi_lower_bound(u)
-        tol = cfg.tol("sandwich") if params.k_less_than_p else cfg.tol("sandwich_l1")
-        deviations = {
-            "lower_vs_closed": _relative_deviation(lower, closed),
-            "upper_vs_closed": _relative_deviation(upper, closed),
-            "sandwich_violation": max(lower - closed, closed - upper, 0.0)
-            / max(closed, 1e-300),
-        }
-        passes = {name: dev <= tol for name, dev in deviations.items()}
-        return _finish_record(ResultRecord(
-            command=cfg.command,
-            case_index=0,
-            parameters={"k": cfg.k, "p": cfg.p,
-                        "coeffs": [format_scalar(z) for z in cfg.coeffs]},
-            values={"closed_form": closed, "upper_bound": upper, "lower_bound": lower},
-            deviations=deviations,
-            passes=passes,
-            passed=True,
-        ))
-
-    return [_timed(cfg, build)]
+def _unravel(index: int, shape: Sequence[int]) -> List[int]:
+    """Mixed-radix digits of index, most significant first (itertools.product order)."""
+    digits = []
+    for size in reversed(shape):
+        index, digit = divmod(index, size)
+        digits.append(digit)
+    return digits[::-1]
 
 
-def cmd_oa_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
-    """Closed form, witness value and ascent estimate for one polynomial."""
-    params = LpParams(cfg.p, cfg.k)
+# ---------------------------------------------------------------------------
+# One check per identity, shared by the commands and sweep
+# ---------------------------------------------------------------------------
 
-    def build() -> ResultRecord:
-        poly = OrthAddPolynomial(np.array(cfg.coeffs, dtype=complex), params)
-        closed = norm_closed_form(poly)
-        numeric = norm_numeric(poly, restarts=cfg.restarts, iters=cfg.iters, seed=cfg.seed)
-        parameters: Dict[str, object] = {
-            "k": cfg.k, "p": cfg.p, "seed": cfg.seed,
-            "restarts": cfg.restarts, "iters": cfg.iters,
-            "coeffs": [format_scalar(z) for z in cfg.coeffs],
-        }
-        if closed == 0.0:
-            parameters["witness_defined"] = False
-            witness_value = 0.0
-        else:
-            parameters["witness_defined"] = True
-            _, witness_value = norm_witness(poly)
-        deviations = {
-            "witness_vs_closed": _relative_deviation(witness_value, closed),
-            "numeric_vs_closed": _relative_deviation(numeric, closed),
-        }
-        passes = {
-            "witness_vs_closed": deviations["witness_vs_closed"] <= cfg.tol("witness"),
-            "numeric_vs_closed": deviations["numeric_vs_closed"] <= cfg.tol("isometry"),
-        }
-        return _finish_record(ResultRecord(
-            command=cfg.command,
-            case_index=0,
-            parameters=parameters,
-            values={"closed_form": closed, "witness_value": witness_value,
-                    "numeric_estimate": numeric},
-            deviations=deviations,
-            passes=passes,
-            passed=True,
-        ))
+def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float, float, float]:
+    """Closed form, decomposition upper bound and dual lower bound of ||u||_pi,
+    and the tolerance of their sandwich (exact l_1 lower bound when p <= k)."""
+    tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
+    return pi_norm_closed_form(u), pi_upper_bound(u), pi_lower_bound(u), tol
 
-    return [_timed(cfg, build)]
+
+def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, restarts: int, iters: int,
+                 seed: int) -> Tuple[float, float, float, Dict[str, float], Dict[str, bool]]:
+    """Closed form, ascent estimate and witness value of ||poly||, with the
+    deviation of each estimate from the closed form and its pass flag, keyed
+    by tolerance name.  The zero polynomial has no witness; its value is 0."""
+    closed = norm_closed_form(poly)
+    numeric = norm_numeric(poly, restarts=restarts, iters=iters, seed=seed)
+    witness_value = norm_witness(poly)[1] if closed != 0.0 else 0.0
+    deviations = {"isometry": _relative_deviation(numeric, closed),
+                  "witness": _relative_deviation(witness_value, closed)}
+    passes = {name: dev <= cfg.tol(name) for name, dev in deviations.items()}
+    return closed, numeric, witness_value, deviations, passes
+
+
+def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams,
+                seed: int) -> AdditivityReport:
+    """Structural and behavioral additivity of the diagonal extension of c."""
+    return is_orthogonally_additive(
+        extend_diagonal_functional(c, params),
+        tol_structural=cfg.tol("additivity_structural"),
+        tol_behavioral=cfg.tol("additivity_behavioral"),
+        seed=seed,
+    )
 
 
 def _random_coeffs(rng: np.random.Generator, n: int, complex_values: bool) -> np.ndarray:
@@ -355,195 +274,186 @@ def _random_coeffs(rng: np.random.Generator, n: int, complex_values: bool) -> np
     return c.astype(complex)
 
 
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[ResultRecord]:
+    """Exhaustive product-integral check over all level tuples up to depth."""
+    k = cfg.k
+    tol = cfg.tol("rademacher")
+
+    def case(index: int) -> Case:
+        levels = [1 + digit for digit in _unravel(index, (cfg.depth,) * k)]
+        rule = integrate_product(levels, k)
+        brute = integrate_product_bruteforce(levels, k)
+        expected = 1 if len(set(levels)) == 1 else 0
+        deviations = {
+            "rule_vs_expected": float(abs(rule - expected)),
+            "bruteforce_vs_rule": float(abs(brute - rule)),
+        }
+        return ({"k": k, "levels": levels},
+                {"rule": float(rule), "bruteforce": float(brute), "expected": float(expected)},
+                deviations,
+                {name: dev <= tol for name, dev in deviations.items()})
+
+    return _run_cases(cfg, cfg.depth ** k, case)
+
+
+def cmd_pi_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
+    """Closed form, decomposition upper bound and dual lower bound for one tensor."""
+
+    def case(index: int) -> Case:
+        u = DiagonalTensor(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
+        closed, upper, lower, tol = _pi_sandwich(cfg, u)
+        deviations = {
+            "lower_vs_closed": _relative_deviation(lower, closed),
+            "upper_vs_closed": _relative_deviation(upper, closed),
+            "sandwich_violation": max(lower - closed, closed - upper, 0.0)
+            / max(closed, 1e-300),
+        }
+        return ({"k": cfg.k, "p": cfg.p, "coeffs": [format_scalar(z) for z in cfg.coeffs]},
+                {"closed_form": closed, "upper_bound": upper, "lower_bound": lower},
+                deviations,
+                {name: dev <= tol for name, dev in deviations.items()})
+
+    return _run_cases(cfg, 1, case)
+
+
+def cmd_oa_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
+    """Closed form, witness value and ascent estimate for one polynomial."""
+
+    def case(index: int) -> Case:
+        poly = OrthAddPolynomial(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
+        closed, numeric, witness_value, dev, ok = _oa_isometry(
+            cfg, poly, cfg.restarts, cfg.iters, cfg.seed)
+        return ({"k": cfg.k, "p": cfg.p, "seed": cfg.seed,
+                 "restarts": cfg.restarts, "iters": cfg.iters,
+                 "coeffs": [format_scalar(z) for z in cfg.coeffs],
+                 "witness_defined": closed != 0.0},
+                {"closed_form": closed, "witness_value": witness_value,
+                 "numeric_estimate": numeric},
+                {"witness_vs_closed": dev["witness"], "numeric_vs_closed": dev["isometry"]},
+                {"witness_vs_closed": ok["witness"], "numeric_vs_closed": ok["isometry"]})
+
+    return _run_cases(cfg, 1, case)
+
+
 def cmd_additivity(cfg: ExperimentConfig) -> List[ResultRecord]:
     """Structural and behavioral additivity checks on diagonal extensions."""
-    k = cfg.k
-    params = LpParams(cfg.p, k)
-    records = []
-    for trial in range(cfg.trials if cfg.coeffs is None else 1):
-        def build(trial=trial) -> ResultRecord:
-            if cfg.coeffs is not None:
-                c = np.array(cfg.coeffs, dtype=complex)
-            else:
-                rng = np.random.default_rng([cfg.seed, trial])
-                c = _random_coeffs(rng, cfg.n, complex_values=trial % 2 == 1)
-            form = extend_diagonal_functional(c, params)
-            report = is_orthogonally_additive(
-                form,
-                tol_structural=cfg.tol("additivity_structural"),
-                tol_behavioral=cfg.tol("additivity_behavioral"),
-                seed=cfg.seed + trial,
-            )
-            deviations = {
-                "offdiagonal_ratio": report.worst_offdiagonal_ratio,
-                "behavioral_defect": report.worst_behavioral_defect,
-            }
-            passes = {
-                "structural": report.structural_ok,
-                "behavioral": report.behavioral_ok,
-                "checks_agree": report.checks_agree,
-            }
-            return _finish_record(ResultRecord(
-                command=cfg.command,
-                case_index=trial,
-                parameters={"k": k, "p": cfg.p, "n": int(c.shape[0]),
-                            "seed": cfg.seed, "trial": trial,
-                            "coeffs": [format_scalar(z) for z in c]},
-                values={"offdiagonal_ratio": report.worst_offdiagonal_ratio,
-                        "behavioral_defect": report.worst_behavioral_defect},
-                deviations=deviations,
-                passes=passes,
-                passed=True,
-            ))
+    params = LpParams(cfg.p, cfg.k)
 
-        records.append(_timed(cfg, build))
-    return records
+    def case(trial: int) -> Case:
+        if cfg.coeffs is not None:
+            c = np.array(cfg.coeffs, dtype=complex)
+        else:
+            rng = np.random.default_rng([cfg.seed, trial])
+            c = _random_coeffs(rng, cfg.n, complex_values=trial % 2 == 1)
+        report = _additivity(cfg, c, params, cfg.seed + trial)
+        values = {"offdiagonal_ratio": report.worst_offdiagonal_ratio,
+                  "behavioral_defect": report.worst_behavioral_defect}
+        return ({"k": cfg.k, "p": cfg.p, "n": int(c.shape[0]), "seed": cfg.seed,
+                 "trial": trial, "coeffs": [format_scalar(z) for z in c]},
+                values,
+                dict(values),
+                {"structural": report.structural_ok, "behavioral": report.behavioral_ok,
+                 "checks_agree": report.checks_agree})
+
+    return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case)
 
 
 def cmd_zalduendo(cfg: ExperimentConfig) -> List[ResultRecord]:
     """Diagonal extraction bound against the estimated sup norm of random forms."""
     params = LpParams(cfg.p, cfg.k)
-    records = []
-    for trial in range(cfg.trials):
-        def build(trial=trial) -> ResultRecord:
-            rng = np.random.default_rng([cfg.seed, trial])
-            raw = rng.standard_normal((cfg.n,) * cfg.k)
-            form = MultilinearForm(raw.astype(complex), params).symmetrize()
-            ascent = multilinear_norm_ascent(form, restarts=max(cfg.restarts, 12),
-                                             iters=60, seed=cfg.seed + trial)
-            grid = multilinear_norm_grid(form)
-            _, diag_norm = diagonal_of_multilinear(form)
-            agreement = _relative_deviation(ascent, grid)
-            estimate = max(ascent, grid)
-            excess = max(diag_norm - estimate, 0.0)
-            deviations = {
-                "oracle_agreement": agreement,
-                "diagonal_excess": excess,
-            }
-            passes = {
-                "oracle_agreement": agreement <= cfg.tol("grid_agreement"),
-                "diagonal_bound": excess <= cfg.tol("zalduendo"),
-            }
-            return _finish_record(ResultRecord(
-                command=cfg.command,
-                case_index=trial,
-                parameters={"k": cfg.k, "p": cfg.p, "n": cfg.n,
-                            "seed": cfg.seed, "trial": trial},
-                values={"ascent_estimate": ascent, "grid_estimate": grid,
-                        "diagonal_norm": diag_norm,
-                        "observed_ratio": diag_norm / estimate if estimate > 0 else 0.0},
-                deviations=deviations,
-                passes=passes,
-                passed=True,
-            ))
 
-        records.append(_timed(cfg, build))
-    return records
+    def case(trial: int) -> Case:
+        rng = np.random.default_rng([cfg.seed, trial])
+        raw = rng.standard_normal((cfg.n,) * cfg.k)
+        form = MultilinearForm(raw.astype(complex), params).symmetrize()
+        ascent = multilinear_norm_ascent(form, restarts=max(cfg.restarts, 12),
+                                         iters=60, seed=cfg.seed + trial)
+        grid = multilinear_norm_grid(form)
+        _, diag_norm = diagonal_of_multilinear(form)
+        agreement = _relative_deviation(ascent, grid)
+        estimate = max(ascent, grid)
+        excess = max(diag_norm - estimate, 0.0)
+        return ({"k": cfg.k, "p": cfg.p, "n": cfg.n, "seed": cfg.seed, "trial": trial},
+                {"ascent_estimate": ascent, "grid_estimate": grid, "diagonal_norm": diag_norm,
+                 "observed_ratio": diag_norm / estimate if estimate > 0 else 0.0},
+                {"oracle_agreement": agreement, "diagonal_excess": excess},
+                {"oracle_agreement": agreement <= cfg.tol("grid_agreement"),
+                 "diagonal_bound": excess <= cfg.tol("zalduendo")})
 
-
-def _sweep_cases(cfg: ExperimentConfig) -> List[Tuple[int, float, int, int]]:
-    ks = [cfg.k] if cfg.k is not None else list(SWEEP_DEFAULT_KS)
-    ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
-    cases = []
-    for k in ks:
-        ps = [cfg.p] if cfg.p is not None else [k + 1.0, 2.0 * k]
-        for p in ps:
-            for n in ns:
-                for trial in range(cfg.trials):
-                    cases.append((k, float(p), n, trial))
-    return cases
-
-
-def _sweep_case_record(cfg: ExperimentConfig, index: int,
-                       case: Tuple[int, float, int, int]) -> ResultRecord:
-    k, p, n, trial = case
-    params = LpParams(p, k)
-    rng = np.random.default_rng([cfg.seed, index])
-    a = _random_coeffs(rng, n, complex_values=trial % 2 == 1)
-
-    values: Dict[str, float] = {}
-    deviations: Dict[str, float] = {}
-    passes: Dict[str, bool] = {}
-
-    # rank-one reconstruction of the diagonal tensor
-    u = DiagonalTensor(a, params)
-    tensor = dense_expansion(averaging_decomposition(u))
-    idx = np.arange(n)
-    diag = tensor[tuple([idx] * k)].copy()
-    tensor[tuple([idx] * k)] = 0.0
-    scale = float(np.sum(np.abs(a)))
-    off_dev = float(np.max(np.abs(tensor))) / max(scale, 1e-300)
-    diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
-    deviations["reconstruction_offdiagonal"] = off_dev
-    deviations["reconstruction_diagonal"] = diag_dev
-    passes["reconstruction_offdiagonal"] = off_dev <= cfg.tol("reconstruction")
-    passes["reconstruction_diagonal"] = diag_dev <= cfg.tol("reconstruction")
-
-    # projective-norm sandwich
-    closed = pi_norm_closed_form(u)
-    upper = pi_upper_bound(u)
-    lower = pi_lower_bound(u)
-    values.update({"pi_closed_form": closed, "pi_upper_bound": upper,
-                   "pi_lower_bound": lower})
-    sandwich_tol = cfg.tol("sandwich") if params.k_less_than_p else cfg.tol("sandwich_l1")
-    sandwich_dev = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
-    deviations["sandwich"] = sandwich_dev
-    passes["sandwich"] = sandwich_dev <= sandwich_tol
-
-    # polynomial norm isometry (moderate optimizer budget; sweeps stay quick)
-    poly = OrthAddPolynomial(a, params)
-    oa_closed = norm_closed_form(poly)
-    numeric = norm_numeric(poly, restarts=min(cfg.restarts, n + 4), iters=min(cfg.iters, 250),
-                           seed=cfg.seed + index)
-    _, witness_value = norm_witness(poly)
-    values.update({"oa_closed_form": oa_closed, "oa_numeric": numeric,
-                   "oa_witness_value": witness_value})
-    deviations["isometry"] = _relative_deviation(numeric, oa_closed)
-    deviations["witness"] = _relative_deviation(witness_value, oa_closed)
-    passes["isometry"] = deviations["isometry"] <= cfg.tol("isometry")
-    passes["witness"] = deviations["witness"] <= cfg.tol("witness")
-
-    # orthogonal additivity of the diagonal extension
-    report = is_orthogonally_additive(
-        extend_diagonal_functional(a, params),
-        tol_structural=cfg.tol("additivity_structural"),
-        tol_behavioral=cfg.tol("additivity_behavioral"),
-        seed=cfg.seed + index,
-    )
-    deviations["additivity_offdiagonal"] = report.worst_offdiagonal_ratio
-    deviations["additivity_behavioral"] = report.worst_behavioral_defect
-    passes["additivity_structural"] = report.structural_ok
-    passes["additivity_behavioral"] = report.behavioral_ok
-    passes["additivity_agreement"] = report.checks_agree
-
-    if cfg.inject_failure and index == 0:
-        # fixture for exercising the exit-code contract
-        deviations["injected_failure"] = 1.0
-        passes["injected_failure"] = False
-
-    return _finish_record(ResultRecord(
-        command=cfg.command,
-        case_index=index,
-        parameters={"k": k, "p": p, "n": n, "trial": trial, "seed": cfg.seed,
-                    "coeffs": [format_scalar(z) for z in a]},
-        values=values,
-        deviations=deviations,
-        passes=passes,
-        passed=True,
-    ))
+    return _run_cases(cfg, cfg.trials, case)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
     """Grid of seeded random instances running every invariant suite.
 
-    Cases run one after another in index order; ``workers`` is accepted and
-    echoed in the config but does not change how the sweep runs.
+    Case indices run in order over k, then p, then n, then trial.  Cases
+    run one after another; ``workers`` is accepted and echoed in the config
+    but does not change how the sweep runs.
     """
-    cases = _sweep_cases(cfg)
-    if len(cases) > MAX_CASES:
-        raise BudgetError(f"{len(cases)} sweep cases exceed the cap")
-    return [_timed(cfg, lambda: _sweep_case_record(cfg, index, case))
-            for index, case in enumerate(cases)]
+    ks = [cfg.k] if cfg.k is not None else list(SWEEP_DEFAULT_KS)
+    ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
+    shape = (len(ks), 1 if cfg.p is not None else 2, len(ns), cfg.trials)
+    rec_tol = cfg.tol("reconstruction")
+
+    def case(index: int) -> Case:
+        k_at, p_at, n_at, trial = _unravel(index, shape)
+        k, n = ks[k_at], ns[n_at]
+        p = float(cfg.p if cfg.p is not None else (k + 1.0, 2.0 * k)[p_at])
+        params = LpParams(p, k)
+        rng = np.random.default_rng([cfg.seed, index])
+        a = _random_coeffs(rng, n, complex_values=trial % 2 == 1)
+
+        # rank-one reconstruction of the diagonal tensor
+        u = DiagonalTensor(a, params)
+        tensor = dense_expansion(averaging_decomposition(u))
+        idx = np.arange(n)
+        diag = tensor[tuple([idx] * k)].copy()
+        tensor[tuple([idx] * k)] = 0.0
+        off_dev = float(np.max(np.abs(tensor))) / max(float(np.sum(np.abs(a))), 1e-300)
+        diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
+
+        closed, upper, lower, sandwich_tol = _pi_sandwich(cfg, u)
+        sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
+        # moderate optimizer budget; sweeps stay quick
+        oa_closed, numeric, witness_value, iso_dev, iso_ok = _oa_isometry(
+            cfg, OrthAddPolynomial(a, params), min(cfg.restarts, n + 4),
+            min(cfg.iters, 250), cfg.seed + index)
+        report = _additivity(cfg, a, params, cfg.seed + index)
+
+        deviations = {
+            "reconstruction_offdiagonal": off_dev,
+            "reconstruction_diagonal": diag_dev,
+            "sandwich": sandwich,
+            **iso_dev,
+            "additivity_offdiagonal": report.worst_offdiagonal_ratio,
+            "additivity_behavioral": report.worst_behavioral_defect,
+        }
+        passes = {
+            "reconstruction_offdiagonal": off_dev <= rec_tol,
+            "reconstruction_diagonal": diag_dev <= rec_tol,
+            "sandwich": sandwich <= sandwich_tol,
+            **iso_ok,
+            "additivity_structural": report.structural_ok,
+            "additivity_behavioral": report.behavioral_ok,
+            "additivity_agreement": report.checks_agree,
+        }
+        if cfg.inject_failure and index == 0:
+            # fixture for exercising the exit-code contract
+            deviations["injected_failure"] = 1.0
+            passes["injected_failure"] = False
+        return ({"k": k, "p": p, "n": n, "trial": trial, "seed": cfg.seed,
+                 "coeffs": [format_scalar(z) for z in a]},
+                {"pi_closed_form": closed, "pi_upper_bound": upper, "pi_lower_bound": lower,
+                 "oa_closed_form": oa_closed, "oa_numeric": numeric,
+                 "oa_witness_value": witness_value},
+                deviations,
+                passes)
+
+    return _run_cases(cfg, math.prod(shape), case)
 
 
 COMMANDS: Dict[str, Callable[[ExperimentConfig], List[ResultRecord]]] = {
@@ -587,24 +497,12 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],
     import csv
     import io
 
-    value_keys: List[str] = []
-    deviation_keys: List[str] = []
-    pass_keys: List[str] = []
-    for record in records:
-        for key in record.values:
-            if key not in value_keys:
-                value_keys.append(key)
-        for key in record.deviations:
-            if key not in deviation_keys:
-                deviation_keys.append(key)
-        for key in record.passes:
-            if key not in pass_keys:
-                pass_keys.append(key)
-
+    # one column per key that any record carries, in first-seen order
+    groups = (("value", "values", repr), ("deviation", "deviations", repr), ("pass", "passes", str))
+    columns = [(prefix, attr, key, fmt) for prefix, attr, fmt in groups
+               for key in dict.fromkeys(k for record in records for k in getattr(record, attr))]
     header = (["command", "case_index", "parameters"]
-              + [f"value_{k}" for k in value_keys]
-              + [f"deviation_{k}" for k in deviation_keys]
-              + [f"pass_{k}" for k in pass_keys]
+              + [f"{prefix}_{key}" for prefix, _, key, _ in columns]
               + ["passed", "wall_time_ms"])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -612,10 +510,8 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],
     for record in records:
         row = [record.command, record.case_index,
                json.dumps(record.parameters, sort_keys=True)]
-        row += [repr(record.values[k]) if k in record.values else "" for k in value_keys]
-        row += [repr(record.deviations[k]) if k in record.deviations else ""
-                for k in deviation_keys]
-        row += [str(record.passes[k]) if k in record.passes else "" for k in pass_keys]
+        row += [fmt(getattr(record, attr)[key]) if key in getattr(record, attr) else ""
+                for _, attr, key, fmt in columns]
         row += [str(record.passed),
                 "" if record.wall_time_ms is None else repr(record.wall_time_ms)]
         writer.writerow(row)

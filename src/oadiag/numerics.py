@@ -33,8 +33,17 @@ class BudgetError(RuntimeError):
     """An enumeration (pieces, dense coefficients, ...) would exceed its cap."""
 
 
-# Cap on the k^n constancy pieces any single enumeration may visit.
+# Budgets: every cap in the package, each raising BudgetError beyond it.
+# k^n constancy pieces any single enumeration may visit.
 MAX_PIECES = 10 ** 6
+# n^k coefficients of the dense expansion of an averaging decomposition.
+MAX_EXPANSION_ENTRIES = 10 ** 5
+# n^k entries of a dense multilinear form.
+MAX_FORM_ENTRIES = 10 ** 6
+# 2^k n^k polynomial evaluations of one polarization.
+MAX_POLARIZE_COST = 4 * 10 ** 6
+# Records one CLI command may produce.
+MAX_CASES = 20000
 
 
 def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.ndarray:

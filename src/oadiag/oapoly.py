@@ -25,6 +25,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .numerics import (
+    MAX_FORM_ENTRIES,
+    MAX_POLARIZE_COST,
     BudgetError,
     LpParams,
     Scalar,
@@ -50,9 +52,6 @@ __all__ = [
     "multilinear_norm_ascent",
     "multilinear_norm_grid",
 ]
-
-MAX_DENSE_ENTRIES = 10 ** 6
-MAX_POLARIZE_COST = 4 * 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +245,7 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
 # ---------------------------------------------------------------------------
 
 def extend_diagonal_functional(diag_values: Sequence[Scalar], params: LpParams,
-                               max_entries: int = MAX_DENSE_ENTRIES) -> MultilinearForm:
+                               max_entries: int = MAX_FORM_ENTRIES) -> MultilinearForm:
     """Dense symmetric form with the given diagonal and zero off-diagonal.
 
     This is the norm-preserving extension of a functional known on the

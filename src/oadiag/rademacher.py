@@ -232,6 +232,23 @@ def _check_levels(levels: Sequence[int], k: int) -> Tuple[int, ...]:
     return lv
 
 
+def _piece_sum(levels: Sequence[int], k: int, depth: int, max_pieces: int) -> int:
+    """Exact integer sum of prod_j r_{levels[j]} over the k^depth pieces.
+
+    The value on piece m is omega^e, where e adds up the base-k digits of m
+    that the levels select; the exponent histogram is reduced exactly.
+    """
+    pieces = k ** depth
+    if pieces > max_pieces:
+        raise BudgetError(f"{pieces} pieces exceed the cap of {max_pieces}")
+    m = np.arange(pieces, dtype=np.int64)
+    exponents = np.zeros(pieces, dtype=np.int64)
+    for level in levels:
+        exponents += (m // k ** (depth - level)) % k
+    counts = np.bincount(exponents % k, minlength=k)
+    return reduce_root_of_unity_sum([int(c) for c in counts], k)
+
+
 def integrate_product(levels: Sequence[int], k: int) -> int:
     """Exact integral over [0,1] of r_{n_1} ... r_{n_k}: 1 or 0.
 
@@ -262,16 +279,7 @@ def integrate_product_bruteforce(levels: Sequence[int], k: int,
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     lv = _check_levels(levels, k)
     depth = max(lv)
-    pieces = k ** depth
-    if pieces > max_pieces:
-        raise BudgetError(f"{pieces} pieces exceed the cap of {max_pieces}")
-    m = np.arange(pieces, dtype=np.int64)
-    exponents = np.zeros(pieces, dtype=np.int64)
-    for lvl in lv:
-        exponents += (m // k ** (depth - lvl)) % k
-    counts = np.bincount(exponents % k, minlength=k)
-    total = reduce_root_of_unity_sum([int(c) for c in counts], k)
-    value = Fraction(total, pieces)
+    value = Fraction(_piece_sum(lv, k, depth, max_pieces), k ** depth)
     if value.denominator != 1:
         raise AssertionError("piecewise sum of a product integral must be an integer")
     return int(value)
@@ -296,9 +304,8 @@ def integrate_step_product(factors: Iterable[Tuple[int, Union[CycloScalar, Scala
     max_level = max((level for level, _ in fac), default=0)
     if depth < max_level:
         raise ValueError(f"depth {depth} is below the max level {max_level}")
-    pieces = k ** depth
-    if pieces > max_pieces:
-        raise BudgetError(f"{pieces} pieces exceed the cap of {max_pieces}")
+    levels = [level for level, _ in fac]
+    average = Fraction(_piece_sum(levels, k, depth, max_pieces), k ** depth)
 
     coeff_exact = CycloScalar.one(k)
     coeff_float = 1 + 0j
@@ -309,13 +316,4 @@ def integrate_step_product(factors: Iterable[Tuple[int, Union[CycloScalar, Scala
             coeff_exact = coeff_exact * coeff
         else:
             coeff_float *= complex(coeff)
-
-    m = np.arange(pieces, dtype=np.int64)
-    exponents = np.zeros(pieces, dtype=np.int64)
-    for level, _ in fac:
-        exponents += (m // k ** (depth - level)) % k
-    counts = np.bincount(exponents % k, minlength=k)
-    total = reduce_root_of_unity_sum([int(c) for c in counts], k)
-
-    average = Fraction(total, pieces)
     return coeff_exact.to_complex() * coeff_float * float(average)

@@ -186,11 +186,45 @@ def test_additivity_command(tmp_path):
     assert all(r["passes"]["checks_agree"] for r in doc["records"])
 
 
-def test_timing_flag_breaks_byte_identity_only_when_used(tmp_path):
-    base = ["pi-norm", "--k", "2", "--p", "4", "--coeffs", "1,2"]
+# four records from each multi-record command
+SMALL_SHAPES = {
+    "verify-rademacher": ["--k", "2", "--depth", "2"],
+    "pi-norm": ["--k", "2", "--p", "4", "--coeffs", "1,2"],
+    "oa-norm": ["--k", "2", "--p", "4", "--coeffs", "1,2"],
+    "additivity-test": ["--k", "2", "--p", "4", "--n", "2", "--trials", "4"],
+    "zalduendo-check": ["--k", "2", "--p", "4", "--n", "2", "--trials", "4"],
+    "sweep": ["--k", "2", "--p", "4", "--n", "2", "--trials", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_SHAPES))
+def test_timing_flag_breaks_byte_identity_only_when_used(command, tmp_path):
+    base = [command] + SMALL_SHAPES[command]
     assert main(base + ["--out", str(tmp_path / "plain.json")]) == 0
-    doc = json.loads((tmp_path / "plain.json").read_text())
-    assert doc["records"][0]["wall_time_ms"] is None
+    plain = json.loads((tmp_path / "plain.json").read_text())["records"]
+    assert plain and all(r["wall_time_ms"] is None for r in plain)
     assert main(base + ["--timing", "--out", str(tmp_path / "timed.json")]) == 0
-    doc = json.loads((tmp_path / "timed.json").read_text())
-    assert doc["records"][0]["wall_time_ms"] is not None
+    timed = json.loads((tmp_path / "timed.json").read_text())["records"]
+    assert all(isinstance(r.pop("wall_time_ms"), float) for r in timed)
+    for record in plain:
+        del record["wall_time_ms"]
+    assert timed == plain
+
+
+@pytest.mark.parametrize("command", ["verify-rademacher", "additivity-test",
+                                     "zalduendo-check", "sweep"])
+def test_case_cap_applies_to_every_multi_record_command(command, monkeypatch, capsys):
+    monkeypatch.setattr("oadiag.experiments.MAX_CASES", 3)
+    code, out, err = run([command] + SMALL_SHAPES[command], capsys)
+    assert code == 3
+    assert out == "" and "4 cases exceed the cap of 3" in err
+
+
+@pytest.mark.parametrize("coeffs, echoed", [("-3,4", ["-3.0", "4.0"]),
+                                            ("-1+2i,4", ["-1.0+2.0i", "4.0"])], ids=["real", "complex"])
+def test_coeffs_with_leading_minus_as_separate_value(coeffs, echoed, capsys):
+    code, out, _ = run(["oa-norm", "--k", "2", "--p", "4", "--coeffs", coeffs], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["coeffs"] == echoed
+    assert doc["records"][0]["parameters"]["coeffs"] == echoed
