@@ -15,9 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .experiments import (
     ConfigError,
@@ -107,7 +106,22 @@ def _parse_tolerances(items: Optional[List[str]]) -> dict:
     return tolerances
 
 
-_CONFIG_FILE_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) - {"command"}
+_CONFIG_FILE_TYPES = {name: hint for name, hint in get_type_hints(ExperimentConfig).items()
+                      if name != "command"}
+
+
+def _check_config_value(key: str, value: object) -> None:
+    """Raise ConfigError unless a config-file value has the JSON type its field
+    declares: null only for optional fields, no booleans for numbers, integers
+    also for floats, and numbers as tolerance values."""
+    hint = _CONFIG_FILE_TYPES[key]
+    kinds = [get_origin(t) or t for t in (get_args(hint) if get_origin(hint) is Union else (hint,))]
+    if float in kinds:
+        kinds.append(int)  # JSON may write 4.0 as 4
+    members = value.values() if isinstance(value, dict) else ()
+    if (not isinstance(value, tuple(kinds)) or (isinstance(value, bool) and bool not in kinds)
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in members)):
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -120,8 +134,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in file_values.items():
-            if key not in _CONFIG_FILE_KEYS:
+            if key not in _CONFIG_FILE_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
+            _check_config_value(key, value)
             settings[key] = value
     if "coeffs" in settings and settings["coeffs"] is not None:
         settings["coeffs"] = [parse_scalar(str(item)) for item in settings["coeffs"]]
@@ -137,7 +152,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         merged.update(flag_tolerances)
         settings["tolerances"] = merged
     # coeffs and tolerances are merged above; flags a subcommand lacks read as None
-    for name in _CONFIG_FILE_KEYS - {"coeffs", "tolerances"}:
+    for name in _CONFIG_FILE_TYPES.keys() - {"coeffs", "tolerances"}:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value

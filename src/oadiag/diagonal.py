@@ -10,9 +10,13 @@ distinct-level step functions integrate to zero.
 
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
-here recomputes it from the explicit slot vectors of a rank-one
-decomposition and the lower bound from the pairing with a dual diagonal
-multilinear form, so the three routes certify one another.
+here recomputes it from the slot vectors of the averaging decomposition and
+the lower bound from the pairing with a dual diagonal multilinear form, so
+the three routes certify one another.  Every slot entry of every piece is
+c[j, i] * omega^d, with d one base-k digit of the piece index, so its modulus
+depends only on (slot j, coordinate i, digit d): the upper bound tabulates
+those k * n * k values once and forms each piece's slot power sums as a
+Kronecker sum of the table's rows, without building the slot vectors.
 """
 
 from __future__ import annotations
@@ -124,18 +128,10 @@ def _slot_coefficients(u: DiagonalTensor, symmetric: bool) -> np.ndarray:
     return np.vstack([first[None, :], rest])
 
 
-def _piece_slots(u: DiagonalTensor, symmetric: bool, start: int, stop: int) -> np.ndarray:
-    """Slot vectors of the pieces start, ..., stop-1: shape (stop-start, k, n).
-
-    Entry [m, j, i] is c[j, i] * omega^d, where d is the level-(i+1) base-k
-    digit of the piece index start+m and omega = exp(2 pi i / k).
-    """
-    n = u.dim
-    k = u.params.k
-    m = np.arange(start, stop, dtype=np.int64)[:, None]
-    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-    phases = np.exp(2j * np.pi / k) ** ((m // divisors) % k)
-    return _slot_coefficients(u, symmetric)[None, :, :] * phases[:, None, :]
+def _step_values(k: int) -> np.ndarray:
+    """omega^d for d = 0, ..., k-1, with omega = exp(2 pi i / k): the values of
+    the k-ary Rademacher functions."""
+    return np.exp(2j * np.pi / k) ** np.arange(k)
 
 
 def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
@@ -149,10 +145,16 @@ def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
     coefficients equal a_i and every off-diagonal coefficient vanishes by the
     product-integral orthogonality.
     """
-    pieces = u.params.k ** u.dim
+    n = u.dim
+    k = u.params.k
+    pieces = k ** n
     if pieces > max_pieces:
         raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
-    return _piece_slots(u, symmetric, 0, pieces)
+    # entry [m, j, i] is c[j, i] * omega^d, d the level-(i+1) base-k digit of m
+    m = np.arange(pieces, dtype=np.int64)[:, None]
+    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
+    phases = _step_values(k)[(m // divisors) % k]
+    return _slot_coefficients(u, symmetric)[None, :, :] * phases[:, None, :]
 
 
 def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES) -> np.ndarray:
@@ -193,10 +195,19 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
                    max_pieces: int = MAX_PIECES) -> float:
     """Triangle-inequality bound computed from an explicit decomposition.
 
-    k < p: the supremum over averaging pieces of the product of slot l_p
-    norms (every piece gives the same product because the step values are
-    unimodular, but the bound is recomputed from the actual slot vectors so
-    it stays an independent check of the closed form).
+    k < p: the supremum over all k^n averaging pieces of the product of the
+    pieces' slot l_p norms.  Entry i of slot j on piece m is c[j, i] * omega^d
+    with d = d_i(m), the level-(i+1) base-k digit of m, so the table
+    |c[j, i] * omega^d|^p is built once and the slot power sums
+    S_j(m) = sum_i table[j, i, d_i(m)] are formed as a Kronecker sum, one
+    coordinate at a time with the first one most significant (the piece
+    order of averaging_decomposition).  The last coordinates form a low
+    block of at most _CHUNK pieces, summed once; the prefixes of the first
+    coordinates are walked a chunk of pieces at a time, which keeps the
+    memory small.  The bound is max_m prod_j S_j(m)^(1/p).  Every piece gives
+    the same product because the step values are unimodular, but each one
+    is still formed from its own slot entries, so the bound stays an
+    independent check of the closed form.
 
     p <= k: the trivial decomposition into the n diagonal rank-one terms,
     bounding pi(u) by sum_i |a_i| * ||e_i||_p^k.
@@ -217,12 +228,27 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     pieces = k ** n
     if pieces > max_pieces:
         raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
+    table = np.abs(_slot_coefficients(u, symmetric)[:, :, None] * _step_values(k)) ** p
+    low_levels = 0
+    while low_levels < n and k ** (low_levels + 1) <= _CHUNK:
+        low_levels += 1
+    high = _kronecker_sum(table[:, :n - low_levels])
+    low = _kronecker_sum(table[:, n - low_levels:])
+    step = max(1, _CHUNK // low.shape[1])
     best = 0.0
-    for start in range(0, pieces, _CHUNK):
-        slots = _piece_slots(u, symmetric, start, min(start + _CHUNK, pieces))
-        norms = np.sum(np.abs(slots) ** p, axis=2) ** (1.0 / p)
-        best = max(best, float(np.max(np.prod(norms, axis=1))))
+    for start in range(0, high.shape[1], step):
+        sums = high[:, start:start + step, None] + low[:, None, :]
+        best = max(best, float(np.max(np.prod(sums ** (1.0 / p), axis=0))))
     return best
+
+
+def _kronecker_sum(table: np.ndarray) -> np.ndarray:
+    """sums[j, m] = sum_i table[j, i, d_i(m)] over every digit string m of the
+    table's levels, the first level most significant: shape (slots, k^levels)."""
+    sums = np.zeros((table.shape[0], 1))
+    for level in range(table.shape[1]):
+        sums = (sums[:, :, None] + table[:, level, None, :]).reshape(table.shape[0], -1)
+    return sums
 
 
 def build_dual_form(u: DiagonalTensor) -> DualDiagonalForm:

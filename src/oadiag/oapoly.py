@@ -177,15 +177,18 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
 
     k < p: x*_i is |c_i|^{1/(p-k)} normalized in l_p, with the phase of each
     entry chosen so c_i (x*_i)^k is real and nonnegative.  p <= k: the basis
-    vector at the first index of maximal |c_n|.
+    vector at the first index of maximal |c_n|.  The witness is homogeneous
+    of degree 0 in c, so it is formed from the ratios |c_i| / max|c|, whose
+    powers never overflow.
     """
     mags = np.abs(poly.coeffs)
     if poly.dim == 0 or not np.any(mags > 0):
         raise ValueError("the zero polynomial has no norm witness")
     p, k = poly.params.p, poly.params.k
     if poly.params.k_less_than_p:
-        radial = mags ** (1.0 / (p - k))
-        denom = np.sum(mags ** (p / (p - k))) ** (1.0 / p)
+        ratios = mags / np.max(mags)
+        radial = ratios ** (1.0 / (p - k))
+        denom = np.sum(ratios ** (p / (p - k))) ** (1.0 / p)
         phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
         witness = phases * (radial / denom)
     else:
@@ -203,6 +206,8 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     update t <- normalize((|c| t^{k-1})^{1/(p-1)}), which never decreases the
     objective.  Starts: a uniform vector, the basis vectors (as budget
     allows), then seeded random points.  Deterministic for fixed arguments.
+    The ascent runs on |c| / max|c| and the result is scaled back by max|c|
+    (the norm is positively homogeneous), so its powers never overflow.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -210,6 +215,8 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     n = poly.dim
     if n == 0 or not np.any(w > 0):
         return 0.0
+    top = float(np.max(w))
+    w = w / top
     p, k = poly.params.p, poly.params.k
 
     rng = np.random.default_rng(seed)
@@ -237,7 +244,7 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
             norms = np.sum(candidate ** p, axis=1, keepdims=True) ** (1.0 / p)
             ok = norms[:, 0] > 0
             T[ok] = candidate[ok] / norms[ok]
-    return float(np.max(np.sum(w * T ** k, axis=1)))
+    return top * float(np.max(np.sum(w * T ** k, axis=1)))
 
 
 # ---------------------------------------------------------------------------

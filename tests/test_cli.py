@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oadiag.cli import main
 from oadiag.experiments import parse_scalar, format_scalar, ConfigError
@@ -127,6 +130,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("values", [{"k": "2", "p": 4, "coeffs": ["1"]},
+                                    {"k": 2, "p": 4, "coeffs": ["1"], "tolerances": None}],
+                         ids=["string_k", "null_tolerances"])
+def test_config_file_value_of_wrong_type_is_a_config_error(values, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run(["pi-norm", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: config key")
+
+
 def test_coeffs_file(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps(["3", "4"]))
@@ -228,3 +242,52 @@ def test_coeffs_with_leading_minus_as_separate_value(coeffs, echoed, capsys):
     doc = json.loads(out)
     assert doc["config"]["coeffs"] == echoed
     assert doc["records"][0]["parameters"]["coeffs"] == echoed
+
+
+@pytest.mark.parametrize("argv", [["--k", "2", "--p", "2.001", "--coeffs=3,4,1"],
+                                  ["--k", "2", "--p", "4", "--coeffs=1e-300,2e-300"],
+                                  ["--k", "2", "--p", "4", "--coeffs=1e300,2e300"]],
+                         ids=["p_near_k", "tiny", "huge"])
+def test_oa_norm_powers_do_not_overflow(argv, capsys):
+    code, out, _ = run(["oa-norm"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["passed"] is True
+
+
+def oa_norm_record(k, p, coeffs):
+    """Exit code and record of oa-norm through main(); no traceback, config or budget exit.
+
+    Captures output itself: Hypothesis runs many examples per test call, so
+    the capsys fixture of run() would be shared between them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["oa-norm", "--k", str(k), "--p", repr(p),
+                     "--coeffs=" + ",".join(repr(c) for c in coeffs)])
+    assert code in (0, 1), err.getvalue()
+    return code, json.loads(out.getvalue())["records"][0]
+
+
+@st.composite
+def oa_norm_cases(draw):
+    """k, p from 1 up to k + 4 (p - k down to 1e-3), up to six coefficients of
+    magnitude 1e-3 to 1e3 or 0, and a scale 10^e with e in [-300, 300]."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    p = k + draw(st.one_of(st.floats(1e-3, 4.0), st.floats(1.0 - k, 0.0)))
+    magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    mantissas = draw(st.lists(magnitudes, min_size=1, max_size=6))
+    return k, p, mantissas, 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oa_norm_cases())
+def test_oa_norm_is_scale_safe(case):
+    k, p, mantissas, scale = case
+    code, record = oa_norm_record(k, p, [scale * m for m in mantissas])
+    assert record["passes"]["witness_vs_closed"]
+    if code != 0:
+        # The ascent converges slowly when p is just above k and the two
+        # largest |c_i| nearly tie; that failure must not depend on the scale.
+        unit_code, unit = oa_norm_record(k, p, mantissas)
+        assert unit_code == 1
+        assert record["deviations"]["numeric_vs_closed"] == \
+            pytest.approx(unit["deviations"]["numeric_vs_closed"], rel=1e-6)

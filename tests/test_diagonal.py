@@ -13,6 +13,7 @@ from oadiag.diagonal import (
     pi_lower_bound,
     pi_norm_closed_form,
     pi_upper_bound,
+    _slot_coefficients,
 )
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 
@@ -119,6 +120,20 @@ def test_dense_expansion_single_coordinate_any_degree():
     assert abs(tensor.reshape(-1)[0] + 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 60])
+def test_decomposition_equals_complex_powers_bitwise(k, symmetric):
+    # slot m, j, i = c[j, i] * exp(2 pi i / k) ** (level-(i+1) base-k digit of m)
+    rng = np.random.default_rng([83, k])
+    n = 1 if k > 7 else 4
+    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
+    c = _slot_coefficients(u, symmetric)
+    m = np.arange(k ** n, dtype=np.int64)[:, None]
+    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
+    expected = c[None, :, :] * (np.exp(2j * np.pi / k) ** ((m // divisors) % k))[:, None, :]
+    assert np.array_equal(averaging_decomposition(u, symmetric=symmetric), expected)
+
+
 def test_decomposition_budget():
     u = DiagonalTensor(np.ones(25), LpParams(4.0, 2))
     with pytest.raises(BudgetError):
@@ -151,6 +166,49 @@ def test_upper_bound_examples():
     assert pi_upper_bound(u) == pytest.approx(pi_norm_closed_form(u), rel=1e-12)
     u2 = DiagonalTensor([2, 1], LpParams(6.0, 2))
     assert pi_upper_bound(u2) == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-12)
+
+
+def bruteforce_upper_bound(u, symmetric):
+    """Max over the pieces of the product of the slots' l_p norms."""
+    slots = averaging_decomposition(u, symmetric=symmetric)
+    norms = np.sum(np.abs(slots) ** u.params.p, axis=2) ** (1.0 / u.params.p)
+    return float(np.max(np.prod(norms, axis=1)))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_upper_bound_matches_bruteforce_over_pieces(k, symmetric):
+    rng = np.random.default_rng([84, k])
+    # n = 8 at k = 5 is left out: its 390,625 pieces take 250 MB as one array
+    for n in range(1, 9 if k < 5 else 8):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for p in (k + 0.5, 2.0 * k):
+            u = DiagonalTensor(a, LpParams(p, k))
+            assert pi_upper_bound(u, symmetric=symmetric) == \
+                pytest.approx(bruteforce_upper_bound(u, symmetric), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("largest", ["first", "last"])
+@pytest.mark.parametrize("k, n", [(2, 13), (3, 8), (4, 7), (5, 6)])
+def test_upper_bound_visits_every_piece(k, n, largest, monkeypatch):
+    # Step values of unequal moduli make the pieces' products differ: the
+    # first or the last piece (digits all 0 or all k-1) gives the largest, so
+    # a piece the chunked walk over k^n > _CHUNK pieces skips would show.
+    moduli = np.arange(k, 0, -1.0) if largest == "first" else np.arange(1.0, k + 1)
+    monkeypatch.setattr("oadiag.diagonal._step_values",
+                        lambda k: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
+    rng = np.random.default_rng([86, k])
+    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 0.5, k))
+    assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_upper_bound_at_the_largest_piece_count(symmetric):
+    # 2^19 pieces, the largest k = 2 enumeration under MAX_PIECES
+    rng = np.random.default_rng(85)
+    u = DiagonalTensor(rng.standard_normal(19) + 1j * rng.standard_normal(19), LpParams(5.0, 2))
+    assert pi_upper_bound(u, symmetric=symmetric) == \
+        pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
 
 
 def test_dual_form_examples():
