@@ -6,7 +6,9 @@ Rademacher system: the integrand is piecewise constant on k^n intervals, so
 the integral representation becomes the mean of k^n rank-one tensors.  The
 decomposition is one complex array of shape (k^n, k, n): piece, slot,
 coordinate.  Off-diagonal contributions cancel exactly because products of
-distinct-level step functions integrate to zero.
+distinct-level step functions integrate to zero.  The dense expansion of the
+decomposition takes the pieces a block at a time, so the sweep streams them
+into it without ever holding all k^n of them.
 
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -41,10 +44,15 @@ __all__ = [
     "pair",
 ]
 
-# Pieces per chunk.  It bounds the peak memory of pi_upper_bound, and the
-# in-order summation inside each dense_expansion einsum: about 4096 unit
-# roundoffs (4.5e-13), under the 1e-12 reconstruction tolerance.
+# Pieces per chunk or block.  It bounds the peak memory of pi_upper_bound, and
+# the roundoff of each dense_expansion block: one BLAS partial sums at most this
+# many pieces' terms, in whatever order it chooses, so its error is at most
+# (_CHUNK - 1) unit roundoffs (4.5e-13) of the sum of their moduli, under the
+# 1e-12 reconstruction tolerance.
 _CHUNK = 1 << 12
+# Complex entries of one block's running outer product of slots 0..k-2, the
+# (block, n^(k-1)) left operand of its GEMM: 1 MB.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +142,33 @@ def _step_values(k: int) -> np.ndarray:
     return np.exp(2j * np.pi / k) ** np.arange(k)
 
 
+class _Pieces:
+    """The (k^n, k, n) averaging decomposition of u, built a slice at a time.
+
+    pieces[start:stop] builds rows start..stop of the array that
+    averaging_decomposition returns: entry [m, j, i] is c[j, i] * omega^d,
+    with d the level-(i+1) base-k digit of m.  shape is checked against the
+    piece budget when the object is made, before any piece is built.
+    """
+
+    def __init__(self, u: DiagonalTensor, symmetric: bool = True,
+                 max_pieces: int = MAX_PIECES) -> None:
+        n = u.dim
+        k = u.params.k
+        if k ** n > max_pieces:
+            raise BudgetError(f"k^n = {k ** n} pieces exceed the cap of {max_pieces}")
+        self.shape: Tuple[int, int, int] = (k ** n, k, n)
+        self._coefficients = _slot_coefficients(u, symmetric)
+        self._steps = _step_values(k)
+        self._divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
+
+    def __getitem__(self, window: slice) -> np.ndarray:
+        start, stop, _ = window.indices(self.shape[0])
+        m = np.arange(start, stop, dtype=np.int64)[:, None]
+        phases = self._steps[(m // self._divisors) % self.shape[1]]
+        return self._coefficients[None, :, :] * phases[:, None, :]
+
+
 def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
                             max_pieces: int = MAX_PIECES) -> np.ndarray:
     """Exact rank-one decomposition of u by k-ary Rademacher averaging.
@@ -145,39 +180,59 @@ def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
     coefficients equal a_i and every off-diagonal coefficient vanishes by the
     product-integral orthogonality.
     """
-    n = u.dim
-    k = u.params.k
-    pieces = k ** n
-    if pieces > max_pieces:
-        raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
-    # entry [m, j, i] is c[j, i] * omega^d, d the level-(i+1) base-k digit of m
-    m = np.arange(pieces, dtype=np.int64)[:, None]
-    divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-    phases = _step_values(k)[(m // divisors) % k]
-    return _slot_coefficients(u, symmetric)[None, :, :] * phases[:, None, :]
+    return _Pieces(u, symmetric, max_pieces)[:]
 
 
 def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES) -> np.ndarray:
     """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
 
-    slots has shape (pieces, k, n), as averaging_decomposition returns it.
-    Each chunk of pieces is contracted by one einsum, which sums its _CHUNK
-    pieces in order; the chunk partials are then summed pairwise, so the
-    rounding error stays near _CHUNK unit roundoffs whatever the piece count.
+    slots has shape (pieces, k, n), as averaging_decomposition returns it;
+    the sweep passes the same pieces unbuilt, as a _Pieces, whose blocks are
+    built one at a time.  The block size depends only on k and n, so both
+    give the same blocks and bitwise the same tensor.  Each block is expanded
+    by one GEMM: the outer product of slots 0..k-2 is formed by broadcasting,
+    a (block, n^(k-1)) array, and contracted with slot k-1 over the piece
+    axis (for n = 1 this is a plain product).  A BLAS partial sums at most
+    one block of pieces, in whatever order it chooses, so its error is at
+    most (block - 1) u sum|terms|, u the unit roundoff.  The partials are
+    then summed pairwise, which adds at most ceil(log2(blocks)) u sum|terms|
+    whatever the piece count.
     """
     pieces, k, n = slots.shape
     if n ** k > max_entries:
         raise BudgetError(f"dense expansion needs {n ** k} entries, cap is {max_entries}")
-    if n == 1:
-        # one coordinate: the outer product is a plain product, for any k
-        slots = np.prod(slots, axis=1, keepdims=True)
-    # einsum sublist form: piece axis 0 is summed, slot j becomes output axis j+1
-    axes = list(range(1, slots.shape[1] + 1))
-    partials = []
-    for start in range(0, pieces, _CHUNK):
-        block = slots[start:start + _CHUNK]
-        partials.append(np.einsum(*[x for j in axes for x in (block[:, j - 1], [0, j])], axes))
-    return (np.sum(np.stack(partials, axis=-1), axis=-1) / pieces).reshape((n,) * k)
+    if pieces == 0:
+        raise ValueError("the mean of no pieces is undefined")
+    block = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(n ** (k - 1), 1)))
+    partials = (_expand_block(slots[start:start + block]) for start in range(0, pieces, block))
+    return (_pairwise_sum(partials) / pieces).reshape((n,) * k)
+
+
+def _expand_block(block: np.ndarray) -> np.ndarray:
+    """sum over the block's pieces of slot 0 (x) ... (x) slot k-1, as an
+    (n^(k-1), n) matrix: broadcast products of slots 0..k-2, then one GEMM."""
+    size, k, _ = block.shape
+    acc = block[:, 0]
+    for j in range(1, k - 1):
+        acc = (acc[:, :, None] * block[:, None, j]).reshape(size, -1)
+    return acc.T @ block[:, k - 1]
+
+
+def _pairwise_sum(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of the arrays in pairwise (cascade) order, holding at most
+    log2(count) + 1 partial sums: a sum of 2^j arrays is only ever added to
+    another sum of 2^j arrays, or to the smaller sums left at the end."""
+    stack = []  # (number of arrays summed, their sum), the counts decreasing
+    for total in arrays:
+        count = 1
+        while stack and stack[-1][0] == count:
+            total = stack.pop()[1] + total
+            count *= 2
+        stack.append((count, total))
+    total = stack.pop()[1]
+    while stack:
+        total = stack.pop()[1] + total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +262,9 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     memory small.  The bound is max_m prod_j S_j(m)^(1/p).  Every piece gives
     the same product because the step values are unimodular, but each one
     is still formed from its own slot entries, so the bound stays an
-    independent check of the closed form.
+    independent check of the closed form.  The bound is positively
+    homogeneous in a, so the table is built from a / max|a| and the bound
+    scaled back: its p-th powers neither overflow nor underflow.
 
     p <= k: the trivial decomposition into the n diagonal rank-one terms,
     bounding pi(u) by sum_i |a_i| * ||e_i||_p^k.
@@ -228,7 +285,11 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     pieces = k ** n
     if pieces > max_pieces:
         raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
-    table = np.abs(_slot_coefficients(u, symmetric)[:, :, None] * _step_values(k)) ** p
+    top = float(np.max(np.abs(u.coeffs)))
+    if top == 0.0:
+        return 0.0
+    unit = DiagonalTensor(u.coeffs / top, u.params)
+    table = np.abs(_slot_coefficients(unit, symmetric)[:, :, None] * _step_values(k)) ** p
     low_levels = 0
     while low_levels < n and k ** (low_levels + 1) <= _CHUNK:
         low_levels += 1
@@ -239,7 +300,7 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     for start in range(0, high.shape[1], step):
         sums = high[:, start:start + step, None] + low[:, None, :]
         best = max(best, float(np.max(np.prod(sums ** (1.0 / p), axis=0))))
-    return best
+    return top * best
 
 
 def _kronecker_sum(table: np.ndarray) -> np.ndarray:
@@ -284,11 +345,22 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
     """|<u, B>| / ||B||_bound for the dual form of build_dual_form.
 
     The bound is tight: it reproduces the closed form up to roundoff, which
-    is the content of the norm identification.
+    is the content of the norm identification.  For k < p it is positively
+    homogeneous in a, so it is computed for a / max|a|, whose dual
+    coefficients |a_i / max|a||^(p/k - 1) and pairing neither overflow nor
+    underflow, and scaled back.  For p <= k the dual coefficients are the
+    unimodular phases and the pairing is the l_1 sum itself, so u is used as
+    it is and the bound stays exactly the l_1 closed form for real a.
     """
+    top = 1.0
+    if u.params.k_less_than_p:
+        top = float(np.max(np.abs(u.coeffs), initial=0.0))
+        if top == 0.0:
+            return 0.0
+        u = DiagonalTensor(u.coeffs / top, u.params)
     form = build_dual_form(u)
     pairing = abs(pair(u, form))
     bound = form.norm_bound()
     if bound == 0.0:
         return 0.0
-    return pairing / bound
+    return top * (pairing / bound)

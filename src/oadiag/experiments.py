@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagonal import (
     DiagonalTensor,
-    averaging_decomposition,
+    _Pieces,
     dense_expansion,
     pi_lower_bound,
     pi_norm_closed_form,
@@ -237,17 +237,30 @@ def _unravel(index: int, shape: Sequence[int]) -> List[int]:
 
 def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float, float, float]:
     """Closed form, decomposition upper bound and dual lower bound of ||u||_pi,
-    and the tolerance of their sandwich (exact l_1 lower bound when p <= k)."""
+    and the tolerance of their sandwich (exact l_1 lower bound when p <= k).
+
+    A norm beyond the float range is a configuration error: math.fsum raises
+    OverflowError on an l_1 sum past it, and a scaled l_{p/k} norm reads inf.
+    """
     tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
-    return pi_norm_closed_form(u), pi_upper_bound(u), pi_lower_bound(u), tol
+    try:
+        values = pi_norm_closed_form(u), pi_upper_bound(u), pi_lower_bound(u)
+    except OverflowError:
+        values = (math.inf,)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("the projective norm of these coefficients exceeds the float range")
+    return (*values, tol)
 
 
 def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, restarts: int, iters: int,
                  seed: int) -> Tuple[float, float, float, Dict[str, float], Dict[str, bool]]:
     """Closed form, ascent estimate and witness value of ||poly||, with the
     deviation of each estimate from the closed form and its pass flag, keyed
-    by tolerance name.  The zero polynomial has no witness; its value is 0."""
+    by tolerance name.  The zero polynomial has no witness; its value is 0.
+    A norm beyond the float range is a configuration error."""
     closed = norm_closed_form(poly)
+    if not math.isfinite(closed):
+        raise ConfigError("the polynomial norm of these coefficients exceeds the float range")
     numeric = norm_numeric(poly, restarts=restarts, iters=iters, seed=seed)
     witness_value = norm_witness(poly)[1] if closed != 0.0 else 0.0
     deviations = {"isometry": _relative_deviation(numeric, closed),
@@ -409,7 +422,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
 
         # rank-one reconstruction of the diagonal tensor
         u = DiagonalTensor(a, params)
-        tensor = dense_expansion(averaging_decomposition(u))
+        tensor = dense_expansion(_Pieces(u))
         idx = np.arange(n)
         diag = tensor[tuple([idx] * k)].copy()
         tensor[tuple([idx] * k)] = 0.0
@@ -489,7 +502,7 @@ def results_to_json(cfg: ExperimentConfig, records: Sequence[ResultRecord],
         "records": [r.to_dict() for r in records],
         "summary": summary,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],

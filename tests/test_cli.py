@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oadiag
 from oadiag.cli import main
 from oadiag.experiments import parse_scalar, format_scalar, ConfigError
 
@@ -90,6 +95,37 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert doc_a["records"] == doc_c["records"]
     indices = [r["case_index"] for r in doc_c["records"]]
     assert indices == sorted(indices)
+
+
+def sweep_at_blas_threads(threads):
+    """stdout of `oadiag sweep --seed 7 --trials 2` in a fresh process whose
+    OpenBLAS runs `threads` threads."""
+    src = str(Path(oadiag.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "oadiag.cli", "sweep", "--seed", "7",
+                           "--trials", "2"], env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+def test_sweep_is_stable_across_blas_thread_counts():
+    # A GEMM's roundoff may depend on how BLAS splits it between threads, so
+    # only the reconstruction residues may differ between thread counts.
+    outputs = {threads: [sweep_at_blas_threads(threads) for _ in range(2)] for threads in (1, 2)}
+    for first, again in outputs.values():
+        assert first == again
+    one, two = (json.loads(outputs[threads][0]) for threads in (1, 2))
+    assert one["config"] == two["config"] and one["summary"] == two["summary"]
+    residues = {"reconstruction_offdiagonal", "reconstruction_diagonal"}
+    for a, b in zip(one["records"], two["records"], strict=True):
+        for field in ("parameters", "values", "passes", "passed"):
+            assert a[field] == b[field]
+        assert a["deviations"].keys() == b["deviations"].keys()
+        for name, value in a["deviations"].items():
+            if name in residues:
+                assert max(value, b["deviations"][name]) <= 1e-13
+            else:
+                assert value == b["deviations"][name]
 
 
 def test_sweep_regime_routing(tmp_path):
@@ -291,3 +327,54 @@ def test_oa_norm_is_scale_safe(case):
         assert unit_code == 1
         assert record["deviations"]["numeric_vs_closed"] == \
             pytest.approx(unit["deviations"]["numeric_vs_closed"], rel=1e-6)
+
+
+def strict_json(text):
+    """The document parsed as standard JSON: NaN and Infinity are rejected."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("coeffs", ["1e300,2e300", "1e-300,2e-300", "-1e300,2e300i", "1e-320,3"])
+def test_pi_norm_is_scale_safe_at_the_float_range(coeffs, capsys):
+    code, out, err = run(["pi-norm", "--k", "2", "--p", "4", "--coeffs=" + coeffs], capsys)
+    assert code == 0, err
+    values = strict_json(out)["records"][0]["values"]
+    assert 0.0 < values["lower_bound"] <= values["closed_form"] * (1 + 1e-15)
+    assert values["closed_form"] <= values["upper_bound"] * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("argv", [["pi-norm", "--k", "2", "--p", "2", "--coeffs=1e308,1e308"],
+                                  ["pi-norm", "--k", "2", "--p", "4", "--coeffs=1.7e308,1.7e308"],
+                                  ["oa-norm", "--k", "2", "--p", "3", "--coeffs=1.7e308,1.7e308"]],
+                         ids=["l1", "lp_over_k", "oa_norm"])
+def test_norm_beyond_the_float_range_is_a_config_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "float range" in err
+
+
+@st.composite
+def pi_norm_cases(draw):
+    """k in 2..4, p in both regimes, up to five coefficients of magnitude 1e-3
+    to 1e3 or 0, real or complex, and a scale 10^e with e in [-300, 300]."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    p = k + draw(st.one_of(st.floats(1e-3, 4.0), st.floats(1.0 - k, 0.0)))
+    magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    parts = draw(st.lists(st.tuples(magnitudes, magnitudes), min_size=1, max_size=5))
+    real = draw(st.booleans())
+    mantissas = [complex(re, 0.0 if real else im) for re, im in parts]
+    return k, p, mantissas, 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi_norm_cases())
+def test_pi_norm_is_scale_safe(case):
+    k, p, mantissas, scale = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pi-norm", "--k", str(k), "--p", repr(p),
+                     "--coeffs=" + ",".join(format_scalar(scale * m) for m in mantissas)])
+    assert code == 0, err.getvalue()
+    assert strict_json(out.getvalue())["summary"]["passed"] is True

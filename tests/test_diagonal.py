@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oadiag.diagonal import (
     DiagonalTensor,
     DualDiagonalForm,
+    _Pieces,
     averaging_decomposition,
     build_dual_form,
     dense_expansion,
@@ -145,6 +147,76 @@ def test_decomposition_budget():
 def test_dense_expansion_budget():
     with pytest.raises(BudgetError):
         dense_expansion(np.zeros((0, 4, 50), dtype=complex))
+
+
+def einsum_expansion(slots):
+    """The expansion as one einsum over every piece: piece axis 0 is summed,
+    slot j becomes output axis j + 1."""
+    pieces, k, n = slots.shape
+    axes = list(range(1, k + 1))
+    return np.einsum(*[x for j in axes for x in (slots[:, j - 1], [0, j])], axes) / pieces
+
+
+# 2, 7, 14 and 31 blocks: the block size is min(4096, 2^16 // n^(k-1)) pieces
+EXPANSION_SHAPES = [(2, 13), (3, 8), (4, 6), (5, 5)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double more precise than double")
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k, n", EXPANSION_SHAPES)
+def test_gemm_expansion_matches_einsum_formula(k, n, symmetric):
+    # The einsum, run in extended precision, is the reference; the scale is
+    # the expansion of the entries' moduli, the sum|terms| of the error bound.
+    rng = np.random.default_rng([91, k, n])
+    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
+    slots = averaging_decomposition(u, symmetric=symmetric)
+    reference = einsum_expansion(slots.astype(np.clongdouble))
+    scale = einsum_expansion(np.abs(slots)).real
+    assert np.max(np.abs(dense_expansion(slots) - reference) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k, n", EXPANSION_SHAPES + [(2, 3), (60, 1)])
+def test_streamed_expansion_equals_array_expansion(k, n, symmetric):
+    rng = np.random.default_rng([92, k, n])
+    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
+    pieces = _Pieces(u, symmetric)
+    assert pieces.shape == (k ** n, k, n)
+    assert np.array_equal(pieces[5:17], averaging_decomposition(u, symmetric)[5:17])
+    assert np.array_equal(dense_expansion(pieces),
+                          dense_expansion(averaging_decomposition(u, symmetric)))
+
+
+def test_streamed_expansion_memory_at_the_largest_piece_count():
+    # 2^19 pieces: the (k^n, k, n) array alone is 319 MB, and the array route
+    # peaks at about 460 MB of traced numpy buffers.
+    rng = np.random.default_rng(93)
+    a = rng.standard_normal(19) + 1j * rng.standard_normal(19)
+    u = DiagonalTensor(a, LpParams(5.0, 2))
+    tracemalloc.start()
+    try:
+        tensor = dense_expansion(_Pieces(u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert np.max(np.abs(np.diag(tensor) - a)) <= 1e-12 * np.max(np.abs(a))
+    assert np.max(np.abs(tensor - np.diag(np.diag(tensor)))) <= 1e-12 * np.sum(np.abs(a))
+
+
+def test_budgets_are_checked_before_any_piece_is_built(monkeypatch):
+    def no_pieces(*args):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr("oadiag.diagonal._step_values", no_pieces)
+    with pytest.raises(BudgetError):  # 2^25 pieces
+        _Pieces(DiagonalTensor(np.ones(25), LpParams(4.0, 2)))
+    monkeypatch.undo()
+    pieces = _Pieces(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
+    monkeypatch.setattr(_Pieces, "__getitem__", no_pieces)
+    with pytest.raises(BudgetError):  # 6^7 pieces in budget, 7^6 entries not
+        dense_expansion(pieces)
 
 
 # ---------------------------------------------------------------------------

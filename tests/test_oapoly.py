@@ -246,6 +246,60 @@ def test_additivity_symmetrizes_first():
     assert report.checks_agree
 
 
+def per_sample_behavioral(form, tol, samples, seed):
+    """Worst defect, pass flag and largest |P| of the behavioral check, with
+    one apply call per point and the same draws as is_orthogonally_additive."""
+    sym = form if form.symmetric else form.symmetrize()
+    n, k = sym.dim, sym.degree
+    rng = np.random.default_rng(seed)
+    worst, ok, size = 0.0, True, 0.0
+    for _ in range(samples):
+        perm = rng.permutation(n)
+        cut = int(rng.integers(1, n))
+        x = np.zeros(n, dtype=complex)
+        y = np.zeros(n, dtype=complex)
+        x[perm[:cut]] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
+        y[perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
+        px, py, pxy = (sym.apply([v] * k) for v in (x, y, x + y))
+        defect = abs(pxy - px - py)
+        worst = max(worst, defect)
+        ok = ok and defect <= tol * (abs(px) + abs(py) + 1.0)
+        size = max(size, abs(px), abs(py), abs(pxy))
+    return worst, ok, size
+
+
+@pytest.mark.parametrize("samples", [0, 1, 32])
+def test_batched_additivity_matches_per_sample_apply(samples):
+    rng = np.random.default_rng(20)
+    for trial in range(24):
+        n = int(rng.integers(2, 6))
+        k = int(rng.choice([2, 3, 4]))
+        params = LpParams(5.0, k)
+        if trial % 2:
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            form = extend_diagonal_functional(c, params)
+        else:  # off-diagonal coefficients: not additive, and not yet symmetric
+            form = MultilinearForm(rng.standard_normal((n,) * k).astype(complex), params)
+        report = is_orthogonally_additive(form, samples=samples, seed=trial)
+        worst, ok, size = per_sample_behavioral(form, 1e-10, samples, trial)
+        assert report.behavioral_ok == ok
+        assert report.worst_behavioral_defect == pytest.approx(worst, rel=1e-12,
+                                                               abs=1e-14 * (1.0 + size))
+        if samples == 0:
+            assert report.worst_behavioral_defect == 0.0 and report.behavioral_ok
+        elif trial % 2 == 0:
+            assert not report.behavioral_ok
+
+
+def test_additivity_makes_no_apply_calls(monkeypatch):
+    def no_apply(*args):
+        raise AssertionError("MultilinearForm.apply was called")
+
+    monkeypatch.setattr(MultilinearForm, "apply", no_apply)
+    for coeffs in ([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        is_orthogonally_additive(MultilinearForm(np.array(coeffs, dtype=complex), P42))
+
+
 def test_disjoint_support_additivity_of_polynomials():
     rng = np.random.default_rng(18)
     for _ in range(50):
