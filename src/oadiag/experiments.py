@@ -271,13 +271,17 @@ def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, restarts: int, 
 
 def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams,
                 seed: int) -> AdditivityReport:
-    """Structural and behavioral additivity of the diagonal extension of c."""
-    return is_orthogonally_additive(
+    """Structural and behavioral additivity of the diagonal extension of c.
+    A behavioral defect beyond the float range is a configuration error."""
+    report = is_orthogonally_additive(
         extend_diagonal_functional(c, params),
         tol_structural=cfg.tol("additivity_structural"),
         tol_behavioral=cfg.tol("additivity_behavioral"),
         seed=seed,
     )
+    if not math.isfinite(report.worst_behavioral_defect):
+        raise ConfigError("the additivity defect of these coefficients exceeds the float range")
+    return report
 
 
 def _random_coeffs(rng: np.random.Generator, n: int, complex_values: bool) -> np.ndarray:

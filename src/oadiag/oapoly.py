@@ -13,6 +13,17 @@ checks, and diagonal extraction with the dual-exponent norm.  Multilinear
 sup norms have no closed form; they are estimated by alternating ascent with
 exact Hoelder slot updates, cross-validated at tiny dimension by a zooming
 dense grid search.
+
+Both oracles work on whole arrays.  The ascent runs all its restarts as one
+(restarts, k, n) array, the l_p power method / HOPM iteration on many starts
+at once, with one einsum per slot update and a per-restart stall counter
+that drops converged restarts; its loop calls no checked method.  The grid
+is a Cartesian product over the gridded slots, and each slot's unit
+directions depend on its own angles only, so every coarse and zoom grid is
+built from one direction table per slot (576 rows per slot at n = 3, 64 at
+n = 2): slot 0 is contracted once per direction and slot 1 against all
+pairs by broadcasting, in the summation order of the per-point contraction,
+so the grid returns the same floats as evaluating every point on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ from .numerics import (
     ensure_finite,
     holder_conjugate,
     lq_norm,
-    phase,
     phase_root,
 )
 
@@ -308,6 +318,15 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     tol_behavioral * (|P(x)| + |P(y)| + 1); P is evaluated at all the x, y
     and x + y together, validated once.  The two checks agree on any form
     that cleanly satisfies or violates additivity.
+
+    The behavioral check runs on P_s = P / s, s the power of two at or below
+    the largest coefficient modulus (at least 2^-1022), and compares
+    |P_s(x+y) - P_s(x) - P_s(y)| with tol_behavioral * (|P_s(x)| + |P_s(y)|
+    + 1/s), the same test, so no value overflows however large the
+    coefficients are.  Dividing by a power of two is exact, so away from
+    overflow and underflow every defect and verdict is what the unscaled
+    check gives.  The reported defect is scaled back by s and reads inf past
+    the float range.
     """
     sym = form if form.symmetric else form.symmetrize()
     coeffs = sym.coeffs
@@ -328,7 +347,10 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
 
     behavioral_ok = True
     worst_defect = 0.0
-    if n >= 2:
+    if n >= 2 and scale > 0:
+        # numpy divides a complex array by multiplying with 1/unit, which
+        # must stay finite: unit is at least the least normal power of two
+        unit = math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
         rng = np.random.default_rng(seed)
         xs = np.zeros((samples, n), dtype=complex)
         ys = np.zeros((samples, n), dtype=complex)
@@ -340,14 +362,14 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
         # P at every x, y and x + y: one matmul for the first slot, then one
         # batched contraction per further slot
         points = ensure_finite(np.concatenate([xs, ys, xs + ys]))
-        values = points @ coeffs.reshape(n, n ** (k - 1))
+        values = points @ (coeffs / unit).reshape(n, n ** (k - 1))
         values = values.reshape((len(points),) + (n,) * (k - 1))
         for _ in range(k - 1):
             values = np.einsum("si,si...->s...", points, values)
         px, py, pxy = values.reshape(3, samples)
         defects = np.abs(pxy - px - py)
-        allowance = tol_behavioral * (np.abs(px) + np.abs(py) + 1.0)
-        worst_defect = float(np.max(defects, initial=0.0))
+        allowance = tol_behavioral * (np.abs(px) + np.abs(py) + 1.0 / unit)
+        worst_defect = unit * float(np.max(defects, initial=0.0))
         behavioral_ok = not bool(np.any(defects > allowance))
     return AdditivityReport(
         additive=structural_ok,
@@ -401,18 +423,31 @@ def diagonal_of_multilinear(form: MultilinearForm) -> Tuple[np.ndarray, float]:
 # Multilinear sup-norm estimation (oracle machinery)
 # ---------------------------------------------------------------------------
 
+def _row_lq_norms(v: np.ndarray, q: float) -> np.ndarray:
+    """l_q norms (finite q >= 1) of the nonzero rows of v, as a column.
+
+    Each row is scaled by its largest modulus before the powers are taken,
+    as in lq_norm, but summed in order rather than with math.fsum.
+    """
+    mags = np.abs(v)
+    top = np.max(mags, axis=-1, keepdims=True)
+    return top * np.sum((mags / top) ** q, axis=-1, keepdims=True) ** (1.0 / q)
+
+
 def _holder_slot_witness(grad: np.ndarray, p: float) -> np.ndarray:
-    """Unit-l_p maximizer x of Re <grad, x>; attains ||grad||_{p'}."""
+    """Unit-l_p maximizers x of Re <g, x>, one per nonzero row g of grad;
+    each attains ||g||_{p'}.  At p = 1 it is the basis vector at the first
+    index of largest |g_i|, with the phase that makes <g, x> real."""
     mags = np.abs(grad)
-    if not np.any(mags > 0):
-        raise ValueError("zero gradient has no unique witness")
     if p == 1.0:
-        i = int(np.argmax(mags))
+        rows = np.arange(grad.shape[0])
+        top = np.argmax(mags, axis=1)
+        g, m = grad[rows, top], mags[rows, top]
         x = np.zeros_like(grad)
-        x[i] = np.conj(phase(grad[i]))
+        x[rows, top] = g.real / m - 1j * (g.imag / m)
         return x
     q = holder_conjugate(p)
-    total = lq_norm(grad, q)
+    total = _row_lq_norms(grad, q)
     unit_phases = np.where(mags > 0, np.conj(grad) / np.where(mags > 0, mags, 1.0), 0.0)
     return unit_phases * (mags / total) ** (q - 1.0)
 
@@ -424,45 +459,51 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     Each slot update replaces x_j by the exact Hoelder maximizer against the
     gradient of the remaining slots, so sweeps are monotone; the estimate is
     the best value over seeded restarts and is always a valid lower bound.
-    Real forms are optimized over real vectors.
+    Real forms are optimized over real vectors.  The first restart starts at
+    the all-ones vectors, the others at seeded Gaussian vectors.
+
+    The restarts run together as one (restarts, k, n) array, the l_p power
+    method / HOPM iteration run on many starts at once: each slot update is
+    one einsum over the live restarts, and a restart whose gradient
+    vanishes keeps that slot.  A restart leaves the live set once its value
+    has gained at most 1e-14 relative in three sweeps running.  The form was
+    validated when it was built, so the loop calls no checked method.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     n, k, p = form.dim, form.degree, form.params.p
-    if n == 0 or not np.any(np.abs(form.coeffs) > 0):
+    coeffs = form.coeffs
+    if n == 0 or not np.any(np.abs(coeffs) > 0):
         return 0.0
-    real_form = bool(np.all(form.coeffs.imag == 0))
+    real_form = bool(np.all(coeffs.imag == 0))
     rng = np.random.default_rng(seed)
+    xs = np.ones((restarts, k, n), dtype=complex)
+    draws = rng.standard_normal((restarts - 1, k, 1 if real_form else 2, n))
+    xs[1:] = draws[:, :, 0] if real_form else draws[:, :, 0] + 1j * draws[:, :, 1]
+    xs /= _row_lq_norms(xs, p)
+
+    letters = "abcdefghijklmnopqrstuvwxy"[:k]
+    slot_specs = [",".join([letters] + ["z" + letters[i] for i in range(k) if i != j])
+                  + "->z" + letters[j] for j in range(k)]
+    value_spec = ",".join([letters] + ["z" + c for c in letters]) + "->z"
+    previous = np.full(restarts, -1.0)
+    stalled = np.zeros(restarts, dtype=int)
     best = 0.0
-    for restart in range(restarts):
-        if restart == 0:
-            xs = [np.full(n, 1.0, dtype=complex) for _ in range(k)]
-        else:
-            xs = []
-            for _ in range(k):
-                v = rng.standard_normal(n)
-                if not real_form:
-                    v = v + 1j * rng.standard_normal(n)
-                xs.append(v.astype(complex))
-        xs = [x / lq_norm(x, p) for x in xs]
-        previous = -1.0
-        stalled = 0
-        for _ in range(iters):
-            for j in range(k):
-                grad = form.partial_gradient(xs, j)
-                if not np.any(np.abs(grad) > 0):
-                    continue
-                xs[j] = _holder_slot_witness(grad, p)
-            value = abs(form.apply(xs))
-            if value - previous <= 1e-14 * max(1.0, value):
-                stalled += 1
-                if stalled >= 3:
-                    break
-            else:
-                stalled = 0
-            previous = value
-        best = max(best, abs(form.apply(xs)))
-    return best
+    for _ in range(iters):
+        for j in range(k):
+            grad = np.einsum(slot_specs[j], coeffs, *(xs[:, i] for i in range(k) if i != j))
+            moving = np.any(np.abs(grad) > 0, axis=1)
+            xs[moving, j] = _holder_slot_witness(grad[moving], p)
+        value = np.abs(np.einsum(value_spec, coeffs, *(xs[:, i] for i in range(k))))
+        stalled = np.where(value - previous <= 1e-14 * np.maximum(1.0, value), stalled + 1, 0)
+        previous = value
+        live = stalled < 3
+        if not np.all(live):
+            best = max(best, float(np.max(value[~live])))
+            xs, previous, stalled = xs[live], previous[live], stalled[live]
+            if not xs.shape[0]:
+                break
+    return max(best, float(np.max(previous, initial=0.0)))
 
 
 def _directions_from_angles(angles: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -481,22 +522,67 @@ def _directions_from_angles(angles: np.ndarray, n: int, p: float) -> np.ndarray:
     return v / norms
 
 
-def _grid_values(coeffs: np.ndarray, angle_batch: np.ndarray, n: int, k: int,
-                 p: float) -> np.ndarray:
-    """|phi| maximized over the last slot, for each row of gridded-slot angles."""
-    q = holder_conjugate(p)
-    out = None
-    for s in range(k - 1):
-        block = angle_batch[:, s * (n - 1):(s + 1) * (n - 1)]
-        dirs = _directions_from_angles(block, n, p)
-        if out is None:
-            letters = "abcdef"[:k]
-            out = np.einsum(letters + ",i" + letters[0] + "->i" + letters[1:], coeffs, dirs)
-        else:
-            out = np.einsum("i" + "abcdef"[: k - s] + ",ia->i" + "bcdef"[: k - s - 1], out, dirs)
+def _slot_directions(axes: Sequence[np.ndarray], n: int, p: float) -> np.ndarray:
+    """Direction table of one gridded slot: a unit-l_p vector for every point
+    of the product of its n-1 angle axes, first axis most significant."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return _directions_from_angles(np.stack([m.reshape(-1) for m in mesh], axis=1), n, p)
+
+
+# values formed at once in one block of the grid: 512 KB of float64
+_GRID_BLOCK = 2 ** 16
+
+
+def _holder_close(mags: np.ndarray, q: float) -> np.ndarray:
+    """l_q norms of the columns of an (n, points) array of moduli, the sum
+    taken in row order."""
     if q == math.inf:
-        return np.max(np.abs(out), axis=1)
-    return np.sum(np.abs(out) ** q, axis=1) ** (1.0 / q)
+        return np.max(mags, axis=0)
+    return np.sum(mags ** q, axis=0) ** (1.0 / q)
+
+
+def _grid_values(coeffs: np.ndarray, axes: Sequence[np.ndarray], n: int, k: int,
+                 p: float) -> np.ndarray:
+    """|phi| maximized over the last slot, at every point of the product grid
+    of the angle axes of the k-1 gridded slots, slot 0 most significant.
+
+    The grid factors by slot: each slot's directions depend on its own
+    angles only.  Slot 0 is contracted with the coefficients once per
+    direction; for k = 3 slot 1 is contracted against every pair by
+    broadcasting, adding the terms of the shared index in order as einsum
+    does, so each value equals the per-point contraction bit for bit.  The
+    pairs are formed a block of slot-0 directions at a time, about
+    _GRID_BLOCK values, so that each block stays in cache.  The last slot is
+    closed exactly by Hoelder.
+    """
+    q = holder_conjugate(p)
+    first = _slot_directions(axes[:n - 1], n, p)
+    letters = "abcdef"[:k]
+    out = np.einsum(letters + ",i" + letters[0] + "->i" + letters[1:], coeffs, first)
+    if k == 2:
+        return _holder_close(np.ascontiguousarray(np.abs(out).T), q)
+    second = _slot_directions(axes[n - 1:], n, p).T
+    # terms[a, b, d0]: slot-0 direction d0 contracted, shared index a,
+    # last-slot index b
+    terms = np.ascontiguousarray(out.transpose(1, 2, 0))
+    width = second.shape[1]
+    rows = max(1, _GRID_BLOCK // (n * width))
+    values = np.empty(first.shape[0] * width)
+    for lo in range(0, first.shape[0], rows):
+        block = terms[:, :, lo:lo + rows]
+        pairs = block[0][:, :, None] * second[0]
+        step = np.empty_like(pairs)
+        for a in range(1, n):
+            pairs += np.multiply(block[a][:, :, None], second[a], out=step)
+        np.abs(pairs, out=pairs)
+        values[lo * width:(lo + block.shape[2]) * width] = _holder_close(pairs.reshape(n, -1), q)
+    return values
+
+
+def _grid_point(axes: Sequence[np.ndarray], flat: int) -> np.ndarray:
+    """The angles of the point at a flat index of the product grid of axes."""
+    index = np.unravel_index(flat, [len(axis) for axis in axes])
+    return np.array([axis[i] for axis, i in zip(axes, index)])
 
 
 def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int = 8,
@@ -505,8 +591,9 @@ def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int =
 
     Grids the first k-1 slots over angle parametrizations of the real unit
     sphere (n in {2, 3}) and closes the last slot with the exact Hoelder
-    maximizer; the best coarse cells are refined by repeated shrinking grids.
-    Supports k in {2, 3}.  Used to cross-validate the ascent estimate.
+    maximizer; the `top` best coarse cells are refined by `rounds` shrinking
+    grids of `refine_points` points per angle.  Supports k in {2, 3}.  Used
+    to cross-validate the ascent estimate.
     """
     n, k, p = form.dim, form.degree, form.params.p
     if n not in (2, 3):
@@ -515,11 +602,12 @@ def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int =
         raise ValueError("grid search supports k in {2, 3} only")
     if np.any(form.coeffs.imag != 0):
         raise ValueError("grid search supports real forms only")
+    if coarse < 1 or top < 1 or refine_points < 1:
+        raise ValueError("coarse, top and refine_points must be >= 1")
     coeffs = form.coeffs.real.astype(float)
     if not np.any(np.abs(coeffs) > 0):
         return 0.0
 
-    adim = n - 1
     slots = k - 1
     # theta spans [0, pi] for the polar angle of S^2, full circle otherwise
     ranges = []
@@ -529,30 +617,26 @@ def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int =
         else:
             ranges.append((0.0, math.pi))
             ranges.append((0.0, 2.0 * math.pi))
-    dims = slots * adim
+    dims = slots * (n - 1)
 
     coarse_n = coarse if n == 3 else max(coarse, 64)
     axes = [np.linspace(lo, hi, coarse_n, endpoint=False) for lo, hi in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    batch = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    values = _grid_values(coeffs, batch, n, k, p)
+    values = _grid_values(coeffs, axes, n, k, p)
     order = np.argsort(values)[::-1][:top]
 
     best = float(values[order[0]])
     spacing = np.array([(hi - lo) / coarse_n for lo, hi in ranges])
     for cand in order:
-        center = batch[cand].copy()
+        center = _grid_point(axes, cand)
         width = spacing.copy()
         for _ in range(rounds):
             local_axes = [
                 np.linspace(center[d] - width[d], center[d] + width[d], refine_points)
                 for d in range(dims)
             ]
-            local_mesh = np.meshgrid(*local_axes, indexing="ij")
-            local_batch = np.stack([m.reshape(-1) for m in local_mesh], axis=1)
-            local_values = _grid_values(coeffs, local_batch, n, k, p)
+            local_values = _grid_values(coeffs, local_axes, n, k, p)
             j = int(np.argmax(local_values))
-            center = local_batch[j].copy()
+            center = _grid_point(local_axes, j)
             best = max(best, float(local_values[j]))
             width *= 0.35
     return best

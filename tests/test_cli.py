@@ -236,6 +236,48 @@ def test_additivity_command(tmp_path):
     assert all(r["passes"]["checks_agree"] for r in doc["records"])
 
 
+def test_additivity_at_the_float_range(capsys):
+    code, out, err = run(["additivity-test", "--k", "2", "--p", "4", "--coeffs=1e308,1e308"],
+                         capsys)
+    assert code == 0, err
+    record = strict_json(out)["records"][0]
+    assert record["passed"] is True
+    assert 0.0 <= record["values"]["behavioral_defect"] < 1e308
+
+
+@st.composite
+def additivity_cases(draw):
+    """k in 2..4, p in both regimes, up to five coefficients of magnitude 1e-3
+    to 1e3 or 0, real or complex, divided by the largest modulus, and a
+    scale 10^e with e in [-300, 308], half the time in [305, 308]."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    p = k + draw(st.one_of(st.floats(1e-3, 4.0), st.floats(1.0 - k, 0.0)))
+    magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    parts = draw(st.lists(st.tuples(magnitudes, magnitudes), min_size=1, max_size=5))
+    real = draw(st.booleans())
+    mantissas = [complex(re, 0.0 if real else im) for re, im in parts]
+    top = max(abs(m) for m in mantissas) or 1.0
+    exponent = draw(st.one_of(st.floats(-300.0, 308.0), st.floats(305.0, 308.0)))
+    return k, p, [m / top for m in mantissas], 10.0 ** exponent
+
+
+@settings(max_examples=100, deadline=None)
+@given(additivity_cases())
+def test_additivity_is_scale_safe(case):
+    """Exit 0 with strict JSON, or exit 2 when a coefficient or the defect
+    leaves the float range; never a traceback or exit 1."""
+    k, p, mantissas, scale = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["additivity-test", "--k", str(k), "--p", repr(p),
+                     "--coeffs=" + ",".join(format_scalar(scale * m) for m in mantissas)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert strict_json(out.getvalue())["summary"]["passed"] is True
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
 # four records from each multi-record command
 SMALL_SHAPES = {
     "verify-rademacher": ["--k", "2", "--depth", "2"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oadiag.numerics import BudgetError, LpParams, lq_norm
+from oadiag.numerics import BudgetError, LpParams, holder_conjugate, lq_norm, phase
 from oadiag.oapoly import (
     MultilinearForm,
     OrthAddPolynomial,
@@ -18,6 +18,7 @@ from oadiag.oapoly import (
     norm_witness,
     polarize,
 )
+from oadiag.oapoly import _directions_from_angles
 
 P42 = LpParams(4.0, 2)
 
@@ -441,6 +442,180 @@ def test_grid_rejects_unsupported_inputs():
     with pytest.raises(ValueError):
         multilinear_norm_grid(
             MultilinearForm(1j * np.ones((2, 2)), P42, symmetric=True))
+
+
+def test_grid_knobs_must_be_positive():
+    form = MultilinearForm(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex), P42)
+    for knobs in ({"coarse": 0}, {"top": 0}, {"refine_points": 0}, {"top": -1}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            multilinear_norm_grid(form, **knobs)
+    # no zoom rounds: the best coarse value, which the zoom can only raise
+    coarse_only = multilinear_norm_grid(form, rounds=0)
+    assert 0.0 < coarse_only <= multilinear_norm_grid(form)
+
+
+def meshgrid_grid_values(coeffs, angle_batch, n, k, p):
+    """The grid's values as computed before the grid was factored by slot:
+    each slot's directions recomputed on every row of the product grid."""
+    q = holder_conjugate(p)
+    out = None
+    for s in range(k - 1):
+        block = angle_batch[:, s * (n - 1):(s + 1) * (n - 1)]
+        dirs = _directions_from_angles(block, n, p)
+        if out is None:
+            letters = "abcdef"[:k]
+            out = np.einsum(letters + ",i" + letters[0] + "->i" + letters[1:], coeffs, dirs)
+        else:
+            out = np.einsum("i" + "abcdef"[: k - s] + ",ia->i" + "bcdef"[: k - s - 1], out, dirs)
+    if q == math.inf:
+        return np.max(np.abs(out), axis=1)
+    return np.sum(np.abs(out) ** q, axis=1) ** (1.0 / q)
+
+
+def meshgrid_norm_grid(form, coarse=24, rounds=8, top=5, refine_points=9):
+    """multilinear_norm_grid on one meshgrid batch of every grid point."""
+    n, k, p = form.dim, form.degree, form.params.p
+    coeffs = form.coeffs.real.astype(float)
+    ranges = []
+    for _ in range(k - 1):
+        ranges += [(0.0, 2.0 * math.pi)] if n == 2 else [(0.0, math.pi), (0.0, 2.0 * math.pi)]
+    dims = len(ranges)
+    coarse_n = coarse if n == 3 else max(coarse, 64)
+    axes = [np.linspace(lo, hi, coarse_n, endpoint=False) for lo, hi in ranges]
+    batch = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = meshgrid_grid_values(coeffs, batch, n, k, p)
+    order = np.argsort(values)[::-1][:top]
+    best = float(values[order[0]])
+    spacing = np.array([(hi - lo) / coarse_n for lo, hi in ranges])
+    for cand in order:
+        center = batch[cand].copy()
+        width = spacing.copy()
+        for _ in range(rounds):
+            local_axes = [np.linspace(center[d] - width[d], center[d] + width[d], refine_points)
+                          for d in range(dims)]
+            local_batch = np.stack([m.reshape(-1)
+                                    for m in np.meshgrid(*local_axes, indexing="ij")], axis=1)
+            local_values = meshgrid_grid_values(coeffs, local_batch, n, k, p)
+            j = int(np.argmax(local_values))
+            center = local_batch[j].copy()
+            best = max(best, float(local_values[j]))
+            width *= 0.35
+    return best
+
+
+def grid_pin_cases():
+    """Seeded symmetric forms for (n, k) in {2, 3}^2, p in both regimes
+    (p = 1 closes the last slot with q = inf), plus the form of
+    zalduendo-check --k 3 --n 3 --p 4.187 --seed 52202."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for n in (2, 3):
+        for k in (2, 3):
+            for p in (1.0, 1.5, float(k), k + 0.7, 2.0 * k):
+                cases.append((rng.standard_normal((n,) * k), LpParams(p, k)))
+    cases.append((np.random.default_rng([52202, 0]).standard_normal((3, 3, 3)),
+                  LpParams(4.187, 3)))
+    return cases
+
+
+def test_grid_equals_the_meshgrid_grid_bitwise():
+    for raw, params in grid_pin_cases():
+        form = MultilinearForm(raw.astype(complex), params).symmetrize()
+        assert multilinear_norm_grid(form) == meshgrid_norm_grid(form), (raw.shape, params)
+    # the zoom rounds alone, at other knobs
+    raw, params = grid_pin_cases()[-1]
+    form = MultilinearForm(raw.astype(complex), params).symmetrize()
+    knobs = {"coarse": 7, "rounds": 3, "top": 2, "refine_points": 4}
+    assert multilinear_norm_grid(form, **knobs) == meshgrid_norm_grid(form, **knobs)
+
+
+def per_restart_ascent(form, restarts, iters, seed):
+    """The ascent one restart at a time through the checked apply and
+    partial_gradient: the best value, each restart's sweep count and value,
+    and how many slot updates met a zero gradient."""
+    n, k, p = form.dim, form.degree, form.params.p
+    real_form = bool(np.all(form.coeffs.imag == 0))
+    rng = np.random.default_rng(seed)
+    steps, values, zero_gradients = [], [], 0
+    for restart in range(restarts):
+        if restart == 0:
+            xs = [np.full(n, 1.0, dtype=complex) for _ in range(k)]
+        else:
+            xs = []
+            for _ in range(k):
+                v = rng.standard_normal(n)
+                if not real_form:
+                    v = v + 1j * rng.standard_normal(n)
+                xs.append(v.astype(complex))
+        xs = [x / lq_norm(x, p) for x in xs]
+        previous, stalled, step = -1.0, 0, 0
+        for step in range(1, iters + 1):
+            for j in range(k):
+                grad = form.partial_gradient(xs, j)
+                mags = np.abs(grad)
+                if not np.any(mags > 0):
+                    zero_gradients += 1
+                    continue
+                if p == 1.0:
+                    i = int(np.argmax(mags))
+                    xs[j] = np.zeros_like(grad)
+                    xs[j][i] = np.conj(phase(grad[i]))
+                else:
+                    q = holder_conjugate(p)
+                    unit_phases = np.where(mags > 0, np.conj(grad) / np.where(mags > 0, mags, 1.0),
+                                           0.0)
+                    xs[j] = unit_phases * (mags / lq_norm(grad, q)) ** (q - 1.0)
+            value = abs(form.apply(xs))
+            if value - previous <= 1e-14 * max(1.0, value):
+                stalled += 1
+                if stalled >= 3:
+                    break
+            else:
+                stalled = 0
+            previous = value
+        steps.append(step)
+        values.append(abs(form.apply(xs)))
+    return max(values), steps, values, zero_gradients
+
+
+def test_batched_ascent_matches_per_restart_loop():
+    rng = np.random.default_rng(25)
+    real = rng.standard_normal((3, 3, 3))
+    cases = {
+        "real": (real, LpParams(4.0, 3), 20, 60),
+        "complex": (real + 1j * rng.standard_normal((3, 3, 3)), LpParams(4.0, 3), 20, 60),
+        "p_is_1": (rng.standard_normal((3, 3, 3)), LpParams(1.0, 3), 12, 40),
+        "p_below_k": (rng.standard_normal((4, 4)), LpParams(1.5, 2), 12, 200),
+        # the all-ones start is in the kernel: restart 0 meets zero gradients
+        "zero_gradient": (np.array([[1.0, -1.0], [-1.0, 1.0]]), LpParams(3.0, 2), 6, 60),
+        "one_restart": (real, LpParams(6.0, 3), 1, 5),
+        # two sweeps end far from convergence, so the value depends on the starts
+        "real_two_sweeps": (real, LpParams(4.0, 3), 8, 2),
+        "complex_two_sweeps": (real + 1j * real[::-1], LpParams(4.0, 3), 8, 2),
+    }
+    seen_steps = set()
+    for name, (coeffs, params, restarts, iters) in cases.items():
+        form = MultilinearForm(np.asarray(coeffs, dtype=complex), params).symmetrize()
+        expected, steps, values, zero_gradients = per_restart_ascent(form, restarts, iters, 7)
+        got = multilinear_norm_ascent(form, restarts=restarts, iters=iters, seed=7)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0), name
+        if name == "zero_gradient":
+            assert zero_gradients > 0 and values[0] == 0.0 and expected > 0.0
+        seen_steps.update(steps)
+        if name in ("real", "complex"):
+            assert len(set(steps)) > 1, name  # restarts stall at different sweeps
+    assert max(seen_steps) > 5
+
+
+def test_ascent_makes_no_checked_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a checked MultilinearForm method was called")
+
+    form = MultilinearForm(np.random.default_rng(26).standard_normal((3, 3, 3)).astype(complex),
+                           LpParams(4.0, 3)).symmetrize()
+    monkeypatch.setattr(MultilinearForm, "apply", refuse)
+    monkeypatch.setattr(MultilinearForm, "partial_gradient", refuse)
+    assert multilinear_norm_ascent(form, restarts=5, iters=10, seed=1) > 0.0
 
 
 def test_ascent_is_deterministic():
