@@ -17,8 +17,8 @@ from oadiag.oapoly import (
     norm_numeric,
     norm_witness,
     polarize,
+    _directions_from_angles,
 )
-from oadiag.oapoly import _directions_from_angles
 
 P42 = LpParams(4.0, 2)
 
