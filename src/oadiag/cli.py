@@ -42,7 +42,8 @@ _COMMON_FLAGS = (
     ("--seed", dict(type=int, help="base random seed (default 0)")),
     ("--trials", dict(type=int, help="number of seeded trials")),
     ("--restarts", dict(type=int, help="optimizer restarts")),
-    ("--iters", dict(type=int, help="optimizer iterations")),
+    ("--iters", dict(type=int, help="oa-norm / sweep ascent step cap at p <= k "
+                                    "(k < p stops on a certificate)")),
     ("--coeffs", dict(type=str, help="comma-separated reals or re+imi literals")),
     ("--coeffs-file", dict(type=str, help="JSON file with a coefficient array")),
     ("--tol", dict(action="append", metavar="NAME=VALUE", help="tolerance override")),

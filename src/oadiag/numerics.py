@@ -44,6 +44,12 @@ MAX_FORM_ENTRIES = 10 ** 6
 MAX_POLARIZE_COST = 4 * 10 ** 6
 # Records one CLI command may produce.
 MAX_CASES = 20000
+# Steps of one certified norm_numeric restart (k < p); the certificate's own
+# step count, derived from its first steps, is checked against it.
+MAX_ASCENT_STEPS = 2 * 10 ** 5
+# Relative objective bound at which norm_numeric's certificate stops a
+# restart: 1e-3 of the 1e-6 isometry tolerance.
+ASCENT_CERTIFICATE_TARGET = 1e-9
 
 
 def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.ndarray:

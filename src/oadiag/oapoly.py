@@ -36,6 +36,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .numerics import (
+    ASCENT_CERTIFICATE_TARGET,
+    MAX_ASCENT_STEPS,
     MAX_FORM_ENTRIES,
     MAX_POLARIZE_COST,
     BudgetError,
@@ -211,13 +213,47 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
                  seed: int = 0) -> float:
     """Projected-ascent lower bound on the polynomial norm over the l_p sphere.
 
-    Phase alignment reduces the problem to maximizing sum |c_n| t_n^k over
-    nonnegative unit vectors t; each iteration applies the Hoelder-equality
-    update t <- normalize((|c| t^{k-1})^{1/(p-1)}), which never decreases the
-    objective.  Starts: a uniform vector, the basis vectors (as budget
-    allows), then seeded random points.  Deterministic for fixed arguments.
-    The ascent runs on |c| / max|c| and the result is scaled back by max|c|
-    (the norm is positively homogeneous), so its powers never overflow.
+    Phase alignment reduces the problem to maximizing f(t) = sum w_n t_n^k
+    over nonnegative unit vectors t, with w = |c| / max|c|; each step
+    applies the Hoelder-equality update t <- normalize((w t^{k-1})^{1/(p-1)}),
+    which never decreases f.  Starts: a uniform vector, the basis vectors
+    (as `restarts` allows), then seeded random points; the result is the best
+    value over the starts, scaled back by max|c| (the norm is positively
+    homogeneous, so no power overflows).  Deterministic for fixed arguments.
+
+    k < p: each restart stops on a certificate, and `iters` does not cap it.
+    On the positive vectors of one support, Hilbert's projective metric
+    d(x, y) = log max_i(x_i / y_i) + log max_i(y_i / x_i) is multiplied by
+    a under t -> t^a and unchanged by t -> w t and by normalization, so the
+    update contracts it by r = (k-1)/(p-1) < 1 (Birkhoff 1957; Bushell
+    1973).  Summing the geometric tail of the later steps gives
+
+        d(t_m, t*) <= r/(1-r) d(t_m, t_{m-1}) = r/(1-r) delta_m
+
+    for the fixed point t* on that support.  Both t_m and t* are unit l_p
+    vectors, so neither dominates the other and min_i t_{m,i} / t*_i <= 1:
+    t_m >= e^{-d} t* componentwise, and f(t_m) >= e^{-k d} f(t*).  A
+    restart is done once 1 - exp(-k r/(1-r) delta_m) <= 1e-9
+    (ASCENT_CERTIFICATE_TARGET), where k r/(1-r) = k(k-1)/(p-k).  delta_m
+    is taken on the row's own support, and a row whose zero pattern changed
+    in the step is not done.  A row on a face (some t_i = 0) bounds only
+    that face's maximum; the uniform and random starts have full support,
+    whose fixed point is the global maximizer, so they certify the norm.  A
+    basis vector is a fixed point with delta = 0 and stops after one step;
+    at k = 1 (r = 0) the first step takes every start to the maximizer.
+
+    Budget: in exact arithmetic delta_m = r delta_{m-1}, and float steps
+    keep delta above a roundoff floor of at most _DELTA_FLOOR.  So a row at
+    delta_m is not checked again before r^j delta_m meets the target, and it
+    needs log((reach - floor) / delta_m) / log r more steps, reach the
+    distance that meets the target.  A count past MAX_ASCENT_STEPS, or reach
+    at or below the floor, raises BudgetError at the first check that sees
+    it, as does a row still running at the cap.
+
+    p <= k: the contraction does not apply.  A restart stops when a step
+    leaves it bitwise unchanged, so every later step would too, and `iters`
+    caps the steps: the result is that of running all `iters` steps.  At
+    p = 1 the update is the basis vector at the largest gradient entry.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -226,9 +262,14 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     if n == 0 or not np.any(w > 0):
         return 0.0
     top = float(np.max(w))
-    w = w / top
     p, k = poly.params.p, poly.params.k
+    values, _ = _ascent(w / top, k, p, _ascent_starts(n, p, restarts, seed), iters)
+    return top * float(np.max(values))
 
+
+def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
+    """norm_numeric's unit l_p start rows: uniform, the basis vectors as
+    `restarts` allows, then seeded random points."""
     rng = np.random.default_rng(seed)
     rows = [np.full(n, 1.0)]
     for j in range(min(n, restarts - 1)):
@@ -238,23 +279,95 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     while len(rows) < restarts:
         rows.append(rng.random(n) + 1e-3)
     T = np.stack(rows[:restarts])
-    T /= np.sum(T ** p, axis=1, keepdims=True) ** (1.0 / p)
+    return T / np.sum(T ** p, axis=1, keepdims=True) ** (1.0 / p)
 
-    if p == 1.0:
-        # l_1 sphere: the linearized maximizer is a basis vector.
-        for _ in range(iters):
-            grad = w * T ** (k - 1)
-            T = np.zeros_like(T)
-            T[np.arange(T.shape[0]), np.argmax(grad, axis=1)] = 1.0
-    else:
-        exponent = 1.0 / (p - 1.0)
-        for _ in range(iters):
-            grad = w * T ** (k - 1)
+
+# Roundoff floor of norm_numeric's step distance delta.  In log coordinates a
+# float step is the exact step, an affine map that contracts spreads (max
+# minus min) by r, plus an error of at most 6u per entry (u = 2^-53: two
+# powers of at most 2u, a product and a quotient), so the error spans at most
+# 12u.  The spread e of the iterate's offset from the exact fixed point then
+# obeys e <= r e + 12u, so (1 - r) e <= 12u, and delta, the spread of
+# (r - 1) e plus an error, is at most 24u; forming delta adds a quotient and a
+# log.  Twice that leaves room for powers rounded to 4u.  (On 300 random
+# inputs with p - k from 1e-3 to 30, converged rows never showed more than 2u.)
+_DELTA_FLOOR = 64 * 2.0 ** -53
+
+
+def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
+            iters: int) -> Tuple[np.ndarray, np.ndarray]:
+    """norm_numeric's ascent from the unit start rows of T: the objective
+    sum w t^k of each row where it stopped, and the steps it took."""
+    certified = k < p
+    if certified:
+        # the delta at which 1 - exp(-k(k-1) delta / (p-k)) meets the target
+        reach = -math.log1p(-ASCENT_CERTIFICATE_TARGET) * (p - k) / (k * (k - 1)) \
+            if k > 1 else math.inf
+        check = 1
+    exponent = 1.0 / (p - 1.0) if p > 1.0 else 0.0
+    values = np.zeros(T.shape[0])
+    steps = np.zeros(T.shape[0], dtype=int)
+    live = np.arange(T.shape[0])
+    for step in range(1, (MAX_ASCENT_STEPS if certified else iters) + 1):
+        grad = w * T ** (k - 1)
+        if p == 1.0:
+            # l_1 sphere: the linearized maximizer is a basis vector.
+            new = np.zeros_like(T)
+            new[np.arange(T.shape[0]), np.argmax(grad, axis=1)] = 1.0
+        else:
             candidate = grad ** exponent
-            norms = np.sum(candidate ** p, axis=1, keepdims=True) ** (1.0 / p)
-            ok = norms[:, 0] > 0
-            T[ok] = candidate[ok] / norms[ok]
-    return top * float(np.max(np.sum(w * T ** k, axis=1)))
+            norms = (candidate ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
+            new = np.divide(candidate, norms, out=T.copy(), where=norms > 0)
+        if not certified:
+            done = (new == T).all(axis=1)
+        elif step < check:
+            T = new
+            continue
+        else:
+            # Off the support both entries are 0 and the ratio NaN, which
+            # fmax and fmin skip.  Zeros never fill in at k >= 2, so a changed
+            # zero pattern shows as a zero ratio: an infinite distance.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = new / T
+                delta = np.log(np.fmax.reduce(ratio, axis=1) / np.fmin.reduce(ratio, axis=1))
+            done = delta <= reach
+            check = step + 1
+            pending = delta[~done]
+            if pending.size and pending.max() < math.inf:
+                _check_ascent_budget(step, float(pending.max()), reach, k, p)
+                # in exact arithmetic delta shrinks by r per step, so no
+                # row can be done sooner
+                check = step + _steps_to_shrink(float(pending.min()), reach, k, p)
+        T = new
+        if done.any():
+            values[live[done]] = (w * T[done] ** k).sum(axis=1)
+            steps[live[done]] = step
+            T, live = T[~done], live[~done]
+            if not live.size:
+                return values, steps
+    if certified:
+        raise BudgetError(f"certified norm ascent still running at the cap of "
+                          f"{MAX_ASCENT_STEPS} steps")
+    values[live] = (w * T ** k).sum(axis=1)
+    steps[live] = iters
+    return values, steps
+
+
+def _steps_to_shrink(delta: float, goal: float, k: int, p: float) -> int:
+    """Steps j for delta r^j to fall to goal, r = (k-1)/(p-1)."""
+    return math.ceil(math.log(goal / delta) / math.log((k - 1) / (p - 1)))
+
+
+def _check_ascent_budget(step: int, delta: float, reach: float, k: int, p: float) -> None:
+    """Raise BudgetError unless a row at step distance delta after `step`
+    steps meets the certificate within MAX_ASCENT_STEPS steps."""
+    if reach <= _DELTA_FLOOR:
+        raise BudgetError(f"certified norm ascent cannot get below its roundoff floor "
+                          f"at p - k = {p - k:.3g}; cap is {MAX_ASCENT_STEPS} steps")
+    needed = step + _steps_to_shrink(delta, reach - _DELTA_FLOOR, k, p)
+    if needed > MAX_ASCENT_STEPS:
+        raise BudgetError(f"certified norm ascent needs {needed} steps, "
+                          f"cap is {MAX_ASCENT_STEPS}")
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +698,21 @@ def _grid_point(axes: Sequence[np.ndarray], flat: int) -> np.ndarray:
     return np.array([axis[i] for axis, i in zip(axes, index)])
 
 
+def _top_cells(values: np.ndarray, top: int) -> np.ndarray:
+    """Indices of the `top` largest values, the cells np.argsort(values)[::-1]
+    lists first.  Their order does not matter to the grid, so they are the
+    values at or above the top-th largest, found by a partition, unless
+    that value ties with the next, when the full sort decides which of the
+    tied cells are kept.  np.partition sorts a copy of the values;
+    np.argpartition raised the zalduendo workload's peak RSS by 2.6 MB."""
+    cut = values.size - top
+    if cut >= 1:
+        cells = np.flatnonzero(values >= np.partition(values, cut)[cut])
+        if cells.size == top:
+            return cells
+    return np.argsort(values)[::-1][:top]
+
+
 def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int = 8,
                           top: int = 5, refine_points: int = 9) -> float:
     """Zooming dense grid estimate of the sup norm of a real multilinear form.
@@ -622,9 +750,9 @@ def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int =
     coarse_n = coarse if n == 3 else max(coarse, 64)
     axes = [np.linspace(lo, hi, coarse_n, endpoint=False) for lo, hi in ranges]
     values = _grid_values(coeffs, axes, n, k, p)
-    order = np.argsort(values)[::-1][:top]
+    order = _top_cells(values, top)
 
-    best = float(values[order[0]])
+    best = float(np.max(values))
     spacing = np.array([(hi - lo) / coarse_n for lo, hi in ranges])
     for cand in order:
         center = _grid_point(axes, cand)

@@ -362,13 +362,30 @@ def test_oa_norm_is_scale_safe(case):
     k, p, mantissas, scale = case
     code, record = oa_norm_record(k, p, [scale * m for m in mantissas])
     assert record["passes"]["witness_vs_closed"]
-    if code != 0:
-        # The ascent converges slowly when p is just above k and the two
-        # largest |c_i| nearly tie; that failure must not depend on the scale.
-        unit_code, unit = oa_norm_record(k, p, mantissas)
-        assert unit_code == 1
-        assert record["deviations"]["numeric_vs_closed"] == \
-            pytest.approx(unit["deviations"]["numeric_vs_closed"], rel=1e-6)
+    assert code == 0
+
+
+def test_oa_norm_just_above_p_equals_k_with_a_near_tie(capsys):
+    code, out, _ = run(["oa-norm", "--k", "4", "--p", "4.004637015270084",
+                        "--coeffs=0.22295439916751023,0.08004666185987808,"
+                        "-0.3311162613007965,0.33190656698647625"], capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["passed"] is True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("gap", [1e-3, 3e-3, 1e-2])
+@pytest.mark.parametrize("one_minus_r", [1e-4, 1e-2])
+def test_oa_norm_near_tie_scan_just_above_p_equals_k(k, gap, one_minus_r, capsys):
+    code, out, err = run(["oa-norm", "--k", str(k), "--p", repr(k + gap),
+                          f"--coeffs=1,{1 - one_minus_r!r}"], capsys)
+    assert code == 0, err
+
+
+def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
+    code, out, err = run(["oa-norm", "--k", "4", "--p", repr(4 + 1e-12), "--coeffs=1,0.5"], capsys)
+    assert code == 3
+    assert out == "" and "roundoff floor" in err
 
 
 def strict_json(text):

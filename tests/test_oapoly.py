@@ -17,7 +17,10 @@ from oadiag.oapoly import (
     norm_numeric,
     norm_witness,
     polarize,
+    _ascent,
+    _ascent_starts,
     _directions_from_angles,
+    _top_cells,
 )
 
 P42 = LpParams(4.0, 2)
@@ -146,6 +149,119 @@ def test_norm_numeric_is_deterministic_and_a_lower_bound():
 
 def test_norm_numeric_zero_polynomial():
     assert norm_numeric(OrthAddPolynomial([0.0, 0.0], P42)) == 0.0
+
+
+def fixed_iters_rows(poly, restarts, iters, seed):
+    """norm_numeric before the certificate, which ran every start for all
+    `iters` steps in both regimes: max|c| and each start's final value."""
+    w = np.abs(poly.coeffs)
+    n = poly.dim
+    top = float(np.max(w))
+    w = w / top
+    p, k = poly.params.p, poly.params.k
+    rng = np.random.default_rng(seed)
+    rows = [np.full(n, 1.0)]
+    for j in range(min(n, restarts - 1)):
+        basis = np.zeros(n)
+        basis[j] = 1.0
+        rows.append(basis)
+    while len(rows) < restarts:
+        rows.append(rng.random(n) + 1e-3)
+    T = np.stack(rows[:restarts])
+    T /= np.sum(T ** p, axis=1, keepdims=True) ** (1.0 / p)
+    if p == 1.0:
+        for _ in range(iters):
+            grad = w * T ** (k - 1)
+            T = np.zeros_like(T)
+            T[np.arange(T.shape[0]), np.argmax(grad, axis=1)] = 1.0
+    else:
+        exponent = 1.0 / (p - 1.0)
+        for _ in range(iters):
+            grad = w * T ** (k - 1)
+            candidate = grad ** exponent
+            norms = np.sum(candidate ** p, axis=1, keepdims=True) ** (1.0 / p)
+            ok = norms[:, 0] > 0
+            T[ok] = candidate[ok] / norms[ok]
+    return top, np.sum(w * T ** k, axis=1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sup_regime_matches_the_fixed_iters_loop_bitwise(k):
+    rng = np.random.default_rng(40 + k)
+    real = rng.standard_normal(7)
+    real_tie = real.copy()
+    real_tie[5] = -real[np.argmax(np.abs(real))]
+    complex_values = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    complex_tie = complex_values.copy()
+    complex_tie[2] = np.conj(complex_values[np.argmax(np.abs(complex_values))])
+    stopped_early = 0
+    for p in (1.0, 1.5, float(k)):
+        for c in (real, real_tie, complex_values, complex_tie, [0.0, 2.0, 0.0]):
+            poly = OrthAddPolynomial(c, LpParams(p, k))
+            for restarts, iters, seed in ((20, 500, 0), (12, 250, 11), (5, 80, 3), (3, 1, 2)):
+                top, expected = fixed_iters_rows(poly, restarts, iters, seed)
+                assert norm_numeric(poly, restarts, iters, seed) == top * float(np.max(expected))
+                starts = _ascent_starts(len(c), p, restarts, seed)
+                values, steps = _ascent(np.abs(poly.coeffs) / top, k, p, starts, iters)
+                assert np.array_equal(values, expected), (p, c, iters)
+                stopped_early += int(np.sum(steps < iters))
+    assert stopped_early > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("gap", [1e-3, 1e-2, 0.5, "k"])
+def test_certified_ascent_is_honest(k, gap):
+    p = k + (k if gap == "k" else gap)
+    rng = np.random.default_rng(k)
+    poly = OrthAddPolynomial(rng.standard_normal(5), LpParams(p, k))
+    closed = norm_closed_form(poly)
+    assert closed * (1 - 1e-9) <= norm_numeric(poly, seed=k) <= closed * (1 + 1e-12)
+    # on a complex form, every full-support start certifies the norm on its own
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    closed = norm_closed_form(OrthAddPolynomial(c, LpParams(p, k)))
+    starts = _ascent_starts(4, p, 20, k)
+    values, _ = _ascent(np.abs(c) / np.max(np.abs(c)), k, p, starts, 500)
+    full = np.all(starts > 0, axis=1)
+    assert np.all(closed * (1 - 1e-9) <= values[full] * np.max(np.abs(c)))
+    assert np.all(values * np.max(np.abs(c)) <= closed * (1 + 1e-12))
+
+
+def test_certificate_out_of_reach_is_a_budget_error():
+    # the target distance lies below the roundoff floor of a step
+    with pytest.raises(BudgetError, match="roundoff floor"):
+        norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 1e-12, 4)))
+    # reachable, but the count derived at the first check exceeds the cap
+    with pytest.raises(BudgetError, match=r"needs \d+ steps, cap is 200000"):
+        norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 2e-4, 4)))
+    # a single nonzero coefficient needs no contraction: every row is exact
+    assert norm_numeric(OrthAddPolynomial([0.0, 2.0, 0.0], LpParams(4 + 1e-12, 4))) == 2.0
+
+
+@pytest.mark.parametrize("k, p, n", [(3, 3.5, 6), (3, 8.0, 6), (4, 4.01, 5), (2, 4.734, 19)])
+def test_basis_rows_stop_after_one_step(k, p, n):
+    # a one-entry support has delta = 0; the bitwise test of p <= k can
+    # instead meet a last-ulp 2-cycle and run to `iters`
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = np.abs(c) / np.max(np.abs(c))
+    values, steps = _ascent(w, k, p, _ascent_starts(n, p, 20, 0), 500)
+    assert np.all(steps[1:n + 1] == 1)
+    assert np.all(values[1:n + 1] == w)
+    assert steps[0] > 1
+
+
+@pytest.mark.parametrize("k, p", [(2, 2.5), (2, 7.9), (3, 3.5), (4, 4.004637015270084)])
+def test_uniform_row_stops_where_the_contraction_predicts(k, p):
+    # From the uniform start t_1 is w^(1/(p-1)) normalized, so
+    # delta_m = r^(m-1) log(max w / min w) / (p-1); the row stops at the first
+    # m with 1 - exp(-k(k-1) delta_m / (p-k)) <= 1e-9.
+    w = np.array([1.0, 0.3, 0.7, 0.05])
+    r = (k - 1) / (p - 1)
+    first = math.log(1 / 0.05) / (p - 1)
+    reach = -math.log1p(-1e-9) * (p - k) / (k * (k - 1))
+    expected = 1 + math.ceil(math.log(reach / first) / math.log(r))
+    values, steps = _ascent(w, k, p, _ascent_starts(4, p, 1, 0), 500)
+    assert steps[0] == expected
 
 
 def test_linearity_and_norm_homogeneity():
@@ -635,3 +751,11 @@ def test_degree_one_polynomial_is_a_functional():
     x, value = norm_witness(poly)
     assert value == pytest.approx(5.0, rel=1e-12)
     assert norm_numeric(poly) == pytest.approx(5.0, rel=1e-8)
+
+
+def test_top_cells_are_the_cells_the_full_sort_lists_first():
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        values = rng.integers(0, 6, int(rng.integers(1, 40))).astype(float)
+        top = int(rng.integers(1, 8))
+        assert sorted(_top_cells(values, top)) == sorted(np.argsort(values)[::-1][:top])
