@@ -12,6 +12,7 @@ configuration, 3 a resource budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,11 @@ _COMMON_FLAGS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The oadiag parser, built on the first call and shared by every later
+    one: parse_args keeps no state in it (each call fills a fresh namespace),
+    and help text is wrapped to the terminal width when it is printed."""
     parser = argparse.ArgumentParser(prog="oadiag", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -44,12 +44,16 @@ __all__ = [
     "pair",
 ]
 
-# Pieces per chunk or block.  It bounds the peak memory of pi_upper_bound, and
-# the roundoff of each dense_expansion block: one BLAS partial sums at most this
-# many pieces' terms, in whatever order it chooses, so its error is at most
-# (_CHUNK - 1) unit roundoffs (4.5e-13) of the sum of their moduli, under the
-# 1e-12 reconstruction tolerance.
+# Pieces per chunk or block.  It bounds the low block of pi_upper_bound's slot
+# sums, and the roundoff of each dense_expansion block: one BLAS partial sums
+# at most this many pieces' terms, in whatever order it chooses, so its error
+# is at most (_CHUNK - 1) unit roundoffs (4.5e-13) of the sum of their moduli,
+# under the 1e-12 reconstruction tolerance.
 _CHUNK = 1 << 12
+# Values of one block of pi_upper_bound's running product of slot sums: 256 kB
+# in each of its three buffers.  2^16 raised the duality workload's peak RSS
+# by 0.2-0.4 MB, and 2^14 made the bound about 30% slower.
+_BOUND_BLOCK = 1 << 15
 # Complex entries of one block's running outer product of slots 0..k-2, the
 # (block, n^(k-1)) left operand of its GEMM: 1 MB.
 _BLOCK_ENTRIES = 1 << 16
@@ -258,13 +262,26 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     coordinate at a time with the first one most significant (the piece
     order of averaging_decomposition).  The last coordinates form a low
     block of at most _CHUNK pieces, summed once; the prefixes of the first
-    coordinates are walked a chunk of pieces at a time, which keeps the
-    memory small.  The bound is max_m prod_j S_j(m)^(1/p).  Every piece gives
-    the same product because the step values are unimodular, but each one
-    is still formed from its own slot entries, so the bound stays an
-    independent check of the closed form.  The bound is positively
-    homogeneous in a, so the table is built from a / max|a| and the bound
-    scaled back: its p-th powers neither overflow nor underflow.
+    coordinates are walked a block of _BOUND_BLOCK values at a time, which
+    keeps the memory small whatever k is.  Every piece gives the same
+    product because the step values are unimodular, but each one is still
+    formed from its own slot entries, so the bound stays an independent
+    check of the closed form.  The bound is positively homogeneous in a, so
+    the table is built from a / max|a| and the bound scaled back: its p-th
+    powers neither overflow nor underflow.
+
+    x -> x^(1/p) is increasing, so max_m prod_j S_j(m)^(1/p) is
+    (max_m prod_j S_j(m))^(1/p): each block forms the running product of its
+    pieces' slot sums, and one root is taken per call.  The product stays in
+    the float range: after the scaling every |c[j, i]| = |a_i / max|a||^(1/k)
+    is at most 1, and 1 at the top coordinate, so each S_j lies in [1, n] up
+    to roundoff and the product in [1, n^k].  Under the default MAX_PIECES,
+    k^n <= 10^6 gives n^k <= 2^1000 (n = 2 admits k <= 1000, n = 3 only
+    k <= 100, and 3^100 < 2^159).  The slots are grouped by _slot_groups
+    from bounds on the computed sums themselves, so a caller who raises
+    max_pieces until n^k passes the float range gets several groups: each
+    piece's value is then the product of its groups' roots, at most
+    n^(k/p) < n.
 
     p <= k: the trivial decomposition into the n diagonal rank-one terms,
     bounding pi(u) by sum_i |a_i| * ||e_i||_p^k.
@@ -295,12 +312,43 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
         low_levels += 1
     high = _kronecker_sum(table[:, :n - low_levels])
     low = _kronecker_sum(table[:, n - low_levels:])
-    step = max(1, _CHUNK // low.shape[1])
+    # rounding is monotone, so no computed S_j(m) exceeds max high[j] + max low[j]
+    groups = _slot_groups(high.max(axis=1) + low.max(axis=1))
+    rows = min(max(1, _BOUND_BLOCK // low.shape[1]), high.shape[1])
+    total, part, sums = np.empty((3, rows, low.shape[1]))
     best = 0.0
-    for start in range(0, high.shape[1], step):
-        sums = high[:, start:start + step, None] + low[:, None, :]
-        best = max(best, float(np.max(np.prod(sums ** (1.0 / p), axis=0))))
-    return top * best
+    for start in range(0, high.shape[1], rows):
+        prefix = high[:, start:start + rows, None]
+        size = prefix.shape[1]
+        for index, (first, last) in enumerate(groups):
+            acc = total[:size] if index == 0 else part[:size]
+            np.add(prefix[first], low[first], out=acc)
+            for j in range(first + 1, last):
+                acc *= np.add(prefix[j], low[j], out=sums[:size])
+            if len(groups) > 1:
+                acc **= 1.0 / p
+                if index:
+                    total[:size] *= acc
+        best = max(best, float(total[:size].max()))
+    return top * (best ** (1.0 / p) if len(groups) == 1 else best)
+
+
+def _slot_groups(bounds: np.ndarray) -> List[Tuple[int, int]]:
+    """Consecutive slot ranges [first, last) over which the running product of
+    bounds[first:last] stays below the largest float by a factor e.
+
+    A float product of values each at most its bound is at most the float
+    product of the bounds, which exceeds the exact one by at most a factor
+    (1 + u)^k, far below e; the logs add an error of the same order."""
+    limit = math.log(np.finfo(float).max) - 1.0
+    groups, first, total = [], 0, 0.0
+    for j, log_bound in enumerate(np.log(bounds).tolist()):
+        if j > first and total + log_bound > limit:
+            groups.append((first, j))
+            first, total = j, 0.0
+        total += log_bound
+    groups.append((first, len(bounds)))
+    return groups
 
 
 def _kronecker_sum(table: np.ndarray) -> np.ndarray:

@@ -251,8 +251,10 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     it, as does a row still running at the cap.
 
     p <= k: the contraction does not apply.  A restart stops when a step
-    leaves it bitwise unchanged, so every later step would too, and `iters`
-    caps the steps: the result is that of running all `iters` steps.  At
+    leaves it bitwise unchanged, or returns it bitwise to the iterate of two
+    steps back (a last-ulp 2-cycle): every later step then repeats with
+    period 2, so the state after `iters` steps is known by parity.  `iters`
+    caps the steps, and the result is that of running all `iters` steps.  At
     p = 1 the update is the basis vector at the largest gradient entry.
     """
     if restarts < 1 or iters < 1:
@@ -308,6 +310,7 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
     values = np.zeros(T.shape[0])
     steps = np.zeros(T.shape[0], dtype=int)
     live = np.arange(T.shape[0])
+    before = T  # the iterate one step before T
     for step in range(1, (MAX_ASCENT_STEPS if certified else iters) + 1):
         grad = w * T ** (k - 1)
         if p == 1.0:
@@ -319,7 +322,10 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
             norms = (candidate ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
             new = np.divide(candidate, norms, out=T.copy(), where=norms > 0)
         if not certified:
-            done = (new == T).all(axis=1)
+            # from a fixed point or a 2-cycle on, the iterates repeat with
+            # period 2, so the row's state after `iters` steps is new when
+            # iters - step is even and T when it is odd
+            done = (new == T).all(axis=1) | (new == before).all(axis=1)
         elif step < check:
             T = new
             continue
@@ -338,11 +344,12 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
                 # in exact arithmetic delta shrinks by r per step, so no
                 # row can be done sooner
                 check = step + _steps_to_shrink(float(pending.min()), reach, k, p)
-        T = new
+        final = new if certified or (iters - step) % 2 == 0 else T
+        T, before = new, T
         if done.any():
-            values[live[done]] = (w * T[done] ** k).sum(axis=1)
+            values[live[done]] = (w * final[done] ** k).sum(axis=1)
             steps[live[done]] = step
-            T, live = T[~done], live[~done]
+            T, before, live = T[~done], before[~done], live[~done]
             if not live.size:
                 return values, steps
     if certified:
@@ -699,18 +706,19 @@ def _grid_point(axes: Sequence[np.ndarray], flat: int) -> np.ndarray:
 
 
 def _top_cells(values: np.ndarray, top: int) -> np.ndarray:
-    """Indices of the `top` largest values, the cells np.argsort(values)[::-1]
-    lists first.  Their order does not matter to the grid, so they are the
-    values at or above the top-th largest, found by a partition, unless
-    that value ties with the next, when the full sort decides which of the
-    tied cells are kept.  np.partition sorts a copy of the values;
-    np.argpartition raised the zalduendo workload's peak RSS by 2.6 MB."""
+    """Indices of the `top` largest values; of the cells tied at the cut,
+    those with the lowest flat indices, as np.argsort(-values,
+    kind="stable") lists them.  Their order does not matter to the grid, so
+    they are the cells above the top-th largest value, found by a
+    partition, and the first tied cells at it.  np.partition sorts a copy
+    of the values; np.argpartition raised the zalduendo workload's peak RSS
+    by 2.6 MB."""
     cut = values.size - top
-    if cut >= 1:
-        cells = np.flatnonzero(values >= np.partition(values, cut)[cut])
-        if cells.size == top:
-            return cells
-    return np.argsort(values)[::-1][:top]
+    if cut < 1:
+        return np.arange(values.size)
+    cut_value = np.partition(values, cut)[cut]
+    above = np.flatnonzero(values > cut_value)
+    return np.concatenate([above, np.flatnonzero(values == cut_value)[:top - above.size]])
 
 
 def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int = 8,

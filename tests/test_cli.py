@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oadiag
-from oadiag.cli import main
+from oadiag.cli import build_parser, main
 from oadiag.experiments import parse_scalar, format_scalar, ConfigError
 
 
@@ -97,15 +98,24 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert indices == sorted(indices)
 
 
+def main_in_fresh_process(argv, **env):
+    """Exit code and stdout of `oadiag argv` in a new interpreter, with the
+    environment variables env added."""
+    src = str(Path(oadiag.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "oadiag.cli"] + argv, env=env,
+                          capture_output=True)
+    return done.returncode, done.stdout.decode()
+
+
 def sweep_at_blas_threads(threads):
     """stdout of `oadiag sweep --seed 7 --trials 2` in a fresh process whose
     OpenBLAS runs `threads` threads."""
-    src = str(Path(oadiag.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "oadiag.cli", "sweep", "--seed", "7",
-                           "--trials", "2"], env=env, capture_output=True, check=True)
-    return done.stdout
+    code, out = main_in_fresh_process(["sweep", "--seed", "7", "--trials", "2"],
+                                      OPENBLAS_NUM_THREADS=str(threads))
+    assert code == 0
+    return out
 
 
 def test_sweep_is_stable_across_blas_thread_counts():
@@ -126,6 +136,55 @@ def test_sweep_is_stable_across_blas_thread_counts():
                 assert max(value, b["deviations"][name]) <= 1e-13
             else:
                 assert value == b["deviations"][name]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert run(["pi-norm", "--k", "2", "--p", "4", "--coeffs", "1,1"], capsys)[0] == 0
+    assert run(["oa-norm", "--k", "2", "--p", "4", "--coeffs", "1,2"], capsys)[0] == 0
+    assert run(["pi-norm", "--k", "2", "--p", "0.5", "--coeffs", "1"], capsys)[0] == 2
+    assert built.count("oadiag") == 1
+    assert len(built) == 7  # the top parser and one per subcommand
+
+
+def test_calls_sharing_the_parser_keep_no_state(capsys):
+    # append (--tol) and store_true (--timing) values must not reach a later call
+    flagged = ["oa-norm", "--k", "2", "--p", "4", "--coeffs", "3,4", "--tol", "isometry=0",
+               "--timing"]
+    plain = ["oa-norm", "--k", "2", "--p", "4", "--coeffs", "3,4"]
+
+    def untimed(text):
+        doc = json.loads(text)
+        assert all(isinstance(r.pop("wall_time_ms"), float) for r in doc["records"])
+        return doc
+
+    alone = {"flagged": main_in_fresh_process(flagged), "plain": main_in_fresh_process(plain)}
+    assert alone["flagged"][0] == 1 and alone["plain"][0] == 0
+    for _ in range(2):
+        code, out, _ = run(flagged, capsys)
+        assert code == alone["flagged"][0] and untimed(out) == untimed(alone["flagged"][1])
+        assert run(plain, capsys)[:2] == alone["plain"]
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
+    def help_lines(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pi-norm", "--help"])
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out.splitlines()
+
+    narrow, wide, narrow_again = help_lines(60), help_lines(200), help_lines(60)
+    assert max(map(len, narrow)) <= 60 < max(map(len, wide))
+    assert narrow_again == narrow
 
 
 def test_sweep_regime_routing(tmp_path):

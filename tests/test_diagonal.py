@@ -16,6 +16,7 @@ from oadiag.diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
     _slot_coefficients,
+    _slot_groups,
 )
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 
@@ -281,6 +282,51 @@ def test_upper_bound_at_the_largest_piece_count(symmetric):
     u = DiagonalTensor(rng.standard_normal(19) + 1j * rng.standard_normal(19), LpParams(5.0, 2))
     assert pi_upper_bound(u, symmetric=symmetric) == \
         pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
+
+
+def test_upper_bound_at_the_widest_slot_count():
+    # k = 1000, n = 2: k^n = 10^6 pieces, the most slots MAX_PIECES admits at
+    # n >= 2, and a product of slot sums of up to 2^1000
+    u = DiagonalTensor([1.0, -1.0], LpParams(1001.0, 1000))
+    tracemalloc.start()
+    try:
+        upper = pi_upper_bound(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert abs(upper - pi_norm_closed_form(u)) <= 1e-10 * pi_norm_closed_form(u)
+
+
+def test_upper_bound_past_the_float_range_of_the_product():
+    # k = 1030, n = 2: every piece's product of slot sums is 2^1030, past the
+    # float range, so the slots are rooted in groups and the bound stays
+    # finite and sharp
+    assert len(_slot_groups(np.full(1030, 2.0))) == 2
+    u = DiagonalTensor([1.0, -1.0], LpParams(1031.0, 1030))
+    upper = pi_upper_bound(u, max_pieces=2 * 10 ** 6)
+    assert math.isfinite(upper)
+    assert abs(upper - pi_norm_closed_form(u)) <= 1e-10 * pi_norm_closed_form(u)
+
+
+@pytest.mark.parametrize("largest", ["first", "last"])
+def test_upper_bound_visits_every_block(largest, monkeypatch):
+    # As in test_upper_bound_visits_every_piece, the first or the last piece
+    # gives the largest product, but the blocks are shrunk from one value up,
+    # so the walk spans several blocks; the bound does not depend on their size.
+    for k, n in [(2, 15), (3, 9), (4, 7)]:
+        moduli = np.arange(k, 0, -1.0) if largest == "first" else np.arange(1.0, k + 1)
+        monkeypatch.setattr("oadiag.diagonal._step_values",
+                            lambda k: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
+        rng = np.random.default_rng([87, k])
+        u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                           LpParams(k + 0.5, k))
+        bounds = set()
+        for block in (1, 7, 1 << 10, 1 << 16):
+            monkeypatch.setattr("oadiag.diagonal._BOUND_BLOCK", block)
+            bounds.add(pi_upper_bound(u))
+        assert len(bounds) == 1
+        assert bounds.pop() == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
 
 
 def test_dual_form_examples():
