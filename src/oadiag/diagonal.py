@@ -16,16 +16,18 @@ here recomputes it from the slot vectors of the averaging decomposition and
 the lower bound from the pairing with a dual diagonal multilinear form, so
 the three routes certify one another.  Every slot entry of every piece is
 c[j, i] * omega^d, with d one base-k digit of the piece index, so its modulus
-depends only on (slot j, coordinate i, digit d): the upper bound tabulates
-those k * n * k values once and forms each piece's slot power sums as a
-Kronecker sum of the table's rows, without building the slot vectors.
+depends only on (coefficient row c[j], coordinate i, digit d), and slots with
+equal rows have equal entries: the upper bound tabulates those R * n * k
+values, R the number of runs of equal consecutive rows (1 or 2), and forms
+each piece's slot power sums as a Kronecker sum of the table's rows, without
+building the slot vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -50,9 +52,9 @@ __all__ = [
 # is at most (_CHUNK - 1) unit roundoffs (4.5e-13) of the sum of their moduli,
 # under the 1e-12 reconstruction tolerance.
 _CHUNK = 1 << 12
-# Values of one block of pi_upper_bound's running product of slot sums: 256 kB
-# in each of its three buffers.  2^16 raised the duality workload's peak RSS
-# by 0.2-0.4 MB, and 2^14 made the bound about 30% slower.
+# Values of one block of pi_upper_bound's products of slot sums: 256 kB in each
+# of its two buffers.  2^16 raised the duality workload's peak RSS by 0.2-0.4
+# MB, and 2^14 made the bound about 30% slower.
 _BOUND_BLOCK = 1 << 15
 # Complex entries of one block's running outer product of slots 0..k-2, the
 # (block, n^(k-1)) left operand of its GEMM: 1 MB.
@@ -142,8 +144,10 @@ def _slot_coefficients(u: DiagonalTensor, symmetric: bool) -> np.ndarray:
 
 def _step_values(k: int) -> np.ndarray:
     """omega^d for d = 0, ..., k-1, with omega = exp(2 pi i / k): the values of
-    the k-ary Rademacher functions."""
-    return np.exp(2j * np.pi / k) ** np.arange(k)
+    the k-ary Rademacher functions.  Each is the exponential of its own angle,
+    so its modulus is within a few unit roundoffs of 1 whatever d is; the
+    powers of a rounded omega would drift from 1 by about d roundoffs."""
+    return np.exp(2j * np.pi * np.arange(k) / k)
 
 
 class _Pieces:
@@ -256,32 +260,33 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
 
     k < p: the supremum over all k^n averaging pieces of the product of the
     pieces' slot l_p norms.  Entry i of slot j on piece m is c[j, i] * omega^d
-    with d = d_i(m), the level-(i+1) base-k digit of m, so the table
-    |c[j, i] * omega^d|^p is built once and the slot power sums
-    S_j(m) = sum_i table[j, i, d_i(m)] are formed as a Kronecker sum, one
-    coordinate at a time with the first one most significant (the piece
-    order of averaging_decomposition).  The last coordinates form a low
-    block of at most _CHUNK pieces, summed once; the prefixes of the first
-    coordinates are walked a block of _BOUND_BLOCK values at a time, which
-    keeps the memory small whatever k is.  Every piece gives the same
-    product because the step values are unimodular, but each one is still
-    formed from its own slot entries, so the bound stays an independent
-    check of the closed form.  The bound is positively homogeneous in a, so
-    the table is built from a / max|a| and the bound scaled back: its p-th
-    powers neither overflow nor underflow.
+    with d = d_i(m), the level-(i+1) base-k digit of m.  The phase does not
+    depend on j, so slots whose coefficient rows c[j] are equal have equal
+    entries, and equal power sums, on every piece: the bound merges each run
+    of consecutive equal rows of c into one row with its count (R runs: 1
+    for the symmetric variant, at most 2 for the asymmetric one, whose equal
+    rows are consecutive), builds the table |row[r, i] * omega^d|^p once and
+    forms the power sums
+    S_r(m) = sum_i table[r, i, d_i(m)] as a Kronecker sum, one coordinate at
+    a time with the first one most significant (the piece order of
+    averaging_decomposition).  The last coordinates form a low block of at
+    most _CHUNK pieces, summed once; the prefixes of the first coordinates
+    are walked a block of _BOUND_BLOCK values at a time, which keeps the
+    memory small whatever k is.  Every piece gives the same product because
+    the step values are unimodular, but each one is still formed from its
+    own table entries, and the rows are merged only when they compare equal,
+    so the bound stays an independent check of the closed form.  The bound
+    is positively homogeneous in a, so the table is built from a / max|a|
+    and the bound scaled back: its p-th powers neither overflow nor
+    underflow.
 
-    x -> x^(1/p) is increasing, so max_m prod_j S_j(m)^(1/p) is
-    (max_m prod_j S_j(m))^(1/p): each block forms the running product of its
-    pieces' slot sums, and one root is taken per call.  The product stays in
-    the float range: after the scaling every |c[j, i]| = |a_i / max|a||^(1/k)
-    is at most 1, and 1 at the top coordinate, so each S_j lies in [1, n] up
-    to roundoff and the product in [1, n^k].  Under the default MAX_PIECES,
-    k^n <= 10^6 gives n^k <= 2^1000 (n = 2 admits k <= 1000, n = 3 only
-    k <= 100, and 3^100 < 2^159).  The slots are grouped by _slot_groups
-    from bounds on the computed sums themselves, so a caller who raises
-    max_pieces until n^k passes the float range gets several groups: each
-    piece's value is then the product of its groups' roots, at most
-    n^(k/p) < n.
+    The piece's product of slot norms is prod_r S_r(m)^(count_r/p), that is
+    G(m)^(k/p) with G(m) = prod_r S_r(m)^(count_r/k) the weighted geometric
+    mean of its power sums.  x -> x^(k/p) is increasing, so each block keeps
+    the largest G and one root is taken per call; for R = 1 the weight is
+    1 and G is the power sum itself.  After the scaling every
+    |c[j, i]| = |a_i / max|a||^(1/k) is at most 1, and 1 at the top
+    coordinate, so each S_r, and G with it, lies in [1, n] up to roundoff.
 
     p <= k: the trivial decomposition into the n diagonal rank-one terms,
     bounding pi(u) by sum_i |a_i| * ||e_i||_p^k.
@@ -292,12 +297,12 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     if n == 0:
         return 0.0
     if not u.params.k_less_than_p:
-        term_norms = []
-        for i in range(n):
-            basis = np.zeros(n)
-            basis[i] = 1.0
-            term_norms.append(abs(u.coeffs[i]) * lq_norm(basis, p) ** k)
-        return math.fsum(term_norms)
+        # every e_i has the one nonzero entry 1, and zeros add nothing to its
+        # power sum, so each ||e_i||_p is the norm of [1.0].  The moduli are
+        # taken one scalar at a time: numpy's vectorised complex abs can round
+        # the last bit differently.
+        basis_norm = lq_norm(np.ones(1), p) ** k
+        return math.fsum(abs(a) * basis_norm for a in u.coeffs.tolist())
 
     pieces = k ** n
     if pieces > max_pieces:
@@ -306,54 +311,34 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     if top == 0.0:
         return 0.0
     unit = DiagonalTensor(u.coeffs / top, u.params)
-    table = np.abs(_slot_coefficients(unit, symmetric)[:, :, None] * _step_values(k)) ** p
+    coefficients = _slot_coefficients(unit, symmetric)
+    starts = np.flatnonzero(np.r_[True, np.any(coefficients[1:] != coefficients[:-1], axis=1)])
+    rows, counts = coefficients[starts], np.diff(np.r_[starts, k])
+    weights = counts / k
+    table = np.abs(rows[:, :, None] * _step_values(k)) ** p
     low_levels = 0
     while low_levels < n and k ** (low_levels + 1) <= _CHUNK:
         low_levels += 1
     high = _kronecker_sum(table[:, :n - low_levels])
     low = _kronecker_sum(table[:, n - low_levels:])
-    # rounding is monotone, so no computed S_j(m) exceeds max high[j] + max low[j]
-    groups = _slot_groups(high.max(axis=1) + low.max(axis=1))
-    rows = min(max(1, _BOUND_BLOCK // low.shape[1]), high.shape[1])
-    total, part, sums = np.empty((3, rows, low.shape[1]))
+    block = min(max(1, _BOUND_BLOCK // low.shape[1]), high.shape[1])
+    means, sums = np.empty((2, block, low.shape[1]))
     best = 0.0
-    for start in range(0, high.shape[1], rows):
-        prefix = high[:, start:start + rows, None]
-        size = prefix.shape[1]
-        for index, (first, last) in enumerate(groups):
-            acc = total[:size] if index == 0 else part[:size]
-            np.add(prefix[first], low[first], out=acc)
-            for j in range(first + 1, last):
-                acc *= np.add(prefix[j], low[j], out=sums[:size])
-            if len(groups) > 1:
-                acc **= 1.0 / p
-                if index:
-                    total[:size] *= acc
-        best = max(best, float(total[:size].max()))
-    return top * (best ** (1.0 / p) if len(groups) == 1 else best)
-
-
-def _slot_groups(bounds: np.ndarray) -> List[Tuple[int, int]]:
-    """Consecutive slot ranges [first, last) over which the running product of
-    bounds[first:last] stays below the largest float by a factor e.
-
-    A float product of values each at most its bound is at most the float
-    product of the bounds, which exceeds the exact one by at most a factor
-    (1 + u)^k, far below e; the logs add an error of the same order."""
-    limit = math.log(np.finfo(float).max) - 1.0
-    groups, first, total = [], 0, 0.0
-    for j, log_bound in enumerate(np.log(bounds).tolist()):
-        if j > first and total + log_bound > limit:
-            groups.append((first, j))
-            first, total = j, 0.0
-        total += log_bound
-    groups.append((first, len(bounds)))
-    return groups
+    for start in range(0, high.shape[1], block):
+        prefix = high[:, start:start + block, None]
+        mean = np.add(prefix[0], low[0], out=means[:prefix.shape[1]])
+        if len(rows) > 1:
+            mean **= weights[0]
+            for r in range(1, len(rows)):
+                power_sum = np.add(prefix[r], low[r], out=sums[:prefix.shape[1]])
+                mean *= np.power(power_sum, weights[r], out=power_sum)
+        best = max(best, float(mean.max()))
+    return top * best ** (k / p)
 
 
 def _kronecker_sum(table: np.ndarray) -> np.ndarray:
-    """sums[j, m] = sum_i table[j, i, d_i(m)] over every digit string m of the
-    table's levels, the first level most significant: shape (slots, k^levels)."""
+    """sums[r, m] = sum_i table[r, i, d_i(m)] over every digit string m of the
+    table's levels, the first level most significant: shape (rows, k^levels)."""
     sums = np.zeros((table.shape[0], 1))
     for level in range(table.shape[1]):
         sums = (sums[:, :, None] + table[:, level, None, :]).reshape(table.shape[0], -1)

@@ -463,6 +463,14 @@ def test_pi_norm_is_scale_safe_at_the_float_range(coeffs, capsys):
     assert values["closed_form"] <= values["upper_bound"] * (1 + 1e-15)
 
 
+def test_pi_norm_sandwich_holds_at_many_slots(capsys):
+    # 2000 slots: step values whose moduli drift from 1 with the digit would
+    # put the upper bound about k^2 roundoffs off the closed form
+    code, out, err = run(["pi-norm", "--k", "2000", "--p", "2001", "--coeffs=3"], capsys)
+    assert code == 0, err
+    assert strict_json(out)["summary"]["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [["pi-norm", "--k", "2", "--p", "2", "--coeffs=1e308,1e308"],
                                   ["pi-norm", "--k", "2", "--p", "4", "--coeffs=1.7e308,1.7e308"],
                                   ["oa-norm", "--k", "2", "--p", "3", "--coeffs=1.7e308,1.7e308"]],

@@ -16,7 +16,6 @@ from oadiag.diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
     _slot_coefficients,
-    _slot_groups,
 )
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 
@@ -126,14 +125,14 @@ def test_dense_expansion_single_coordinate_any_degree():
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 60])
 def test_decomposition_equals_complex_powers_bitwise(k, symmetric):
-    # slot m, j, i = c[j, i] * exp(2 pi i / k) ** (level-(i+1) base-k digit of m)
+    # slot m, j, i = c[j, i] * exp(2 pi i d / k), d the level-(i+1) base-k digit of m
     rng = np.random.default_rng([83, k])
     n = 1 if k > 7 else 4
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
     c = _slot_coefficients(u, symmetric)
     m = np.arange(k ** n, dtype=np.int64)[:, None]
     divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-    expected = c[None, :, :] * (np.exp(2j * np.pi / k) ** ((m // divisors) % k))[:, None, :]
+    expected = c[None, :, :] * np.exp(2j * np.pi * ((m // divisors) % k) / k)[:, None, :]
     assert np.array_equal(averaging_decomposition(u, symmetric=symmetric), expected)
 
 
@@ -300,13 +299,42 @@ def test_upper_bound_at_the_widest_slot_count():
 
 def test_upper_bound_past_the_float_range_of_the_product():
     # k = 1030, n = 2: every piece's product of slot sums is 2^1030, past the
-    # float range, so the slots are rooted in groups and the bound stays
-    # finite and sharp
-    assert len(_slot_groups(np.full(1030, 2.0))) == 2
+    # float range, and the bound stays finite and sharp
     u = DiagonalTensor([1.0, -1.0], LpParams(1031.0, 1030))
     upper = pi_upper_bound(u, max_pieces=2 * 10 ** 6)
     assert math.isfinite(upper)
     assert abs(upper - pi_norm_closed_form(u)) <= 1e-10 * pi_norm_closed_form(u)
+
+
+def test_upper_bound_memory_at_one_coordinate():
+    # n = 1, k = 2000: a k x k table of moduli alone would take 32 MB
+    u = DiagonalTensor([3.0], LpParams(2001.0, 2000))
+    tracemalloc.start()
+    try:
+        upper = pi_upper_bound(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    lower, closed = pi_lower_bound(u), pi_norm_closed_form(u)
+    assert lower <= closed * (1 + 1e-10) and closed <= upper * (1 + 1e-10)
+    assert abs(upper - closed) <= 1e-10 * closed
+
+
+@pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 0)])
+def test_upper_bound_with_a_distinct_row_per_slot(pattern, monkeypatch):
+    # Neither variant has more than two distinct slot rows, one run of each;
+    # slot j here takes random row pattern[j], so the bound forms up to k
+    # power sums per piece, with unequal weights when a row repeats.
+    k, n = len(pattern), 5
+    rng = np.random.default_rng([88, k])
+    rows = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))[list(pattern)]
+    a = np.prod(rows, axis=0)
+    # the bound asks for the rows of a / max|a|: scale each row by the k-th root
+    monkeypatch.setattr("oadiag.diagonal._slot_coefficients",
+                        lambda u, symmetric: rows * (abs(u.coeffs[0]) / abs(a[0])) ** (1.0 / k))
+    u = DiagonalTensor(a, LpParams(k + 0.5, k))
+    assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("largest", ["first", "last"])
@@ -386,6 +414,13 @@ def test_l1_regime_is_exact_for_real_coefficients():
         cf = pi_norm_closed_form(u)
         assert pi_lower_bound(u) == cf
         assert pi_upper_bound(u) == pytest.approx(cf, rel=1e-12)
+
+
+def test_l1_upper_bound_is_linear_in_n():
+    # p <= k: one term norm per coefficient, with no dense basis vector each
+    a = np.random.default_rng(89).standard_normal(20_000)
+    u = DiagonalTensor(a, LpParams(2.0, 3))
+    assert pi_upper_bound(u) == math.fsum(np.abs(a)) == pi_norm_closed_form(u)
 
 
 def test_homogeneity():
