@@ -7,8 +7,12 @@ the integral representation becomes the mean of k^n rank-one tensors.  The
 decomposition is one complex array of shape (k^n, k, n): piece, slot,
 coordinate.  Off-diagonal contributions cancel exactly because products of
 distinct-level step functions integrate to zero.  The dense expansion of the
-decomposition takes the pieces a block at a time, so the sweep streams them
-into it without ever holding all k^n of them.
+decomposition takes the pieces a block at a time, without ever holding all
+k^n of them.  Entry [m, j, i] of a piece is c[j, i] times a phase that does
+not depend on the coefficients, so the sweep's expansion is the outer
+product of the slot rows c times the expansion of the unit tensor's pieces,
+which is enumerated once per shape (k, n) and cached; the factored product
+adds about k roundings per entry to the streamed expansion's error bound.
 
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
@@ -25,6 +29,7 @@ building the slot vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -32,13 +37,14 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, BudgetError, LpParams, Scalar,
-                       ensure_finite, lq_norm, phase, phase_root)
+                       ensure_finite, lq_norm, phase)
 
 __all__ = [
     "DiagonalTensor",
     "DualDiagonalForm",
     "averaging_decomposition",
     "dense_expansion",
+    "factored_expansion",
     "pi_norm_closed_form",
     "pi_upper_bound",
     "build_dual_form",
@@ -129,17 +135,17 @@ def _slot_coefficients(u: DiagonalTensor, symmetric: bool) -> np.ndarray:
 
     Symmetric variant spreads the phase of a_i as a principal k-th root over
     every slot; the asymmetric variant concentrates it in slot 0 and leaves
-    the plain modulus root in the others.
+    the plain modulus root in the others.  A zero coefficient has phase 1.
+    The symmetric variant's k equal rows are one read-only broadcast row.
     """
     a = u.coeffs
-    k = u.params.k
+    k, n = u.params.k, u.dim
     radial = np.abs(a) ** (1.0 / k)
+    angle = np.arctan2(a.imag, a.real, out=np.zeros(n), where=a != 0) / (k if symmetric else 1)
+    first = (np.cos(angle) + 1j * np.sin(angle)) * radial
     if symmetric:
-        row = np.array([phase_root(z, k) for z in a], dtype=complex) * radial
-        return np.tile(row, (k, 1))
-    first = np.array([phase(z) for z in a], dtype=complex) * radial
-    rest = np.tile(radial.astype(complex), (k - 1, 1))
-    return np.vstack([first[None, :], rest])
+        return np.broadcast_to(first, (k, n))
+    return np.vstack([first, np.broadcast_to(radial, (k - 1, n))])
 
 
 def _step_values(k: int) -> np.ndarray:
@@ -214,6 +220,57 @@ def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES)
     block = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(n ** (k - 1), 1)))
     partials = (_expand_block(slots[start:start + block]) for start in range(0, pieces, block))
     return (_pairwise_sum(partials) / pieces).reshape((n,) * k)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_expansion(k: int, n: int) -> np.ndarray:
+    """Read-only E(k, n): the dense expansion of the k^n pieces of the unit
+    diagonal tensor, mean_m w_m (x) ... (x) w_m with w_m[i] = omega^(d_i(m)).
+
+    The k^n unit-coefficient pieces are all enumerated, through the same
+    block GEMM and pairwise sum as any other expansion.  Eight shapes are
+    kept, the six of the default sweep among them, each at most
+    MAX_EXPANSION_ENTRIES complex values (1.6 MB).
+    """
+    phases = dense_expansion(_Pieces(DiagonalTensor(np.ones(n), LpParams(k + 1.0, k))))
+    phases.flags.writeable = False
+    return phases
+
+
+def factored_expansion(u: DiagonalTensor, symmetric: bool = True) -> np.ndarray:
+    """The dense expansion of u's averaging decomposition, formed as
+    c[0] (x) ... (x) c[k-1] times E(k, n), entry by entry.
+
+    Entry [m, j, i] of the decomposition is c[j, i] * w_m[i], and w_m does
+    not depend on the coefficients, so by linearity the mean over the
+    pieces of their outer products is the outer product of the slot rows c
+    times the expansion E(k, n) of the unit pieces, which _phase_expansion
+    enumerates once per shape.  Both budgets, k^n pieces and n^k entries,
+    are checked before any coefficient or outer product is formed.  The
+    result is a fresh, writeable array.
+
+    Error bound, u the unit roundoff: every unit piece's term is a product
+    of k unimodular step values, so E is formed within
+    ((block - 1) + ceil(log2(blocks))) u of the mean of its terms' moduli,
+    which is 1 up to k roundings, as dense_expansion derives.  The outer
+    product of the k slot rows and its product with E add about k more
+    roundings of each entry.  The exact outer product has moduli
+    prod_j |a_(i_j)|^(1/k) <= max|a| <= sum|a|, so both reconstruction
+    residues, the diagonal one relative to max|a| and the off-diagonal one
+    relative to sum|a|, stay within about (4096 + k) u, under 1e-12.
+    """
+    k, n = u.params.k, u.dim
+    if k ** n > MAX_PIECES:
+        raise BudgetError(f"k^n = {k ** n} pieces exceed the cap of {MAX_PIECES}")
+    if n ** k > MAX_EXPANSION_ENTRIES:
+        raise BudgetError(f"dense expansion needs {n ** k} entries, cap is "
+                          f"{MAX_EXPANSION_ENTRIES}")
+    phases = _phase_expansion(k, n)
+    coefficients = _slot_coefficients(u, symmetric)
+    outer = coefficients[0]
+    for row in coefficients[1:]:
+        outer = np.multiply.outer(outer, row)
+    return outer * phases
 
 
 def _expand_block(block: np.ndarray) -> np.ndarray:
@@ -298,11 +355,11 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
         return 0.0
     if not u.params.k_less_than_p:
         # every e_i has the one nonzero entry 1, and zeros add nothing to its
-        # power sum, so each ||e_i||_p is the norm of [1.0].  The moduli are
-        # taken one scalar at a time: numpy's vectorised complex abs can round
-        # the last bit differently.
+        # power sum, so each ||e_i||_p is the norm of [1.0], exactly 1.0.  The
+        # moduli are taken with the same vectorised abs as pi_norm_closed_form,
+        # so the two are the same exact l_1 sum bitwise.
         basis_norm = lq_norm(np.ones(1), p) ** k
-        return math.fsum(abs(a) * basis_norm for a in u.coeffs.tolist())
+        return math.fsum(np.abs(u.coeffs) * basis_norm)
 
     pieces = k ** n
     if pieces > max_pieces:

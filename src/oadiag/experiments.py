@@ -21,8 +21,7 @@ import numpy as np
 
 from .diagonal import (
     DiagonalTensor,
-    _Pieces,
-    dense_expansion,
+    factored_expansion,
     pi_lower_bound,
     pi_norm_closed_form,
     pi_upper_bound,
@@ -426,7 +425,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
 
         # rank-one reconstruction of the diagonal tensor
         u = DiagonalTensor(a, params)
-        tensor = dense_expansion(_Pieces(u))
+        tensor = factored_expansion(u)
         idx = np.arange(n)
         diag = tensor[tuple([idx] * k)].copy()
         tensor[tuple([idx] * k)] = 0.0

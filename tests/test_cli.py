@@ -98,14 +98,17 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert indices == sorted(indices)
 
 
-def main_in_fresh_process(argv, **env):
+def main_in_fresh_process(argv, runs=1, **env):
     """Exit code and stdout of `oadiag argv` in a new interpreter, with the
-    environment variables env added."""
+    environment variables env added; runs > 1 calls main that many times in
+    the one interpreter and returns the largest exit code."""
     src = str(Path(oadiag.__file__).resolve().parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "oadiag.cli"] + argv, env=env,
-                          capture_output=True)
+    program = ["-m", "oadiag.cli"] if runs == 1 else [
+        "-c", "import sys; from oadiag.cli import main; "
+              f"sys.exit(max(main(sys.argv[1:]) for _ in range({runs})))"]
+    done = subprocess.run([sys.executable] + program + argv, env=env, capture_output=True)
     return done.returncode, done.stdout.decode()
 
 
@@ -136,6 +139,16 @@ def test_sweep_is_stable_across_blas_thread_counts():
                 assert max(value, b["deviations"][name]) <= 1e-13
             else:
                 assert value == b["deviations"][name]
+
+
+def test_sweep_reusing_cached_phase_expansions_matches_a_fresh_process():
+    # The second run reads the phase expansions the first one cached.  Both
+    # interpreters pin one BLAS thread, as the GEMM rounds by the thread
+    # count, and this process may run another count than its environment names.
+    argv = ["sweep", "--seed", "7", "--trials", "2"]
+    code, once = main_in_fresh_process(argv, OPENBLAS_NUM_THREADS="1")
+    assert code == 0
+    assert main_in_fresh_process(argv, runs=2, OPENBLAS_NUM_THREADS="1") == (0, once * 2)
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

@@ -8,9 +8,11 @@ from oadiag.diagonal import (
     DiagonalTensor,
     DualDiagonalForm,
     _Pieces,
+    _phase_expansion,
     averaging_decomposition,
     build_dual_form,
     dense_expansion,
+    factored_expansion,
     pair,
     pi_lower_bound,
     pi_norm_closed_form,
@@ -219,6 +221,40 @@ def test_budgets_are_checked_before_any_piece_is_built(monkeypatch):
         dense_expansion(pieces)
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k, n", EXPANSION_SHAPES + [(2, 3), (60, 1)])
+def test_factored_expansion_matches_streamed_expansion(k, n, symmetric):
+    # Both are within a few unit roundoffs of the exact expansion, relative
+    # to the expansion of the entries' moduli.
+    rng = np.random.default_rng([94, k, n])
+    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
+    scale = dense_expansion(np.abs(averaging_decomposition(u, symmetric)))
+    factored = factored_expansion(u, symmetric)
+    assert factored.shape == (n,) * k
+    assert np.max(np.abs(factored - dense_expansion(_Pieces(u, symmetric))) / scale) <= 1e-14
+
+
+def test_factored_expansion_checks_budgets_before_any_coefficient(monkeypatch):
+    def no_coefficients(*args):
+        raise AssertionError("a slot coefficient was formed")
+
+    monkeypatch.setattr("oadiag.diagonal._slot_coefficients", no_coefficients)
+    with pytest.raises(BudgetError):  # 6^7 pieces in budget, 7^6 entries not
+        factored_expansion(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
+    with pytest.raises(BudgetError):  # 2^25 pieces
+        factored_expansion(DiagonalTensor(np.ones(25), LpParams(4.0, 2)))
+
+
+def test_phase_expansion_is_cached_read_only():
+    phases = _phase_expansion(3, 4)
+    assert _phase_expansion(3, 4) is phases
+    assert not phases.flags.writeable
+    with pytest.raises(ValueError):
+        phases[0, 0, 0] = 0.0
+    tensor = factored_expansion(DiagonalTensor([1.0, -2.0, 0.5, 3.0], LpParams(4.0, 3)))
+    assert tensor.flags.writeable and not np.shares_memory(tensor, phases)
+
+
 # ---------------------------------------------------------------------------
 # Closed form and bounds
 # ---------------------------------------------------------------------------
@@ -414,6 +450,17 @@ def test_l1_regime_is_exact_for_real_coefficients():
         cf = pi_norm_closed_form(u)
         assert pi_lower_bound(u) == cf
         assert pi_upper_bound(u) == pytest.approx(cf, rel=1e-12)
+
+
+def test_l1_upper_bound_equals_closed_form_bitwise_for_complex_coefficients():
+    # p <= k: both are the l_1 sum of the same moduli
+    rng = np.random.default_rng(90)
+    for k in range(2, 6):
+        for n in range(1, 9):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for p in (1.0, (1.0 + k) / 2.0, float(k)):
+                u = DiagonalTensor(a, LpParams(p, k))
+                assert pi_upper_bound(u) == pi_norm_closed_form(u)
 
 
 def test_l1_upper_bound_is_linear_in_n():
