@@ -42,6 +42,10 @@ MAX_EXPANSION_ENTRIES = 10 ** 5
 MAX_FORM_ENTRIES = 10 ** 6
 # 2^k n^k polynomial evaluations of one polarization.
 MAX_POLARIZE_COST = 4 * 10 ** 6
+# Degree k of a polarization.
+MAX_POLARIZE_DEGREE = 6
+# Box tuples one sup-norm enclosure (oapoly.multilinear_norm_grid) may bound.
+MAX_ENCLOSURE_BOXES = 10 ** 6
 # Records one CLI command may produce.
 MAX_CASES = 20000
 # Steps of one certified norm_numeric restart (k < p); the certificate's own

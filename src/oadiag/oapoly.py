@@ -10,20 +10,17 @@ The module also carries the dense multilinear-form side: diagonal extension
 of a coefficient sequence to a symmetric form vanishing off the diagonal,
 polarization of a homogeneous polynomial, structural/behavioral additivity
 checks, and diagonal extraction with the dual-exponent norm.  Multilinear
-sup norms have no closed form; they are estimated by alternating ascent with
-exact Hoelder slot updates, cross-validated at tiny dimension by a zooming
-dense grid search.
+sup norms have no closed form.  Alternating ascent with exact Hoelder slot
+updates gives a lower bound; at tiny dimension (n, k in {2, 3}) a branch and
+bound over cones encloses the sup norm between a lower and a proven upper
+bound, against which the ascent is judged.
 
-Both oracles work on whole arrays.  The ascent runs all its restarts as one
-(restarts, k, n) array, the l_p power method / HOPM iteration on many starts
-at once, with one einsum per slot update and a per-restart stall counter
-that drops converged restarts; its loop calls no checked method.  The grid
-is a Cartesian product over the gridded slots, and each slot's unit
-directions depend on its own angles only, so every coarse and zoom grid is
-built from one direction table per slot (576 rows per slot at n = 3, 64 at
-n = 2): slot 0 is contracted once per direction and slot 1 against all
-pairs by broadcasting, in the summation order of the per-point contraction,
-so the grid returns the same floats as evaluating every point on its own.
+The ascent runs all its restarts as one (restarts, k, n) array, the l_p power
+method / HOPM iteration on many starts at once, with one einsum per slot
+update and a per-restart stall counter that drops converged restarts; its
+loop calls no checked method.  The enclosure bounds all its open boxes a
+round at a time, closing the last slot by Hoelder and bounding the others
+over pyramids that touch the unit sphere to second order.
 """
 
 from __future__ import annotations
@@ -38,8 +35,10 @@ import numpy as np
 from .numerics import (
     ASCENT_CERTIFICATE_TARGET,
     MAX_ASCENT_STEPS,
+    MAX_ENCLOSURE_BOXES,
     MAX_FORM_ENTRIES,
     MAX_POLARIZE_COST,
+    MAX_POLARIZE_DEGREE,
     BudgetError,
     LpParams,
     Scalar,
@@ -510,8 +509,9 @@ def polarize(poly: Callable[[np.ndarray], Scalar], dim: int, params: LpParams,
     poly(eps_1 x_1 + ... + eps_k x_k), evaluated on basis tuples.
     """
     k = params.k
-    if k > 6:
-        raise BudgetError("polarization is capped at k <= 6")
+    if k > MAX_POLARIZE_DEGREE:
+        raise BudgetError(f"polarization of degree k = {k} is past the cap of "
+                          f"k <= {MAX_POLARIZE_DEGREE}")
     cost = (2 ** k) * dim ** k
     if cost > max_cost:
         raise BudgetError(f"polarization would need {cost} evaluations, cap is {max_cost}")
@@ -543,15 +543,17 @@ def diagonal_of_multilinear(form: MultilinearForm) -> Tuple[np.ndarray, float]:
 # Multilinear sup-norm estimation (oracle machinery)
 # ---------------------------------------------------------------------------
 
-def _row_lq_norms(v: np.ndarray, q: float) -> np.ndarray:
-    """l_q norms (finite q >= 1) of the nonzero rows of v, as a column.
-
-    Each row is scaled by its largest modulus before the powers are taken,
-    as in lq_norm, but summed in order rather than with math.fsum.
-    """
+def _lq_columns(v: np.ndarray, q: float) -> np.ndarray:
+    """l_q norms (q >= 1 or inf) over the first axis of v.  Each column is
+    scaled by its largest modulus before the powers are taken, as in
+    lq_norm, but summed in order rather than with math.fsum; a zero column
+    has norm 0."""
     mags = np.abs(v)
-    top = np.max(mags, axis=-1, keepdims=True)
-    return top * np.sum((mags / top) ** q, axis=-1, keepdims=True) ** (1.0 / q)
+    top = np.max(mags, axis=0)
+    if q == math.inf:
+        return top
+    ratios = mags / np.where(top > 0, top, 1.0)
+    return top * np.sum(ratios ** q, axis=0) ** (1.0 / q)
 
 
 def _holder_slot_witness(grad: np.ndarray, p: float) -> np.ndarray:
@@ -567,7 +569,7 @@ def _holder_slot_witness(grad: np.ndarray, p: float) -> np.ndarray:
         x[rows, top] = g.real / m - 1j * (g.imag / m)
         return x
     q = holder_conjugate(p)
-    total = _row_lq_norms(grad, q)
+    total = _lq_columns(grad.T, q)[:, None]
     unit_phases = np.where(mags > 0, np.conj(grad) / np.where(mags > 0, mags, 1.0), 0.0)
     return unit_phases * (mags / total) ** (q - 1.0)
 
@@ -600,7 +602,7 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     xs = np.ones((restarts, k, n), dtype=complex)
     draws = rng.standard_normal((restarts - 1, k, 1 if real_form else 2, n))
     xs[1:] = draws[:, :, 0] if real_form else draws[:, :, 0] + 1j * draws[:, :, 1]
-    xs /= _row_lq_norms(xs, p)
+    xs /= _lq_columns(np.moveaxis(xs, -1, 0), p)[..., None]
 
     letters = "abcdefghijklmnopqrstuvwxy"[:k]
     slot_specs = [",".join([letters] + ["z" + letters[i] for i in range(k) if i != j])
@@ -626,153 +628,143 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     return max(best, float(np.max(previous, initial=0.0)))
 
 
-def _directions_from_angles(angles: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Batch of unit-l_p vectors in R^n from (batch, n-1) angle rows."""
-    if n == 2:
-        v = np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 0])], axis=1)
-    elif n == 3:
-        theta, psi = angles[:, 0], angles[:, 1]
-        v = np.stack(
-            [np.sin(theta) * np.cos(psi), np.sin(theta) * np.sin(psi), np.cos(theta)],
-            axis=1,
-        )
+# Relative gap at which the enclosure closes: a tenth of the 1e-4
+# grid_agreement check, so its own slack takes at most a tenth of that check.
+_ENCLOSURE_GAP = 1e-5
+# Relative margin on every box's upper bound against float error; derived in
+# multilinear_norm_grid.
+_ENCLOSURE_MARGIN = 2.0 ** -40
+# box tuples bounded at once: about 0.4 MB per temporary array at n = k = 3
+_ENCLOSURE_CHUNK = 2 ** 10
+# _CORNERS[n][i, v]: whether box vertex v takes hi over lo in local coordinate
+# i; never in the last one, the face's fixed 1
+_CORNERS = {n: np.array([c + (False,) for c in itertools.product((False, True), repeat=n - 1)]).T
+            for n in (2, 3)}
+
+
+def _box_bounds(coeffs: np.ndarray, faces: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bound of N (see multilinear_norm_grid) over each
+    tuple of slot boxes.  faces is (slots, boxes); lo and hi are (slots, n,
+    boxes) in local coordinates, the face's 1 last: local coordinate j is
+    coordinate (f + 1 + j) mod n of R^n."""
+    slots, n = lo.shape[:2]
+    corners = _CORNERS[n]
+    vertices = corners.shape[1]
+    local = np.concatenate([np.where(corners[:, None], hi[..., None], lo[..., None]),
+                            (lo + hi)[..., None] / 2], axis=-1)
+    order = (np.arange(n)[:, None] - faces[:, None] - 1) % n
+    # points[s, i, box, v]: coordinate i of vertex v (the centre last) of slot s
+    points = np.take_along_axis(local, order[..., None], axis=1)
+    # the vertex tuples, slot 0 most significant, then the tuple of centres
+    tuples = np.array(list(itertools.product(range(vertices), repeat=slots))
+                      + [(vertices,) * slots]).T
+    values = sum(coeffs[a][..., None, None] * points[0, a] for a in range(n))
+    if slots == 1:
+        values = values[..., tuples[0]]
     else:
-        raise ValueError("grid search supports n in {2, 3} only")
-    norms = np.sum(np.abs(v) ** p, axis=1, keepdims=True) ** (1.0 / p)
-    return v / norms
+        values = sum(values[b][..., tuples[0]] * points[1, b][:, tuples[1]] for b in range(n))
+    values = _lq_columns(values, q)
+    centre = points[..., -1]
+    g = np.sign(centre) * np.abs(centre) ** (p - 1.0)
+    g /= _lq_columns(g.transpose(1, 0, 2), q)[:, None]
+    dots = np.sum(points[..., :vertices] * g[..., None], axis=1)
+    scale = _lq_columns(points.transpose(1, 0, 2, 3), p)
+    lower, upper = values, values[:, :-1]
+    for s in range(slots):
+        lower = lower / scale[s][:, tuples[s]]
+        upper = upper / dots[s][:, tuples[s, :-1]]
+    upper = np.max(upper, axis=1) * (1.0 + _ENCLOSURE_MARGIN)
+    return np.max(lower, axis=1), np.where(np.all(dots > 0, axis=(0, 2)), upper, math.inf)
 
 
-def _slot_directions(axes: Sequence[np.ndarray], n: int, p: float) -> np.ndarray:
-    """Direction table of one gridded slot: a unit-l_p vector for every point
-    of the product of its n-1 angle axes, first axis most significant."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return _directions_from_angles(np.stack([m.reshape(-1) for m in mesh], axis=1), n, p)
+def _split_widest(faces: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Split each tuple's widest slot box (the first on ties) into its
+    2^(n-1) halves, child-major."""
+    widest = np.argmax(hi[:, 0] - lo[:, 0], axis=0)
+    split = (np.arange(len(faces))[:, None] == widest)[:, None]
+    mid = (lo + hi) / 2
+    children = [(np.where(split & c[:, None], mid, lo), np.where(split & ~c[:, None], mid, hi))
+                for c in _CORNERS[lo.shape[1]].T]
+    return (np.tile(faces, len(children)), np.concatenate([c[0] for c in children], axis=-1),
+            np.concatenate([c[1] for c in children], axis=-1))
 
 
-# values formed at once in one block of the grid: 512 KB of float64
-_GRID_BLOCK = 2 ** 16
+def multilinear_norm_grid(form: MultilinearForm) -> Tuple[float, float]:
+    """Certified enclosure (lower, upper) of sup |phi(x_1, ..., x_k)| over
+    unit l_p vectors of a real form with n, k in {2, 3}, closed to
+    (upper - lower) / lower <= _ENCLOSURE_GAP by branch and bound over cones
+    (Horst & Tuy, Global Optimization).
 
+    Hoelder closes the last slot: N(x_1, ..., x_{k-1}) =
+    ||phi(x_1, ..., x_{k-1}, .)||_q, q = p'.  A sign change of a slot does
+    not change N, so slots 1..k-1 range over the n positive faces
+    {u_f = 1, |u_i| <= 1} of the l_inf cube, a box B on a face standing for
+    its cone {t u : u in B}; for a symmetric form only face pairs
+    f_1 <= f_2 start.  Per tuple of slot boxes, the lower bound is N at the
+    tuple of box centres and at the vertex tuples, each divided by the l_p
+    norms of its points.  For the upper bound, g = sign(c) |c|^(p-1), scaled
+    to ||g||_q = 1, of a box centre c puts the unit ball in {<g, x> <= 1}
+    and its part of the cone in the pyramid conv(0, u_a / <g, u_a>) over
+    the box vertices u_a.  N is convex in each slot (a norm of a linear map
+    of it), so its sup over the product of pyramids is its max
+    N(u_a, ...) / prod <g, u_a> over the vertex tuples; the pyramids touch
+    the sphere to second order, so the gap shrinks like the square of the
+    box width.  A box with some <g, u_a> <= 0 has bound inf.  All open
+    tuples are bounded a round at a time; a tuple is dropped once its upper
+    bound is at most best * (1 + _ENCLOSURE_GAP), else its widest slot box
+    is split into its 2^(n-1) halves.  upper is the largest bound of a
+    dropped tuple: the maximizer lies in one of their cones.  More than
+    MAX_ENCLOSURE_BOXES tuples raise BudgetError.
 
-def _holder_close(mags: np.ndarray, q: float) -> np.ndarray:
-    """l_q norms of the columns of an (n, points) array of moduli, the sum
-    taken in row order."""
-    if q == math.inf:
-        return np.max(mags, axis=0)
-    return np.sum(mags ** q, axis=0) ** (1.0 / q)
-
-
-def _grid_values(coeffs: np.ndarray, axes: Sequence[np.ndarray], n: int, k: int,
-                 p: float) -> np.ndarray:
-    """|phi| maximized over the last slot, at every point of the product grid
-    of the angle axes of the k-1 gridded slots, slot 0 most significant.
-
-    The grid factors by slot: each slot's directions depend on its own
-    angles only.  Slot 0 is contracted with the coefficients once per
-    direction; for k = 3 slot 1 is contracted against every pair by
-    broadcasting, adding the terms of the shared index in order as einsum
-    does, so each value equals the per-point contraction bit for bit.  The
-    pairs are formed a block of slot-0 directions at a time, about
-    _GRID_BLOCK values, so that each block stays in cache.  The last slot is
-    closed exactly by Hoelder.
-    """
-    q = holder_conjugate(p)
-    first = _slot_directions(axes[:n - 1], n, p)
-    letters = "abcdef"[:k]
-    out = np.einsum(letters + ",i" + letters[0] + "->i" + letters[1:], coeffs, first)
-    if k == 2:
-        return _holder_close(np.ascontiguousarray(np.abs(out).T), q)
-    second = _slot_directions(axes[n - 1:], n, p).T
-    # terms[a, b, d0]: slot-0 direction d0 contracted, shared index a,
-    # last-slot index b
-    terms = np.ascontiguousarray(out.transpose(1, 2, 0))
-    width = second.shape[1]
-    rows = max(1, _GRID_BLOCK // (n * width))
-    values = np.empty(first.shape[0] * width)
-    for lo in range(0, first.shape[0], rows):
-        block = terms[:, :, lo:lo + rows]
-        pairs = block[0][:, :, None] * second[0]
-        step = np.empty_like(pairs)
-        for a in range(1, n):
-            pairs += np.multiply(block[a][:, :, None], second[a], out=step)
-        np.abs(pairs, out=pairs)
-        values[lo * width:(lo + block.shape[2]) * width] = _holder_close(pairs.reshape(n, -1), q)
-    return values
-
-
-def _grid_point(axes: Sequence[np.ndarray], flat: int) -> np.ndarray:
-    """The angles of the point at a flat index of the product grid of axes."""
-    index = np.unravel_index(flat, [len(axis) for axis in axes])
-    return np.array([axis[i] for axis, i in zip(axes, index)])
-
-
-def _top_cells(values: np.ndarray, top: int) -> np.ndarray:
-    """Indices of the `top` largest values; of the cells tied at the cut,
-    those with the lowest flat indices, as np.argsort(-values,
-    kind="stable") lists them.  Their order does not matter to the grid, so
-    they are the cells above the top-th largest value, found by a
-    partition, and the first tied cells at it.  np.partition sorts a copy
-    of the values; np.argpartition raised the zalduendo workload's peak RSS
-    by 2.6 MB."""
-    cut = values.size - top
-    if cut < 1:
-        return np.arange(values.size)
-    cut_value = np.partition(values, cut)[cut]
-    above = np.flatnonzero(values > cut_value)
-    return np.concatenate([above, np.flatnonzero(values == cut_value)[:top - above.size]])
-
-
-def multilinear_norm_grid(form: MultilinearForm, coarse: int = 24, rounds: int = 8,
-                          top: int = 5, refine_points: int = 9) -> float:
-    """Zooming dense grid estimate of the sup norm of a real multilinear form.
-
-    Grids the first k-1 slots over angle parametrizations of the real unit
-    sphere (n in {2, 3}) and closes the last slot with the exact Hoelder
-    maximizer; the `top` best coarse cells are refined by `rounds` shrinking
-    grids of `refine_points` points per angle.  Supports k in {2, 3}.  Used
-    to cross-validate the ascent estimate.
+    Float margin.  Box coordinates are dyadic in [-1, 1], so vertices and
+    centres are exact; u is the unit roundoff, S the sup, and every
+    |phi_t| = |phi(e_t1, ..., e_tk)| <= S.  (a) The computed l_q norm of a
+    row is within 6u relative, so the computed g has ||g||_q <= 1 + 8u and
+    the ball lies in {<g, x> <= 1 + 8u}: each slot's pyramid grows by that
+    factor.  (b) Splitting starts at 0, so below the whole face every box
+    lies in a closed orthant and every term g_i u_i is >= 0 (on the whole
+    face g = e_f): each <g, u_a> is within gamma_3 ~ 3u relative, and it is
+    at least g_f >= n^(-1/q) >= 1/n.  (c) Each coordinate of phi(u_a, ...)
+    rounds at most (k-1)n <= 6 times on a term's path, with |u_i| <= 1, so
+    it errs by at most gamma_6 n^(k-1) S and the l_q norm of the errors by
+    n^k gamma_6 S <= 163u S.  Let u* be the vertex tuple of the box tuple
+    holding the maximizer that attains its exact bound; that bound is at
+    least S, so N(u*) >= S prod <g, u*_a> / (1 + 8u)^(k-1), at least
+    S / (n^(k-1) (1 + 8u)^(k-1)), and (c) is at most 9 * 163u ~ 1470u of
+    N(u*).  With (a), (b), the norm in (c) and the products and quotients,
+    the computed bound of u* is at least S (1 - 1500u), about
+    S (1 - 1.7e-13).  The margin 2^-40 ~ 9.1e-13 is five times that.
     """
     n, k, p = form.dim, form.degree, form.params.p
-    if n not in (2, 3):
-        raise ValueError("grid search supports n in {2, 3} only")
-    if k not in (2, 3):
-        raise ValueError("grid search supports k in {2, 3} only")
+    if n not in (2, 3) or k not in (2, 3):
+        raise ValueError("the sup-norm enclosure supports n, k in {2, 3} only")
     if np.any(form.coeffs.imag != 0):
-        raise ValueError("grid search supports real forms only")
-    if coarse < 1 or top < 1 or refine_points < 1:
-        raise ValueError("coarse, top and refine_points must be >= 1")
-    coeffs = form.coeffs.real.astype(float)
-    if not np.any(np.abs(coeffs) > 0):
-        return 0.0
-
-    slots = k - 1
-    # theta spans [0, pi] for the polar angle of S^2, full circle otherwise
-    ranges = []
-    for _ in range(slots):
-        if n == 2:
-            ranges.append((0.0, 2.0 * math.pi))
-        else:
-            ranges.append((0.0, math.pi))
-            ranges.append((0.0, 2.0 * math.pi))
-    dims = slots * (n - 1)
-
-    coarse_n = coarse if n == 3 else max(coarse, 64)
-    axes = [np.linspace(lo, hi, coarse_n, endpoint=False) for lo, hi in ranges]
-    values = _grid_values(coeffs, axes, n, k, p)
-    order = _top_cells(values, top)
-
-    best = float(np.max(values))
-    spacing = np.array([(hi - lo) / coarse_n for lo, hi in ranges])
-    for cand in order:
-        center = _grid_point(axes, cand)
-        width = spacing.copy()
-        for _ in range(rounds):
-            local_axes = [
-                np.linspace(center[d] - width[d], center[d] + width[d], refine_points)
-                for d in range(dims)
-            ]
-            local_values = _grid_values(coeffs, local_axes, n, k, p)
-            j = int(np.argmax(local_values))
-            center = _grid_point(local_axes, j)
-            best = max(best, float(local_values[j]))
-            width *= 0.35
-    return best
+        raise ValueError("the sup-norm enclosure supports real forms only")
+    coeffs = form.coeffs.real
+    if not np.any(coeffs):
+        return 0.0, 0.0
+    q = holder_conjugate(p)
+    faces = np.array([f for f in itertools.product(range(n), repeat=k - 1)
+                      if not form.symmetric or list(f) == sorted(f)]).T
+    lo = np.full((k - 1, n, faces.shape[1]), -1.0)
+    lo[:, -1] = 1.0
+    hi = np.ones_like(lo)
+    best = upper = 0.0
+    visited = faces.shape[1]
+    while faces.shape[1]:
+        chunks = [_box_bounds(coeffs, faces[:, i:i + _ENCLOSURE_CHUNK],
+                              lo[..., i:i + _ENCLOSURE_CHUNK], hi[..., i:i + _ENCLOSURE_CHUNK], p, q)
+                  for i in range(0, faces.shape[1], _ENCLOSURE_CHUNK)]
+        lower, bound = (np.concatenate(parts) for parts in zip(*chunks))
+        best = max(best, float(lower.max()))
+        done = bound <= best * (1.0 + _ENCLOSURE_GAP)
+        upper = max(upper, float(bound[done].max(initial=0.0)))
+        faces, lo, hi = faces[:, ~done], lo[..., ~done], hi[..., ~done]
+        # checked before the children are built
+        visited += faces.shape[1] * 2 ** (n - 1)
+        if visited > MAX_ENCLOSURE_BOXES:
+            raise BudgetError(f"sup-norm enclosure box budget exceeded: {visited} boxes "
+                              f"asked for, cap is {MAX_ENCLOSURE_BOXES}")
+        faces, lo, hi = _split_widest(faces, lo, hi)
+    return best, upper

@@ -299,6 +299,30 @@ def test_zalduendo_command(tmp_path):
     assert main(["zalduendo-check", "--k", "2", "--p", "4", "--n", "5"]) == 2
 
 
+@pytest.mark.parametrize("p, seed, code", [
+    # the ascent is within 1e-4 of the proven bound on the first three, low on the last two
+    ("4.187", "52202", 0), ("7.56", "839966", 0), ("6.099", "38455", 0),
+    ("6.155", "370120", 1), ("6.321", "552830", 1),
+])
+def test_zalduendo_judges_the_ascent_by_the_enclosure(p, seed, code, capsys):
+    exit_code, out, _ = run(["zalduendo-check", "--k", "3", "--n", "3", "--trials", "1",
+                             "--p", p, "--seed", seed], capsys)
+    assert exit_code == code
+    record = json.loads(out)["records"][0]
+    values = record["values"]
+    assert values["ascent_estimate"] <= values["sup_upper"]
+    assert values["sup_upper"] - values["grid_estimate"] <= 1e-5 * values["grid_estimate"]
+    assert record["passes"] == {"oracle_agreement": code == 0, "diagonal_bound": True}
+
+
+def test_zalduendo_box_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50)
+    code, out, err = run(["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187",
+                          "--trials", "1", "--seed", "52202"], capsys)
+    assert code == 3 and out == ""
+    assert "box budget" in err and "cap is 50" in err
+
+
 def test_additivity_command(tmp_path):
     out = tmp_path / "a.json"
     assert main(["additivity-test", "--k", "3", "--p", "4", "--n", "4",

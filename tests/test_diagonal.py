@@ -304,10 +304,22 @@ def test_upper_bound_visits_every_piece(k, n, largest, monkeypatch):
     # a piece the chunked walk over k^n > _CHUNK pieces skips would show.
     moduli = np.arange(k, 0, -1.0) if largest == "first" else np.arange(1.0, k + 1)
     monkeypatch.setattr("oadiag.diagonal._step_values",
-                        lambda k: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
+                        lambda k, dtype=complex: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
     rng = np.random.default_rng([86, k])
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 0.5, k))
     assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("k, p, coeff", [(10 ** 6, 2e6, 1.0), (2000, 2001.0, 3.0),
+                                         (10 ** 5, 100001.0, 1.0)])
+def test_upper_bound_at_the_largest_degree(k, p, coeff):
+    # |omega^d|^p in float64 errs by about p u (4.4e-10 at p = 2e6), past the
+    # 1e-10 sandwich tolerance; the long double table errs by about p u_long.
+    u = DiagonalTensor(np.array([coeff]), LpParams(p, k))
+    closed = pi_norm_closed_form(u)
+    assert abs(pi_upper_bound(u) - closed) <= 1e-12 * closed
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -381,7 +393,7 @@ def test_upper_bound_visits_every_block(largest, monkeypatch):
     for k, n in [(2, 15), (3, 9), (4, 7)]:
         moduli = np.arange(k, 0, -1.0) if largest == "first" else np.arange(1.0, k + 1)
         monkeypatch.setattr("oadiag.diagonal._step_values",
-                            lambda k: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
+                            lambda k, dtype=complex: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
         rng = np.random.default_rng([87, k])
         u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                            LpParams(k + 0.5, k))

@@ -19,8 +19,6 @@ from oadiag.oapoly import (
     polarize,
     _ascent,
     _ascent_starts,
-    _directions_from_angles,
-    _top_cells,
 )
 
 P42 = LpParams(4.0, 2)
@@ -488,7 +486,7 @@ def test_polarize_recovers_symmetric_form():
 
 
 def test_polarize_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="k = 7 is past the cap of k <= 6"):
         polarize(lambda x: 0.0, 2, LpParams(8.0, 7))
     with pytest.raises(BudgetError):
         polarize(lambda x: 0.0, 100, LpParams(8.0, 4))
@@ -547,10 +545,10 @@ def test_diagonal_norm_bounded_by_estimated_form_norm():
         raw = rng.standard_normal((2, 2))
         form = MultilinearForm(raw.astype(complex), P42).symmetrize()
         ascent = multilinear_norm_ascent(form, restarts=12, iters=50, seed=5)
-        grid = multilinear_norm_grid(form)
+        lower, upper = multilinear_norm_grid(form)
         _, diag_norm = diagonal_of_multilinear(form)
-        assert abs(ascent - grid) <= 1e-4 * max(1.0, ascent)
-        assert diag_norm <= max(ascent, grid) + 1e-6
+        assert abs(ascent - upper) <= 1e-4 * max(1.0, ascent)
+        assert diag_norm <= max(ascent, lower) + 1e-6
 
 
 def test_ascent_known_bilinear_norm():
@@ -566,71 +564,13 @@ def test_ascent_known_bilinear_norm():
 
 
 def test_grid_rejects_unsupported_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n, k in"):
         multilinear_norm_grid(MultilinearForm(np.zeros((4, 4), dtype=complex), P42))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n, k in"):
+        multilinear_norm_grid(MultilinearForm(np.zeros((2,) * 4, dtype=complex), LpParams(5.0, 4)))
+    with pytest.raises(ValueError, match="real forms"):
         multilinear_norm_grid(
             MultilinearForm(1j * np.ones((2, 2)), P42, symmetric=True))
-
-
-def test_grid_knobs_must_be_positive():
-    form = MultilinearForm(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex), P42)
-    for knobs in ({"coarse": 0}, {"top": 0}, {"refine_points": 0}, {"top": -1}):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            multilinear_norm_grid(form, **knobs)
-    # no zoom rounds: the best coarse value, which the zoom can only raise
-    coarse_only = multilinear_norm_grid(form, rounds=0)
-    assert 0.0 < coarse_only <= multilinear_norm_grid(form)
-
-
-def meshgrid_grid_values(coeffs, angle_batch, n, k, p):
-    """The grid's values as computed before the grid was factored by slot:
-    each slot's directions recomputed on every row of the product grid."""
-    q = holder_conjugate(p)
-    out = None
-    for s in range(k - 1):
-        block = angle_batch[:, s * (n - 1):(s + 1) * (n - 1)]
-        dirs = _directions_from_angles(block, n, p)
-        if out is None:
-            letters = "abcdef"[:k]
-            out = np.einsum(letters + ",i" + letters[0] + "->i" + letters[1:], coeffs, dirs)
-        else:
-            out = np.einsum("i" + "abcdef"[: k - s] + ",ia->i" + "bcdef"[: k - s - 1], out, dirs)
-    if q == math.inf:
-        return np.max(np.abs(out), axis=1)
-    return np.sum(np.abs(out) ** q, axis=1) ** (1.0 / q)
-
-
-def meshgrid_norm_grid(form, coarse=24, rounds=8, top=5, refine_points=9):
-    """multilinear_norm_grid on one meshgrid batch of every grid point."""
-    n, k, p = form.dim, form.degree, form.params.p
-    coeffs = form.coeffs.real.astype(float)
-    ranges = []
-    for _ in range(k - 1):
-        ranges += [(0.0, 2.0 * math.pi)] if n == 2 else [(0.0, math.pi), (0.0, 2.0 * math.pi)]
-    dims = len(ranges)
-    coarse_n = coarse if n == 3 else max(coarse, 64)
-    axes = [np.linspace(lo, hi, coarse_n, endpoint=False) for lo, hi in ranges]
-    batch = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = meshgrid_grid_values(coeffs, batch, n, k, p)
-    # the tied cells at the cut with the lowest flat indices, as _top_cells keeps them
-    order = np.argsort(-values, kind="stable")[:top]
-    best = float(values[order[0]])
-    spacing = np.array([(hi - lo) / coarse_n for lo, hi in ranges])
-    for cand in order:
-        center = batch[cand].copy()
-        width = spacing.copy()
-        for _ in range(rounds):
-            local_axes = [np.linspace(center[d] - width[d], center[d] + width[d], refine_points)
-                          for d in range(dims)]
-            local_batch = np.stack([m.reshape(-1)
-                                    for m in np.meshgrid(*local_axes, indexing="ij")], axis=1)
-            local_values = meshgrid_grid_values(coeffs, local_batch, n, k, p)
-            j = int(np.argmax(local_values))
-            center = local_batch[j].copy()
-            best = max(best, float(local_values[j]))
-            width *= 0.35
-    return best
 
 
 def grid_pin_cases():
@@ -648,15 +588,55 @@ def grid_pin_cases():
     return cases
 
 
-def test_grid_equals_the_meshgrid_grid_bitwise():
-    for raw, params in grid_pin_cases():
+# multilinear_norm_grid of the zooming grid it replaced, on grid_pin_cases()
+OLD_GRID_VALUES = [
+    1.3507473233305594, 1.28173052618736, 1.586235928759548, 1.2754370362570002,
+    1.2038537763303923, 2.0944736512196815, 1.7314532373247624, 1.9311133196126022,
+    1.0425249108308277, 4.9630698209464805, 0.9638483851375168, 1.6467234404742133,
+    2.226942533674491, 1.8627411568829064, 2.322132617026898, 2.8017277977663135,
+    1.3973880597827246, 2.3928541573452615, 4.699539995083878, 7.358374589596413,
+    4.8691384943381,
+]
+
+
+def test_enclosure_bounds_the_ascent_and_the_old_grid():
+    for (raw, params), grid in zip(grid_pin_cases(), OLD_GRID_VALUES, strict=True):
         form = MultilinearForm(raw.astype(complex), params).symmetrize()
-        assert multilinear_norm_grid(form) == meshgrid_norm_grid(form), (raw.shape, params)
-    # the zoom rounds alone, at other knobs
-    raw, params = grid_pin_cases()[-1]
-    form = MultilinearForm(raw.astype(complex), params).symmetrize()
-    knobs = {"coarse": 7, "rounds": 3, "top": 2, "refine_points": 4}
-    assert multilinear_norm_grid(form, **knobs) == meshgrid_norm_grid(form, **knobs)
+        lower, upper = multilinear_norm_grid(form)
+        ascent = multilinear_norm_ascent(form, restarts=20, iters=60, seed=0)
+        assert max(ascent, grid) <= upper, (raw.shape, params)
+        assert (upper - lower) / lower <= 1e-5, (raw.shape, params)
+
+
+def test_enclosure_of_known_bilinear_norms():
+    for a, norm in ((np.eye(3), 1.0), (np.diag([3.0, 1.0]), 3.0)):
+        form = MultilinearForm(a.astype(complex), LpParams(2.0, 2), symmetric=True)
+        lower, upper = multilinear_norm_grid(form)
+        assert lower <= norm <= upper
+        assert upper - lower <= 1e-5 * lower
+
+
+def test_enclosure_searches_every_face_pair_of_a_non_symmetric_form():
+    # The maximum of this form needs slot boxes on faces f1 > f2, which the
+    # enclosure skips only for forms marked symmetric.
+    raw = np.random.default_rng([2, 7]).standard_normal((3, 3, 3))
+    form = MultilinearForm(raw.astype(complex), LpParams(5.0, 3))
+    lower, upper = multilinear_norm_grid(form)
+    assert multilinear_norm_ascent(form, restarts=20, iters=60, seed=0) <= upper
+    assert (upper - lower) / lower <= 1e-5
+
+
+def test_enclosure_of_the_zero_form():
+    form = MultilinearForm(np.zeros((3, 3, 3), dtype=complex), LpParams(4.0, 3))
+    assert multilinear_norm_grid(form) == (0.0, 0.0)
+
+
+def test_enclosure_box_budget(monkeypatch):
+    form = MultilinearForm(np.random.default_rng(3).standard_normal((3, 3, 3)).astype(complex),
+                           LpParams(4.5, 3)).symmetrize()
+    monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 100)
+    with pytest.raises(BudgetError, match=r"box budget .*: \d+ boxes asked for, cap is 100"):
+        multilinear_norm_grid(form)
 
 
 def per_restart_ascent(form, restarts, iters, seed):
@@ -765,11 +745,3 @@ def test_degree_one_polynomial_is_a_functional():
     x, value = norm_witness(poly)
     assert value == pytest.approx(5.0, rel=1e-12)
     assert norm_numeric(poly) == pytest.approx(5.0, rel=1e-8)
-
-
-def test_top_cells_are_the_cells_the_full_sort_lists_first():
-    rng = np.random.default_rng(27)
-    for _ in range(300):
-        values = rng.integers(0, 6, int(rng.integers(1, 40))).astype(float)
-        top = int(rng.integers(1, 8))
-        assert set(_top_cells(values, top)) == set(np.argsort(-values, kind="stable")[:top])
