@@ -22,9 +22,9 @@ the three routes certify one another.  Every slot entry of every piece is
 c[j, i] * omega^d, with d one base-k digit of the piece index, so its modulus
 depends only on (coefficient row c[j], coordinate i, digit d), and slots with
 equal rows have equal entries: the upper bound tabulates those R * n * k
-values, R the number of runs of equal consecutive rows (1 or 2), and forms
-each piece's slot power sums as a Kronecker sum of the table's rows, without
-building the slot vectors.
+values, R the number of runs of equal consecutive rows (1 for the k equal
+rows of the decomposition), and forms each piece's slot power sums as a
+Kronecker sum of the table's rows, without building the slot vectors.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, BudgetError, LpParams, Scalar,
+from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, LpParams, Scalar, check_budget,
                        ensure_finite, lq_norm, phase)
 
 __all__ = [
@@ -130,22 +130,18 @@ class DualDiagonalForm:
 # Averaging decomposition
 # ---------------------------------------------------------------------------
 
-def _slot_coefficients(u: DiagonalTensor, symmetric: bool) -> np.ndarray:
+def _slot_coefficients(u: DiagonalTensor) -> np.ndarray:
     """(k, n) matrix c with prod_j c[j, i] = a_i; slot j uses c[j] * r_i phases.
 
-    Symmetric variant spreads the phase of a_i as a principal k-th root over
-    every slot; the asymmetric variant concentrates it in slot 0 and leaves
-    the plain modulus root in the others.  A zero coefficient has phase 1.
-    The symmetric variant's k equal rows are one read-only broadcast row.
+    Every slot carries the principal k-th root of a_i: the modulus root
+    times the k-th root of its phase, with phase 1 for a zero coefficient.
+    The k equal rows are one read-only broadcast row.
     """
     a = u.coeffs
     k, n = u.params.k, u.dim
-    radial = np.abs(a) ** (1.0 / k)
-    angle = np.arctan2(a.imag, a.real, out=np.zeros(n), where=a != 0) / (k if symmetric else 1)
-    first = (np.cos(angle) + 1j * np.sin(angle)) * radial
-    if symmetric:
-        return np.broadcast_to(first, (k, n))
-    return np.vstack([first, np.broadcast_to(radial, (k - 1, n))])
+    angle = np.arctan2(a.imag, a.real, out=np.zeros(n), where=a != 0) / k
+    root = (np.cos(angle) + 1j * np.sin(angle)) * np.abs(a) ** (1.0 / k)
+    return np.broadcast_to(root, (k, n))
 
 
 def _step_values(k: int, dtype=np.complex128) -> np.ndarray:
@@ -166,14 +162,12 @@ class _Pieces:
     piece budget when the object is made, before any piece is built.
     """
 
-    def __init__(self, u: DiagonalTensor, symmetric: bool = True,
-                 max_pieces: int = MAX_PIECES) -> None:
+    def __init__(self, u: DiagonalTensor) -> None:
         n = u.dim
         k = u.params.k
-        if k ** n > max_pieces:
-            raise BudgetError(f"k^n = {k ** n} pieces exceed the cap of {max_pieces}")
+        check_budget("piece", k ** n, "pieces", MAX_PIECES)
         self.shape: Tuple[int, int, int] = (k ** n, k, n)
-        self._coefficients = _slot_coefficients(u, symmetric)
+        self._coefficients = _slot_coefficients(u)
         self._steps = _step_values(k)
         self._divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
 
@@ -184,8 +178,7 @@ class _Pieces:
         return self._coefficients[None, :, :] * phases[:, None, :]
 
 
-def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
-                            max_pieces: int = MAX_PIECES) -> np.ndarray:
+def averaging_decomposition(u: DiagonalTensor) -> np.ndarray:
     """Exact rank-one decomposition of u by k-ary Rademacher averaging.
 
     Evaluates the averaged integrand on each of the k^n constancy pieces and
@@ -195,10 +188,10 @@ def averaging_decomposition(u: DiagonalTensor, symmetric: bool = True,
     coefficients equal a_i and every off-diagonal coefficient vanishes by the
     product-integral orthogonality.
     """
-    return _Pieces(u, symmetric, max_pieces)[:]
+    return _Pieces(u)[:]
 
 
-def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES) -> np.ndarray:
+def dense_expansion(slots: np.ndarray) -> np.ndarray:
     """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
 
     slots has shape (pieces, k, n), as averaging_decomposition returns it;
@@ -214,8 +207,7 @@ def dense_expansion(slots: np.ndarray, max_entries: int = MAX_EXPANSION_ENTRIES)
     whatever the piece count.
     """
     pieces, k, n = slots.shape
-    if n ** k > max_entries:
-        raise BudgetError(f"dense expansion needs {n ** k} entries, cap is {max_entries}")
+    check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
     if pieces == 0:
         raise ValueError("the mean of no pieces is undefined")
     block = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(n ** (k - 1), 1)))
@@ -238,7 +230,7 @@ def _phase_expansion(k: int, n: int) -> np.ndarray:
     return phases
 
 
-def factored_expansion(u: DiagonalTensor, symmetric: bool = True) -> np.ndarray:
+def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     """The dense expansion of u's averaging decomposition, formed as
     c[0] (x) ... (x) c[k-1] times E(k, n), entry by entry.
 
@@ -261,13 +253,10 @@ def factored_expansion(u: DiagonalTensor, symmetric: bool = True) -> np.ndarray:
     relative to sum|a|, stay within about (4096 + k) u, under 1e-12.
     """
     k, n = u.params.k, u.dim
-    if k ** n > MAX_PIECES:
-        raise BudgetError(f"k^n = {k ** n} pieces exceed the cap of {MAX_PIECES}")
-    if n ** k > MAX_EXPANSION_ENTRIES:
-        raise BudgetError(f"dense expansion needs {n ** k} entries, cap is "
-                          f"{MAX_EXPANSION_ENTRIES}")
+    check_budget("piece", k ** n, "pieces", MAX_PIECES)
+    check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
     phases = _phase_expansion(k, n)
-    coefficients = _slot_coefficients(u, symmetric)
+    coefficients = _slot_coefficients(u)
     outer = coefficients[0]
     for row in coefficients[1:]:
         outer = np.multiply.outer(outer, row)
@@ -312,8 +301,7 @@ def pi_norm_closed_form(u: DiagonalTensor) -> float:
     return math.fsum(np.abs(u.coeffs))
 
 
-def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
-                   max_pieces: int = MAX_PIECES) -> float:
+def pi_upper_bound(u: DiagonalTensor) -> float:
     """Triangle-inequality bound computed from an explicit decomposition.
 
     k < p: the supremum over all k^n averaging pieces of the product of the
@@ -321,10 +309,9 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
     with d = d_i(m), the level-(i+1) base-k digit of m.  The phase does not
     depend on j, so slots whose coefficient rows c[j] are equal have equal
     entries, and equal power sums, on every piece: the bound merges each run
-    of consecutive equal rows of c into one row with its count (R runs: 1
-    for the symmetric variant, at most 2 for the asymmetric one, whose equal
-    rows are consecutive), builds the table |row[r, i] * omega^d|^p once and
-    forms the power sums
+    of consecutive equal rows of c into one row with its count (R runs of any
+    lengths; the decomposition's k rows are equal, so it has R = 1), builds
+    the table |row[r, i] * omega^d|^p once and forms the power sums
     S_r(m) = sum_i table[r, i, d_i(m)] as a Kronecker sum, one coordinate at
     a time with the first one most significant (the piece order of
     averaging_decomposition).  The last coordinates form a low block of at
@@ -362,14 +349,12 @@ def pi_upper_bound(u: DiagonalTensor, symmetric: bool = True,
         basis_norm = lq_norm(np.ones(1), p) ** k
         return math.fsum(np.abs(u.coeffs) * basis_norm)
 
-    pieces = k ** n
-    if pieces > max_pieces:
-        raise BudgetError(f"k^n = {pieces} pieces exceed the cap of {max_pieces}")
+    check_budget("piece", k ** n, "pieces", MAX_PIECES)
     top = float(np.max(np.abs(u.coeffs)))
     if top == 0.0:
         return 0.0
     unit = DiagonalTensor(u.coeffs / top, u.params)
-    coefficients = _slot_coefficients(unit, symmetric)
+    coefficients = _slot_coefficients(unit)
     starts = np.flatnonzero(np.r_[True, np.any(coefficients[1:] != coefficients[:-1], axis=1)])
     rows, counts = coefficients[starts], np.diff(np.r_[starts, k])
     weights = counts / k
@@ -413,12 +398,14 @@ def build_dual_form(u: DiagonalTensor) -> DualDiagonalForm:
     The phase of each coefficient is conjugated so the pairing comes out
     real and nonnegative; for k < p the modulus is raised to p/k - 1.
     """
-    a = u.coeffs
-    conj_phases = np.array([phase(z) for z in a], dtype=complex).conj()
+    return _dual_form(u, np.abs(u.coeffs))
+
+
+def _dual_form(u: DiagonalTensor, moduli: np.ndarray) -> DualDiagonalForm:
+    """build_dual_form with the moduli of u's coefficients given."""
+    b = np.array([phase(z) for z in u.coeffs], dtype=complex).conj()
     if u.params.k_less_than_p:
-        b = conj_phases * np.abs(a) ** (u.params.p / u.params.k - 1.0)
-    else:
-        b = conj_phases
+        b = b * moduli ** (u.params.p / u.params.k - 1.0)
     return DualDiagonalForm(b, u.params)
 
 
@@ -442,7 +429,10 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
     is the content of the norm identification.  For k < p it is positively
     homogeneous in a, so it is computed for a / max|a|, whose dual
     coefficients |a_i / max|a||^(p/k - 1) and pairing neither overflow nor
-    underflow, and scaled back.  For p <= k the dual coefficients are the
+    underflow, and scaled back.  A scaled complex modulus may round up to
+    1 + 2u, which the power p/k - 1 takes past e from p/k = 2^52 on and past
+    the float range from about 1.6e18; any dual form gives a lower bound, so
+    there the moduli are clipped to 1.  For p <= k the dual coefficients are the
     unimodular phases and the pairing is the l_1 sum itself, so u is used as
     it is and the bound stays exactly the l_1 closed form for real a.
     """
@@ -452,7 +442,10 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
         if top == 0.0:
             return 0.0
         u = DiagonalTensor(u.coeffs / top, u.params)
-    form = build_dual_form(u)
+    moduli = np.abs(u.coeffs)
+    if u.params.p / u.params.k > 2.0 ** 52:
+        moduli = np.minimum(moduli, 1.0)
+    form = _dual_form(u, moduli)
     pairing = abs(pair(u, form))
     bound = form.norm_bound()
     if bound == 0.0:

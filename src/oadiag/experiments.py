@@ -26,7 +26,7 @@ from .diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
 )
-from .numerics import MAX_CASES, BudgetError, LpParams, Scalar
+from .numerics import MAX_CASES, LpParams, Scalar, check_budget
 from .oapoly import (
     AdditivityReport,
     MultilinearForm,
@@ -147,15 +147,14 @@ class ExperimentConfig:
             if self.k is None or self.p is None:
                 raise ConfigError(f"{self.command} requires --k and --p")
             LpParams(self.p, self.k)  # reuses the invariant checks
-        if self.command == "verify-rademacher":
-            if self.k is None:
-                raise ConfigError("verify-rademacher requires --k")
-            if self.k < 2:
-                raise ConfigError("verify-rademacher requires k >= 2")
+        if self.command == "verify-rademacher" and self.k is None:
+            raise ConfigError("verify-rademacher requires --k")
         if self.command in ("pi-norm", "oa-norm") and not self.coeffs:
             raise ConfigError(f"{self.command} requires --coeffs or --coeffs-file")
-        if self.command == "pi-norm" and self.k is not None and self.k < 2:
-            raise ConfigError("pi-norm requires k >= 2")
+        # the step functions and diagonal tensors these commands build need k >= 2
+        if self.command in ("verify-rademacher", "pi-norm", "sweep") and self.k is not None \
+                and self.k < 2:
+            raise ConfigError(f"{self.command} requires k >= 2")
         if self.command == "zalduendo-check":
             if self.n is None:
                 raise ConfigError("zalduendo-check requires --n")
@@ -209,8 +208,7 @@ def _run_cases(cfg: ExperimentConfig, count: int,
     passes when all its pass flags do.  Wall time is measured only under
     cfg.timing, so untimed output stays byte-reproducible.
     """
-    if count > MAX_CASES:
-        raise BudgetError(f"{count} cases exceed the cap of {MAX_CASES}")
+    check_budget("case", count, "cases", MAX_CASES)
     records = []
     for index in range(count):
         start = time.perf_counter() if cfg.timing else None

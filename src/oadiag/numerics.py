@@ -20,6 +20,7 @@ __all__ = [
     "Scalar",
     "LpParams",
     "BudgetError",
+    "check_budget",
     "ensure_finite",
     "lq_norm",
     "phase",
@@ -30,7 +31,18 @@ __all__ = [
 
 
 class BudgetError(RuntimeError):
-    """An enumeration (pieces, dense coefficients, ...) would exceed its cap."""
+    """An enumeration (pieces, dense coefficients, ...) would exceed its cap.
+    Its one message names the budget, the amount asked for and the cap."""
+
+    def __init__(self, budget: str, asked, unit: str, cap) -> None:
+        super().__init__(f"{budget} budget exceeded: {asked} {unit} asked for, cap is {cap}")
+
+
+def check_budget(budget: str, asked, unit: str, cap) -> None:
+    """Raise BudgetError when asked exceeds cap, which callers read from
+    their module at call time, so a test can patch it there."""
+    if asked > cap:
+        raise BudgetError(budget, asked, unit, cap)
 
 
 # Budgets: every cap in the package, each raising BudgetError beyond it.

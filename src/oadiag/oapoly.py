@@ -42,6 +42,7 @@ from .numerics import (
     BudgetError,
     LpParams,
     Scalar,
+    check_budget,
     ensure_finite,
     holder_conjugate,
     lq_norm,
@@ -280,7 +281,9 @@ def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
     while len(rows) < restarts:
         rows.append(rng.random(n) + 1e-3)
     T = np.stack(rows[:restarts])
-    return T / np.sum(T ** p, axis=1, keepdims=True) ** (1.0 / p)
+    # max-scaled norms: an unscaled power sum of a random row underflows to 0
+    # from p of about 300 on
+    return T / _lq_columns(T.T, p)[:, None]
 
 
 # Roundoff floor of norm_numeric's step distance delta.  In log coordinates a
@@ -352,8 +355,8 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
             if not live.size:
                 return values, steps
     if certified:
-        raise BudgetError(f"certified norm ascent still running at the cap of "
-                          f"{MAX_ASCENT_STEPS} steps")
+        raise BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
+                          "steps", MAX_ASCENT_STEPS)
     values[live] = (w * T ** k).sum(axis=1)
     steps[live] = iters
     return values, steps
@@ -368,20 +371,18 @@ def _check_ascent_budget(step: int, delta: float, reach: float, k: int, p: float
     """Raise BudgetError unless a row at step distance delta after `step`
     steps meets the certificate within MAX_ASCENT_STEPS steps."""
     if reach <= _DELTA_FLOOR:
-        raise BudgetError(f"certified norm ascent cannot get below its roundoff floor "
-                          f"at p - k = {p - k:.3g}; cap is {MAX_ASCENT_STEPS} steps")
+        raise BudgetError(f"certified norm ascent step (target below the roundoff floor "
+                          f"at p - k = {p - k:.3g})", math.inf, "steps", MAX_ASCENT_STEPS)
     needed = step + _steps_to_shrink(delta, reach - _DELTA_FLOOR, k, p)
-    if needed > MAX_ASCENT_STEPS:
-        raise BudgetError(f"certified norm ascent needs {needed} steps, "
-                          f"cap is {MAX_ASCENT_STEPS}")
+    check_budget("certified norm ascent step", needed, "steps", MAX_ASCENT_STEPS)
 
 
 # ---------------------------------------------------------------------------
 # Diagonal extension, additivity, polarization, diagonal extraction
 # ---------------------------------------------------------------------------
 
-def extend_diagonal_functional(diag_values: Sequence[Scalar], params: LpParams,
-                               max_entries: int = MAX_FORM_ENTRIES) -> MultilinearForm:
+def extend_diagonal_functional(diag_values: Sequence[Scalar],
+                               params: LpParams) -> MultilinearForm:
     """Dense symmetric form with the given diagonal and zero off-diagonal.
 
     This is the norm-preserving extension of a functional known on the
@@ -392,8 +393,7 @@ def extend_diagonal_functional(diag_values: Sequence[Scalar], params: LpParams,
     ensure_finite(d)
     n = d.shape[0]
     k = params.k
-    if n ** k > max_entries:
-        raise BudgetError(f"dense form needs {n ** k} entries, cap is {max_entries}")
+    check_budget("dense form entry", n ** k, "entries", MAX_FORM_ENTRIES)
     coeffs = np.zeros((n,) * k, dtype=complex)
     if n:
         idx = np.arange(n)
@@ -500,8 +500,8 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     )
 
 
-def polarize(poly: Callable[[np.ndarray], Scalar], dim: int, params: LpParams,
-             max_cost: int = MAX_POLARIZE_COST) -> MultilinearForm:
+def polarize(poly: Callable[[np.ndarray], Scalar], dim: int,
+             params: LpParams) -> MultilinearForm:
     """Unique symmetric k-linear form phi with phi(x, ..., x) = poly(x).
 
     Uses the sign-average polarization identity
@@ -509,12 +509,9 @@ def polarize(poly: Callable[[np.ndarray], Scalar], dim: int, params: LpParams,
     poly(eps_1 x_1 + ... + eps_k x_k), evaluated on basis tuples.
     """
     k = params.k
-    if k > MAX_POLARIZE_DEGREE:
-        raise BudgetError(f"polarization of degree k = {k} is past the cap of "
-                          f"k <= {MAX_POLARIZE_DEGREE}")
-    cost = (2 ** k) * dim ** k
-    if cost > max_cost:
-        raise BudgetError(f"polarization would need {cost} evaluations, cap is {max_cost}")
+    check_budget("polarization degree", k, "slots", MAX_POLARIZE_DEGREE)
+    check_budget("polarization evaluation", (2 ** k) * dim ** k, "evaluations",
+                 MAX_POLARIZE_COST)
     signs = list(itertools.product((1.0, -1.0), repeat=k))
     sign_products = [math.prod(s) for s in signs]
     scale = 1.0 / ((2 ** k) * math.factorial(k))
@@ -763,8 +760,6 @@ def multilinear_norm_grid(form: MultilinearForm) -> Tuple[float, float]:
         faces, lo, hi = faces[:, ~done], lo[..., ~done], hi[..., ~done]
         # checked before the children are built
         visited += faces.shape[1] * 2 ** (n - 1)
-        if visited > MAX_ENCLOSURE_BOXES:
-            raise BudgetError(f"sup-norm enclosure box budget exceeded: {visited} boxes "
-                              f"asked for, cap is {MAX_ENCLOSURE_BOXES}")
+        check_budget("sup-norm enclosure box", visited, "boxes", MAX_ENCLOSURE_BOXES)
         faces, lo, hi = _split_widest(faces, lo, hi)
     return best, upper

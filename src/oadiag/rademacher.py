@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import MAX_PIECES, BudgetError, Scalar
+from .numerics import MAX_PIECES, Scalar, check_budget
 
 __all__ = [
     "CycloScalar",
@@ -232,15 +232,14 @@ def _check_levels(levels: Sequence[int], k: int) -> Tuple[int, ...]:
     return lv
 
 
-def _piece_sum(levels: Sequence[int], k: int, depth: int, max_pieces: int) -> int:
+def _piece_sum(levels: Sequence[int], k: int, depth: int) -> int:
     """Exact integer sum of prod_j r_{levels[j]} over the k^depth pieces.
 
     The value on piece m is omega^e, where e adds up the base-k digits of m
     that the levels select; the exponent histogram is reduced exactly.
     """
     pieces = k ** depth
-    if pieces > max_pieces:
-        raise BudgetError(f"{pieces} pieces exceed the cap of {max_pieces}")
+    check_budget("piece", pieces, "pieces", MAX_PIECES)
     m = np.arange(pieces, dtype=np.int64)
     exponents = np.zeros(pieces, dtype=np.int64)
     for level in levels:
@@ -266,8 +265,7 @@ def integrate_product(levels: Sequence[int], k: int) -> int:
     return 1
 
 
-def integrate_product_bruteforce(levels: Sequence[int], k: int,
-                                 max_pieces: int = MAX_PIECES) -> int:
+def integrate_product_bruteforce(levels: Sequence[int], k: int) -> int:
     """Oracle for integrate_product: direct sum over the constancy pieces.
 
     The integrand is constant on the k^(max level) pieces of the deepest
@@ -279,15 +277,14 @@ def integrate_product_bruteforce(levels: Sequence[int], k: int,
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     lv = _check_levels(levels, k)
     depth = max(lv)
-    value = Fraction(_piece_sum(lv, k, depth, max_pieces), k ** depth)
+    value = Fraction(_piece_sum(lv, k, depth), k ** depth)
     if value.denominator != 1:
         raise AssertionError("piecewise sum of a product integral must be an integer")
     return int(value)
 
 
 def integrate_step_product(factors: Iterable[Tuple[int, Union[CycloScalar, Scalar]]],
-                           k: int, depth: int,
-                           max_pieces: int = MAX_PIECES) -> Scalar:
+                           k: int, depth: int) -> Scalar:
     """Integral of prod_j (coeff_j * r_{level_j}) as an average over pieces.
 
     The integrand is constant on the k^depth pieces of the level-`depth`
@@ -305,7 +302,7 @@ def integrate_step_product(factors: Iterable[Tuple[int, Union[CycloScalar, Scala
     if depth < max_level:
         raise ValueError(f"depth {depth} is below the max level {max_level}")
     levels = [level for level, _ in fac]
-    average = Fraction(_piece_sum(levels, k, depth, max_pieces), k ** depth)
+    average = Fraction(_piece_sum(levels, k, depth), k ** depth)
 
     coeff_exact = CycloScalar.one(k)
     coeff_float = 1 + 0j

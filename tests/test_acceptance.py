@@ -71,7 +71,7 @@ def test_criterion_2_averaging_reconstruction():
         if case % 2 == 1:
             a = a + 1j * rng.standard_normal(n)
         u = DiagonalTensor(a, LpParams(p, k))
-        tensor = dense_expansion(averaging_decomposition(u, symmetric=case % 4 < 2))
+        tensor = dense_expansion(averaging_decomposition(u))
         idx = np.arange(n)
         diag = tensor[tuple([idx] * k)].copy()
         tensor[tuple([idx] * k)] = 0.0

@@ -405,7 +405,7 @@ def test_case_cap_applies_to_every_multi_record_command(command, monkeypatch, ca
     monkeypatch.setattr("oadiag.experiments.MAX_CASES", 3)
     code, out, err = run([command] + SMALL_SHAPES[command], capsys)
     assert code == 3
-    assert out == "" and "4 cases exceed the cap of 3" in err
+    assert out == "" and "case budget exceeded: 4 cases asked for, cap is 3" in err
 
 
 @pytest.mark.parametrize("coeffs, echoed", [("-3,4", ["-3.0", "4.0"]),
@@ -482,6 +482,46 @@ def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
     code, out, err = run(["oa-norm", "--k", "4", "--p", repr(4 + 1e-12), "--coeffs=1,0.5"], capsys)
     assert code == 3
     assert out == "" and "roundoff floor" in err
+
+
+@pytest.mark.parametrize("argv, patch, message", [
+    (["pi-norm", "--k", "2", "--p", "4", "--coeffs=" + ",".join(["1"] * 25)], None,
+     "piece budget exceeded: 33554432 pieces asked for, cap is 1000000"),
+    (["sweep", "--k", "6", "--n", "7", "--trials", "1"], None,
+     "dense expansion entry budget exceeded: 117649 entries asked for, cap is 100000"),
+    (["additivity-test", "--k", "2", "--p", "4", "--n", "2000", "--trials", "1"], None,
+     "dense form entry budget exceeded: 4000000 entries asked for, cap is 1000000"),
+    (["sweep", "--trials", "20001"], None,
+     "case budget exceeded: 240012 cases asked for, cap is 20000"),
+    (["oa-norm", "--k", "4", "--p", "4.0002", "--coeffs", "1,0.5"], None,
+     "certified norm ascent step budget exceeded: 462262 steps asked for, cap is 200000"),
+    (["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187", "--trials", "1",
+      "--seed", "52202"], ("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50),
+     "sup-norm enclosure box budget exceeded: 126 boxes asked for, cap is 50"),
+], ids=["pieces", "expansion_entries", "form_entries", "cases", "ascent_steps",
+        "enclosure_boxes"])
+def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, message,
+                                                                    monkeypatch, capsys):
+    if patch:
+        monkeypatch.setattr(*patch)
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--k", "1"], 2),
+    *[(["oa-norm", "--k", k, "--p", p, "--coeffs", "1,2"], 0)
+      for k in ("2", "3") for p in ("300", "1e4", "1e6")],
+    # the dual coefficients' power p/k - 1 would take a modulus rounded to
+    # 1 + 2u past the float range
+    (["sweep", "--k", "3", "--n", "2", "--p", "1e19", "--trials", "2"], 0),
+])
+def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
+    exit_code, out, err = run(argv, capsys)
+    assert exit_code == code, err
+    assert (out == "") == (code == 2)
 
 
 def strict_json(text):

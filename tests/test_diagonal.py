@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -22,11 +23,33 @@ from oadiag.diagonal import (
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 
 
-def reconstruction_defects(a, params, symmetric):
+def asymmetric_slot_coefficients(u):
+    """Another factorization prod_j c[j, i] = a_i: the phase of a_i in slot
+    0 and the plain modulus root in the others, two runs of equal rows."""
+    a, k = u.coeffs, u.params.k
+    radial = np.abs(a) ** (1.0 / k)
+    angle = np.arctan2(a.imag, a.real, out=np.zeros(u.dim), where=a != 0)
+    return np.vstack([(np.cos(angle) + 1j * np.sin(angle)) * radial,
+                      np.broadcast_to(radial, (k - 1, u.dim))])
+
+
+@contextlib.contextmanager
+def slot_rows(symmetric):
+    """Decompose with the library's k equal slot rows, or, for symmetric =
+    False, with the asymmetric split patched in: the pieces, the expansions
+    and the upper bound take any rows whose product is a."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not symmetric:
+            patch.setattr("oadiag.diagonal._slot_coefficients", asymmetric_slot_coefficients)
+        yield
+
+
+def reconstruction_defects(a, params, symmetric=True):
     """Max off-diagonal magnitude and max diagonal error of the expansion."""
     u = DiagonalTensor(a, params)
     n = u.dim
-    tensor = dense_expansion(averaging_decomposition(u, symmetric=symmetric))
+    with slot_rows(symmetric):
+        tensor = dense_expansion(averaging_decomposition(u))
     idx = np.arange(n)
     diag = tensor[tuple([idx] * params.k)].copy()
     tensor[tuple([idx] * params.k)] = 0.0
@@ -68,25 +91,16 @@ def test_degree_three_decomposition_matches_signed_diagonal():
     a = np.array([1.0, -1.0])
     u = DiagonalTensor(a, LpParams(4.0, 3))
     assert averaging_decomposition(u).shape == (9, 3, 2)
-    off, diag = reconstruction_defects(a, LpParams(4.0, 3), symmetric=True)
+    off, diag = reconstruction_defects(a, LpParams(4.0, 3))
     assert off <= 1e-12 * np.sum(np.abs(a))
     assert diag <= 1e-12
 
 
 def test_symmetric_variant_has_equal_slots():
     u = DiagonalTensor([2.0, -3.0, 1.5], LpParams(5.0, 3))
-    for piece in averaging_decomposition(u, symmetric=True):
+    for piece in averaging_decomposition(u):
         for slot in piece[1:]:
             assert np.array_equal(slot, piece[0])
-
-
-def test_asymmetric_variant_concentrates_phase_in_first_slot():
-    u = DiagonalTensor([-2.0, 3.0], LpParams(5.0, 3))
-    first = averaging_decomposition(u, symmetric=False)[0]
-    # slot 0 carries the sign of -2, the remaining slots the plain modulus root
-    assert first[0][0].real < 0
-    assert first[1][0].real > 0
-    assert np.array_equal(first[1], first[2])
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -112,7 +126,7 @@ def test_reconstruction_stays_within_tolerance_at_many_pieces(n):
     # The coefficients are case 1 of `oadiag sweep --k 3 --p 6 --n N --trials 2`.
     rng = np.random.default_rng([0, 1])
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    off, diag = reconstruction_defects(a, LpParams(6.0, 3), symmetric=True)
+    off, diag = reconstruction_defects(a, LpParams(6.0, 3))
     assert off / np.sum(np.abs(a)) <= 1e-12
     assert diag / np.max(np.abs(a)) <= 1e-12
 
@@ -131,11 +145,12 @@ def test_decomposition_equals_complex_powers_bitwise(k, symmetric):
     rng = np.random.default_rng([83, k])
     n = 1 if k > 7 else 4
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    c = _slot_coefficients(u, symmetric)
+    c = _slot_coefficients(u) if symmetric else asymmetric_slot_coefficients(u)
     m = np.arange(k ** n, dtype=np.int64)[:, None]
     divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
     expected = c[None, :, :] * np.exp(2j * np.pi * ((m // divisors) % k) / k)[:, None, :]
-    assert np.array_equal(averaging_decomposition(u, symmetric=symmetric), expected)
+    with slot_rows(symmetric):
+        assert np.array_equal(averaging_decomposition(u), expected)
 
 
 def test_decomposition_budget():
@@ -172,7 +187,8 @@ def test_gemm_expansion_matches_einsum_formula(k, n, symmetric):
     # the expansion of the entries' moduli, the sum|terms| of the error bound.
     rng = np.random.default_rng([91, k, n])
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    slots = averaging_decomposition(u, symmetric=symmetric)
+    with slot_rows(symmetric):
+        slots = averaging_decomposition(u)
     reference = einsum_expansion(slots.astype(np.clongdouble))
     scale = einsum_expansion(np.abs(slots)).real
     assert np.max(np.abs(dense_expansion(slots) - reference) / scale) <= 1e-14
@@ -183,11 +199,11 @@ def test_gemm_expansion_matches_einsum_formula(k, n, symmetric):
 def test_streamed_expansion_equals_array_expansion(k, n, symmetric):
     rng = np.random.default_rng([92, k, n])
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    pieces = _Pieces(u, symmetric)
-    assert pieces.shape == (k ** n, k, n)
-    assert np.array_equal(pieces[5:17], averaging_decomposition(u, symmetric)[5:17])
-    assert np.array_equal(dense_expansion(pieces),
-                          dense_expansion(averaging_decomposition(u, symmetric)))
+    with slot_rows(symmetric):
+        pieces = _Pieces(u)
+        assert pieces.shape == (k ** n, k, n)
+        assert np.array_equal(pieces[5:17], averaging_decomposition(u)[5:17])
+        assert np.array_equal(dense_expansion(pieces), dense_expansion(averaging_decomposition(u)))
 
 
 def test_streamed_expansion_memory_at_the_largest_piece_count():
@@ -228,10 +244,11 @@ def test_factored_expansion_matches_streamed_expansion(k, n, symmetric):
     # to the expansion of the entries' moduli.
     rng = np.random.default_rng([94, k, n])
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    scale = dense_expansion(np.abs(averaging_decomposition(u, symmetric)))
-    factored = factored_expansion(u, symmetric)
-    assert factored.shape == (n,) * k
-    assert np.max(np.abs(factored - dense_expansion(_Pieces(u, symmetric))) / scale) <= 1e-14
+    with slot_rows(symmetric):
+        scale = dense_expansion(np.abs(averaging_decomposition(u)))
+        factored = factored_expansion(u)
+        assert factored.shape == (n,) * k
+        assert np.max(np.abs(factored - dense_expansion(_Pieces(u))) / scale) <= 1e-14
 
 
 def test_factored_expansion_checks_budgets_before_any_coefficient(monkeypatch):
@@ -278,7 +295,8 @@ def test_upper_bound_examples():
 
 def bruteforce_upper_bound(u, symmetric):
     """Max over the pieces of the product of the slots' l_p norms."""
-    slots = averaging_decomposition(u, symmetric=symmetric)
+    with slot_rows(symmetric):
+        slots = averaging_decomposition(u)
     norms = np.sum(np.abs(slots) ** u.params.p, axis=2) ** (1.0 / u.params.p)
     return float(np.max(np.prod(norms, axis=1)))
 
@@ -292,8 +310,9 @@ def test_upper_bound_matches_bruteforce_over_pieces(k, symmetric):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for p in (k + 0.5, 2.0 * k):
             u = DiagonalTensor(a, LpParams(p, k))
-            assert pi_upper_bound(u, symmetric=symmetric) == \
-                pytest.approx(bruteforce_upper_bound(u, symmetric), rel=1e-14, abs=0)
+            with slot_rows(symmetric):
+                upper = pi_upper_bound(u)
+            assert upper == pytest.approx(bruteforce_upper_bound(u, symmetric), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("largest", ["first", "last"])
@@ -327,8 +346,8 @@ def test_upper_bound_at_the_largest_piece_count(symmetric):
     # 2^19 pieces, the largest k = 2 enumeration under MAX_PIECES
     rng = np.random.default_rng(85)
     u = DiagonalTensor(rng.standard_normal(19) + 1j * rng.standard_normal(19), LpParams(5.0, 2))
-    assert pi_upper_bound(u, symmetric=symmetric) == \
-        pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
+    with slot_rows(symmetric):
+        assert pi_upper_bound(u) == pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
 
 
 def test_upper_bound_at_the_widest_slot_count():
@@ -345,11 +364,12 @@ def test_upper_bound_at_the_widest_slot_count():
     assert abs(upper - pi_norm_closed_form(u)) <= 1e-10 * pi_norm_closed_form(u)
 
 
-def test_upper_bound_past_the_float_range_of_the_product():
+def test_upper_bound_past_the_float_range_of_the_product(monkeypatch):
     # k = 1030, n = 2: every piece's product of slot sums is 2^1030, past the
     # float range, and the bound stays finite and sharp
+    monkeypatch.setattr("oadiag.diagonal.MAX_PIECES", 2 * 10 ** 6)
     u = DiagonalTensor([1.0, -1.0], LpParams(1031.0, 1030))
-    upper = pi_upper_bound(u, max_pieces=2 * 10 ** 6)
+    upper = pi_upper_bound(u)
     assert math.isfinite(upper)
     assert abs(upper - pi_norm_closed_form(u)) <= 1e-10 * pi_norm_closed_form(u)
 
@@ -371,16 +391,17 @@ def test_upper_bound_memory_at_one_coordinate():
 
 @pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 0)])
 def test_upper_bound_with_a_distinct_row_per_slot(pattern, monkeypatch):
-    # Neither variant has more than two distinct slot rows, one run of each;
-    # slot j here takes random row pattern[j], so the bound forms up to k
-    # power sums per piece, with unequal weights when a row repeats.
+    # The decomposition's slot rows are all equal, and the asymmetric split
+    # has two runs; slot j here takes random row pattern[j], so the bound
+    # forms up to k power sums per piece, with unequal weights when a row
+    # repeats.
     k, n = len(pattern), 5
     rng = np.random.default_rng([88, k])
     rows = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))[list(pattern)]
     a = np.prod(rows, axis=0)
     # the bound asks for the rows of a / max|a|: scale each row by the k-th root
     monkeypatch.setattr("oadiag.diagonal._slot_coefficients",
-                        lambda u, symmetric: rows * (abs(u.coeffs[0]) / abs(a[0])) ** (1.0 / k))
+                        lambda u: rows * (abs(u.coeffs[0]) / abs(a[0])) ** (1.0 / k))
     u = DiagonalTensor(a, LpParams(k + 0.5, k))
     assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
 

@@ -166,7 +166,8 @@ def fixed_iters_rows(poly, restarts, iters, seed):
     while len(rows) < restarts:
         rows.append(rng.random(n) + 1e-3)
     T = np.stack(rows[:restarts])
-    T /= np.sum(T ** p, axis=1, keepdims=True) ** (1.0 / p)
+    largest = np.max(T, axis=1, keepdims=True)
+    T /= largest * np.sum((T / largest) ** p, axis=1, keepdims=True) ** (1.0 / p)
     if p == 1.0:
         for _ in range(iters):
             grad = w * T ** (k - 1)
@@ -242,7 +243,8 @@ def test_certificate_out_of_reach_is_a_budget_error():
     with pytest.raises(BudgetError, match="roundoff floor"):
         norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 1e-12, 4)))
     # reachable, but the count derived at the first check exceeds the cap
-    with pytest.raises(BudgetError, match=r"needs \d+ steps, cap is 200000"):
+    with pytest.raises(BudgetError, match=r"step budget exceeded: \d+ steps asked for, "
+                                          r"cap is 200000"):
         norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 2e-4, 4)))
     # a single nonzero coefficient needs no contraction: every row is exact
     assert norm_numeric(OrthAddPolynomial([0.0, 2.0, 0.0], LpParams(4 + 1e-12, 4))) == 2.0
@@ -486,7 +488,7 @@ def test_polarize_recovers_symmetric_form():
 
 
 def test_polarize_budget():
-    with pytest.raises(BudgetError, match="k = 7 is past the cap of k <= 6"):
+    with pytest.raises(BudgetError, match="degree budget exceeded: 7 slots asked for, cap is 6"):
         polarize(lambda x: 0.0, 2, LpParams(8.0, 7))
     with pytest.raises(BudgetError):
         polarize(lambda x: 0.0, 100, LpParams(8.0, 4))

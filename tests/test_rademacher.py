@@ -180,7 +180,7 @@ def test_integrate_product_arity_and_level_errors():
 
 def test_bruteforce_budget():
     with pytest.raises(BudgetError):
-        integrate_product_bruteforce([25, 25], 2, max_pieces=10 ** 6)
+        integrate_product_bruteforce([25, 25], 2)
 
 
 def test_integrate_step_product_examples():
