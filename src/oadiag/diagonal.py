@@ -8,9 +8,10 @@ decomposition is one complex array of shape (k^n, k, n): piece, slot,
 coordinate.  Off-diagonal contributions cancel exactly because products of
 distinct-level step functions integrate to zero.  The dense expansion of the
 decomposition takes the pieces a block at a time, without ever holding all
-k^n of them.  Entry [m, j, i] of a piece is c[j, i] times a phase that does
-not depend on the coefficients, so the sweep's expansion is the outer
-product of the slot rows c times the expansion of the unit tensor's pieces,
+k^n of them.  Every piece is the k-th tensor power of one vector, entry
+[m, j, i] being c[i], the principal k-th root of a_i, times a phase that
+depends on neither j nor the coefficients.  So the sweep's expansion is the
+k-fold outer power of c times the expansion of the unit tensor's pieces,
 which is enumerated once per shape (k, n) and cached; the factored product
 adds about k roundings per entry to the streamed expansion's error bound.
 
@@ -19,12 +20,10 @@ coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
 here recomputes it from the slot vectors of the averaging decomposition and
 the lower bound from the pairing with a dual diagonal multilinear form, so
 the three routes certify one another.  Every slot entry of every piece is
-c[j, i] * omega^d, with d one base-k digit of the piece index, so its modulus
-depends only on (coefficient row c[j], coordinate i, digit d), and slots with
-equal rows have equal entries: the upper bound tabulates those R * n * k
-values, R the number of runs of equal consecutive rows (1 for the k equal
-rows of the decomposition), and forms each piece's slot power sums as a
-Kronecker sum of the table's rows, without building the slot vectors.
+c[i] * omega^d, with d one base-k digit of the piece index, so its modulus
+depends only on (coordinate i, digit d): the upper bound tabulates those
+n * k values and forms each piece's one power sum as a Kronecker sum of the
+table's rows, without building the slot vectors.
 """
 
 from __future__ import annotations
@@ -52,15 +51,15 @@ __all__ = [
     "pair",
 ]
 
-# Pieces per chunk or block.  It bounds the low block of pi_upper_bound's slot
+# Pieces per chunk or block.  It bounds the low block of pi_upper_bound's power
 # sums, and the roundoff of each dense_expansion block: one BLAS partial sums
 # at most this many pieces' terms, in whatever order it chooses, so its error
 # is at most (_CHUNK - 1) unit roundoffs (4.5e-13) of the sum of their moduli,
 # under the 1e-12 reconstruction tolerance.
 _CHUNK = 1 << 12
-# Values of one block of pi_upper_bound's products of slot sums: 256 kB in each
-# of its two buffers.  2^16 raised the duality workload's peak RSS by 0.2-0.4
-# MB, and 2^14 made the bound about 30% slower.
+# Power sums in one block of pi_upper_bound: 256 kB in its buffer.  2^16 (with
+# two such buffers) raised the duality workload's peak RSS by 0.2-0.4 MB, and
+# 2^14 made the bound about 30% slower.
 _BOUND_BLOCK = 1 << 15
 # Complex entries of one block's running outer product of slots 0..k-2, the
 # (block, n^(k-1)) left operand of its GEMM: 1 MB.
@@ -131,17 +130,12 @@ class DualDiagonalForm:
 # ---------------------------------------------------------------------------
 
 def _slot_coefficients(u: DiagonalTensor) -> np.ndarray:
-    """(k, n) matrix c with prod_j c[j, i] = a_i; slot j uses c[j] * r_i phases.
-
-    Every slot carries the principal k-th root of a_i: the modulus root
-    times the k-th root of its phase, with phase 1 for a zero coefficient.
-    The k equal rows are one read-only broadcast row.
-    """
+    """The slot row c, shape (n,), that every slot of every piece carries:
+    c[i] is the principal k-th root of a_i, the modulus root times the k-th
+    root of its phase, with phase 1 for a zero coefficient."""
     a = u.coeffs
-    k, n = u.params.k, u.dim
-    angle = np.arctan2(a.imag, a.real, out=np.zeros(n), where=a != 0) / k
-    root = (np.cos(angle) + 1j * np.sin(angle)) * np.abs(a) ** (1.0 / k)
-    return np.broadcast_to(root, (k, n))
+    angle = np.arctan2(a.imag, a.real, out=np.zeros(u.dim), where=a != 0) / u.params.k
+    return (np.cos(angle) + 1j * np.sin(angle)) * np.abs(a) ** (1.0 / u.params.k)
 
 
 def _step_values(k: int, dtype=np.complex128) -> np.ndarray:
@@ -157,9 +151,9 @@ class _Pieces:
     """The (k^n, k, n) averaging decomposition of u, built a slice at a time.
 
     pieces[start:stop] builds rows start..stop of the array that
-    averaging_decomposition returns: entry [m, j, i] is c[j, i] * omega^d,
-    with d the level-(i+1) base-k digit of m.  shape is checked against the
-    piece budget when the object is made, before any piece is built.
+    averaging_decomposition returns: entry [m, j, i] is c[i] * omega^d, with
+    d the level-(i+1) base-k digit of m.  shape is checked against the piece
+    budget when the object is made, before any piece is built.
     """
 
     def __init__(self, u: DiagonalTensor) -> None:
@@ -167,7 +161,7 @@ class _Pieces:
         k = u.params.k
         check_budget("piece", k ** n, "pieces", MAX_PIECES)
         self.shape: Tuple[int, int, int] = (k ** n, k, n)
-        self._coefficients = _slot_coefficients(u)
+        self._row = _slot_coefficients(u)
         self._steps = _step_values(k)
         self._divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
 
@@ -175,7 +169,10 @@ class _Pieces:
         start, stop, _ = window.indices(self.shape[0])
         m = np.arange(start, stop, dtype=np.int64)[:, None]
         phases = self._steps[(m // self._divisors) % self.shape[1]]
-        return self._coefficients[None, :, :] * phases[:, None, :]
+        # a contiguous block for every slot: dense_expansion's GEMM would read
+        # a broadcast view with other strides, and round otherwise
+        out = np.empty((len(m),) + self.shape[1:], dtype=complex)
+        return np.multiply(self._row, phases[:, None, :], out=out)
 
 
 def averaging_decomposition(u: DiagonalTensor) -> np.ndarray:
@@ -194,17 +191,17 @@ def averaging_decomposition(u: DiagonalTensor) -> np.ndarray:
 def dense_expansion(slots: np.ndarray) -> np.ndarray:
     """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
 
-    slots has shape (pieces, k, n), as averaging_decomposition returns it;
-    the sweep passes the same pieces unbuilt, as a _Pieces, whose blocks are
-    built one at a time.  The block size depends only on k and n, so both
-    give the same blocks and bitwise the same tensor.  Each block is expanded
-    by one GEMM: the outer product of slots 0..k-2 is formed by broadcasting,
-    a (block, n^(k-1)) array, and contracted with slot k-1 over the piece
-    axis (for n = 1 this is a plain product).  A BLAS partial sums at most
-    one block of pieces, in whatever order it chooses, so its error is at
-    most (block - 1) u sum|terms|, u the unit roundoff.  The partials are
-    then summed pairwise, which adds at most ceil(log2(blocks)) u sum|terms|
-    whatever the piece count.
+    slots has shape (pieces, k, n), as averaging_decomposition returns it,
+    or is the same pieces unbuilt, a _Pieces whose blocks are built one at a
+    time, as _phase_expansion passes them.  The block size depends only on k
+    and n, so both give the same blocks and bitwise the same tensor.  Each
+    block is expanded by one GEMM: the outer product of slots 0..k-2 is
+    formed by broadcasting, a (block, n^(k-1)) array, and contracted with
+    slot k-1 over the piece axis (for n = 1 this is a plain product).  A BLAS
+    partial sums at most one block of pieces, in whatever order it chooses,
+    so its error is at most (block - 1) u sum|terms|, u the unit roundoff.
+    The partials are then summed pairwise, which adds at most
+    ceil(log2(blocks)) u sum|terms| whatever the piece count.
     """
     pieces, k, n = slots.shape
     check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
@@ -231,23 +228,23 @@ def _phase_expansion(k: int, n: int) -> np.ndarray:
 
 
 def factored_expansion(u: DiagonalTensor) -> np.ndarray:
-    """The dense expansion of u's averaging decomposition, formed as
-    c[0] (x) ... (x) c[k-1] times E(k, n), entry by entry.
+    """The dense expansion of u's averaging decomposition, formed as the
+    k-fold outer power of the slot row c times E(k, n), entry by entry.
 
-    Entry [m, j, i] of the decomposition is c[j, i] * w_m[i], and w_m does
-    not depend on the coefficients, so by linearity the mean over the
-    pieces of their outer products is the outer product of the slot rows c
-    times the expansion E(k, n) of the unit pieces, which _phase_expansion
-    enumerates once per shape.  Both budgets, k^n pieces and n^k entries,
-    are checked before any coefficient or outer product is formed.  The
-    result is a fresh, writeable array.
+    Entry [m, j, i] of the decomposition is c[i] * w_m[i], and w_m does not
+    depend on the coefficients, so by linearity the mean over the pieces of
+    their outer products is the k-fold outer power of c times the expansion
+    E(k, n) of the unit pieces, which _phase_expansion enumerates once per
+    shape.  Both budgets, k^n pieces and n^k entries, are checked before
+    any coefficient or outer product is formed.  The result is a fresh,
+    writeable array.
 
     Error bound, u the unit roundoff: every unit piece's term is a product
     of k unimodular step values, so E is formed within
     ((block - 1) + ceil(log2(blocks))) u of the mean of its terms' moduli,
     which is 1 up to k roundings, as dense_expansion derives.  The outer
-    product of the k slot rows and its product with E add about k more
-    roundings of each entry.  The exact outer product has moduli
+    power of c and its product with E add about k more roundings of each
+    entry.  The exact outer product has moduli
     prod_j |a_(i_j)|^(1/k) <= max|a| <= sum|a|, so both reconstruction
     residues, the diagonal one relative to max|a| and the off-diagonal one
     relative to sum|a|, stay within about (4096 + k) u, under 1e-12.
@@ -256,9 +253,9 @@ def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     check_budget("piece", k ** n, "pieces", MAX_PIECES)
     check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
     phases = _phase_expansion(k, n)
-    coefficients = _slot_coefficients(u)
-    outer = coefficients[0]
-    for row in coefficients[1:]:
+    row = _slot_coefficients(u)
+    outer = row
+    for _ in range(k - 1):
         outer = np.multiply.outer(outer, row)
     return outer * phases
 
@@ -301,37 +298,51 @@ def pi_norm_closed_form(u: DiagonalTensor) -> float:
     return math.fsum(np.abs(u.coeffs))
 
 
+def _scaled_to_unit(u: DiagonalTensor) -> Tuple[float, DiagonalTensor]:
+    """(max|a|, u / max|a|), or (0.0, u) for a zero u.  numpy divides complex
+    values by a real scalar through its reciprocal, which overflows for a
+    subnormal max|a|: both are then first multiplied by 2^54, exactly."""
+    top = float(np.max(np.abs(u.coeffs), initial=0.0))
+    if top == 0.0:
+        return top, u
+    coeffs, divisor = u.coeffs, top
+    if top < np.finfo(float).tiny:
+        coeffs, divisor = coeffs * 2.0 ** 54, top * 2.0 ** 54
+    return top, DiagonalTensor(coeffs / divisor, u.params)
+
+
 def pi_upper_bound(u: DiagonalTensor) -> float:
     """Triangle-inequality bound computed from an explicit decomposition.
 
     k < p: the supremum over all k^n averaging pieces of the product of the
-    pieces' slot l_p norms.  Entry i of slot j on piece m is c[j, i] * omega^d
-    with d = d_i(m), the level-(i+1) base-k digit of m.  The phase does not
-    depend on j, so slots whose coefficient rows c[j] are equal have equal
-    entries, and equal power sums, on every piece: the bound merges each run
-    of consecutive equal rows of c into one row with its count (R runs of any
-    lengths; the decomposition's k rows are equal, so it has R = 1), builds
-    the table |row[r, i] * omega^d|^p once and forms the power sums
-    S_r(m) = sum_i table[r, i, d_i(m)] as a Kronecker sum, one coordinate at
-    a time with the first one most significant (the piece order of
-    averaging_decomposition).  The last coordinates form a low block of at
-    most _CHUNK pieces, summed once; the prefixes of the first coordinates
-    are walked a block of _BOUND_BLOCK values at a time, which keeps the
-    memory small whatever k is.  Every piece gives the same product because
-    the step values are unimodular, but each one is still formed from its
-    own table entries, and the rows are merged only when they compare equal,
-    so the bound stays an independent check of the closed form.  The bound
-    is positively homogeneous in a, so the table is built from a / max|a|
-    and the bound scaled back: its p-th powers neither overflow nor
-    underflow.
+    pieces' slot l_p norms.  Every slot of piece m is the vector with entries
+    c[i] * omega^d, c the slot row and d = d_i(m) the level-(i+1) base-k
+    digit of m, so the product is S(m)^(k/p) with the one power sum
+    S(m) = sum_i |c[i] * omega^(d_i(m))|^p.  The bound is computed for
+    a / max|a| and scaled back, as it is positively homogeneous in a.  It
+    forms the n x k moduli |c[i] * omega^d| once, in long double, divides
+    them by their largest value s and raises them to the p-th power: a table
+    in [0, 1] with an exact 1 at the top, so whatever p is no power
+    overflows or sends the top entry to 0, and max_m S(m) / s^p is in [1, n].
+    The sums S(m) / s^p = sum_i table[i, d_i(m)] are Kronecker sums, the
+    first coordinate most significant (averaging_decomposition's order): the
+    last coordinates form a low block of at most _CHUNK pieces, summed once,
+    and the prefixes of the first ones are walked a block of _BOUND_BLOCK
+    values at a time, which keeps the memory small whatever k is.  Every
+    piece gives the same value because the step values are unimodular, but
+    each is formed from its own table entries, so the bound stays an
+    independent check of the closed form.  x -> x^(k/p) is increasing, so
+    one root is taken per call, of the largest sum: the bound is
+    s^k (max_m S(m) / s^p)^(k/p), with s^k in long double.
 
-    The piece's product of slot norms is prod_r S_r(m)^(count_r/p), that is
-    G(m)^(k/p) with G(m) = prod_r S_r(m)^(count_r/k) the weighted geometric
-    mean of its power sums.  x -> x^(k/p) is increasing, so each block keeps
-    the largest G and one root is taken per call; for R = 1 the weight is
-    1 and G is the power sum itself.  After the scaling every
-    |c[j, i]| = |a_i / max|a||^(1/k) is at most 1, and 1 at the top
-    coordinate, so each S_r, and G with it, lies in [1, n] up to roundoff.
+    Error bound, u and u_L the unit roundoffs of float64 and long double
+    (2^-64 on x86): each modulus quotient is within a factor 1 +- 2u_L, which
+    the p-th power raises to the p-th power, and each entry is rounded once
+    to float64.  A sum of n nonnegative entries adds (n - 1) u and the root
+    raises the sum's error factor to the power k/p, so the bound is within
+    about 2k u_L + (n + 3) u of the supremum over the computed slot vectors,
+    1.1e-13 at k = 10^6 (2.2e-10 with float64 step values).  The computed
+    |c[i]|^k are within about k u of |a_i| / max|a|; the closed form sees it.
 
     p <= k: the trivial decomposition into the n diagonal rank-one terms,
     bounding pi(u) by sum_i |a_i| * ||e_i||_p^k.
@@ -350,44 +361,32 @@ def pi_upper_bound(u: DiagonalTensor) -> float:
         return math.fsum(np.abs(u.coeffs) * basis_norm)
 
     check_budget("piece", k ** n, "pieces", MAX_PIECES)
-    top = float(np.max(np.abs(u.coeffs)))
+    top, unit = _scaled_to_unit(u)
     if top == 0.0:
         return 0.0
-    unit = DiagonalTensor(u.coeffs / top, u.params)
-    coefficients = _slot_coefficients(unit)
-    starts = np.flatnonzero(np.r_[True, np.any(coefficients[1:] != coefficients[:-1], axis=1)])
-    rows, counts = coefficients[starts], np.diff(np.r_[starts, k])
-    weights = counts / k
-    # |omega^d| is 1 within a few roundoffs, and the p-th power multiplies
-    # that error by p: 4.4e-10 at p = 2e6 in float64, about 1e-13 in long
-    # double (80-bit on x86), which the table is formed in and rounded from
-    table = (np.abs(rows[:, :, None] * _step_values(k, np.clongdouble)) ** p).astype(float)
+    moduli = np.abs(_slot_coefficients(unit)[:, None] * _step_values(k, np.clongdouble))
+    scale = moduli.max()
+    table = ((moduli / scale) ** p).astype(float)
     low_levels = 0
     while low_levels < n and k ** (low_levels + 1) <= _CHUNK:
         low_levels += 1
-    high = _kronecker_sum(table[:, :n - low_levels])
-    low = _kronecker_sum(table[:, n - low_levels:])
-    block = min(max(1, _BOUND_BLOCK // low.shape[1]), high.shape[1])
-    means, sums = np.empty((2, block, low.shape[1]))
+    high = _kronecker_sum(table[:n - low_levels])
+    low = _kronecker_sum(table[n - low_levels:])
+    block = min(max(1, _BOUND_BLOCK // len(low)), len(high))
+    sums = np.empty((block, len(low)))
     best = 0.0
-    for start in range(0, high.shape[1], block):
-        prefix = high[:, start:start + block, None]
-        mean = np.add(prefix[0], low[0], out=means[:prefix.shape[1]])
-        if len(rows) > 1:
-            mean **= weights[0]
-            for r in range(1, len(rows)):
-                power_sum = np.add(prefix[r], low[r], out=sums[:prefix.shape[1]])
-                mean *= np.power(power_sum, weights[r], out=power_sum)
-        best = max(best, float(mean.max()))
-    return top * best ** (k / p)
+    for start in range(0, len(high), block):
+        prefix = high[start:start + block, None]
+        best = max(best, float(np.add(prefix, low, out=sums[:len(prefix)]).max()))
+    return float(top * scale ** k * best ** (k / p))
 
 
 def _kronecker_sum(table: np.ndarray) -> np.ndarray:
-    """sums[r, m] = sum_i table[r, i, d_i(m)] over every digit string m of the
-    table's levels, the first level most significant: shape (rows, k^levels)."""
-    sums = np.zeros((table.shape[0], 1))
-    for level in range(table.shape[1]):
-        sums = (sums[:, :, None] + table[:, level, None, :]).reshape(table.shape[0], -1)
+    """sums[m] = sum_i table[i, d_i(m)] over every digit string m of the
+    table's levels, the first level most significant: shape (k^levels,)."""
+    sums = np.zeros(1)
+    for level in table:
+        sums = (sums[:, None] + level).reshape(-1)
     return sums
 
 
@@ -438,10 +437,9 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
     """
     top = 1.0
     if u.params.k_less_than_p:
-        top = float(np.max(np.abs(u.coeffs), initial=0.0))
+        top, u = _scaled_to_unit(u)
         if top == 0.0:
             return 0.0
-        u = DiagonalTensor(u.coeffs / top, u.params)
     moduli = np.abs(u.coeffs)
     if u.params.p / u.params.k > 2.0 ** 52:
         moduli = np.minimum(moduli, 1.0)

@@ -517,6 +517,14 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # the dual coefficients' power p/k - 1 would take a modulus rounded to
     # 1 + 2u past the float range
     (["sweep", "--k", "3", "--n", "2", "--p", "1e19", "--trials", "2"], 0),
+    # the upper bound's table of p-th powers of slot moduli, one of which
+    # may round to 1 + 2u, went to 0 or past the float range
+    (["pi-norm", "--k", "2", "--p", "1e20", "--coeffs=1+2i,0.5-1i,3i"], 0),
+    (["pi-norm", "--k", "3", "--p", "1e20", "--coeffs=1+2i,0.5-1i,3i"], 0),
+    (["sweep", "--k", "2", "--n", "4", "--p", "1e19", "--trials", "2"], 0),
+    # a subnormal max|a|, whose reciprocal overflows
+    (["pi-norm", "--k", "2", "--p", "4", "--coeffs=3e-310,1e-311"], 0),
+    (["pi-norm", "--k", "3", "--p", "5", "--coeffs=3e-310+1e-310i,-2e-311,4e-309i"], 0),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
     exit_code, out, err = run(argv, capsys)

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 
@@ -23,33 +22,20 @@ from oadiag.diagonal import (
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 
 
-def asymmetric_slot_coefficients(u):
-    """Another factorization prod_j c[j, i] = a_i: the phase of a_i in slot
-    0 and the plain modulus root in the others, two runs of equal rows."""
-    a, k = u.coeffs, u.params.k
-    radial = np.abs(a) ** (1.0 / k)
-    angle = np.arctan2(a.imag, a.real, out=np.zeros(u.dim), where=a != 0)
-    return np.vstack([(np.cos(angle) + 1j * np.sin(angle)) * radial,
-                      np.broadcast_to(radial, (k - 1, u.dim))])
+def draw_coefficients(rng, n, complex_coeffs):
+    """n standard normal coefficients, with standard normal imaginary parts
+    drawn after the real ones for complex_coeffs."""
+    a = rng.standard_normal(n)
+    return a + 1j * rng.standard_normal(n) if complex_coeffs else a
 
 
-@contextlib.contextmanager
-def slot_rows(symmetric):
-    """Decompose with the library's k equal slot rows, or, for symmetric =
-    False, with the asymmetric split patched in: the pieces, the expansions
-    and the upper bound take any rows whose product is a."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not symmetric:
-            patch.setattr("oadiag.diagonal._slot_coefficients", asymmetric_slot_coefficients)
-        yield
-
-
-def reconstruction_defects(a, params, symmetric=True):
-    """Max off-diagonal magnitude and max diagonal error of the expansion."""
+def reconstruction_defects(a, params, factored=False):
+    """Max off-diagonal magnitude and max diagonal error of the expansion,
+    the dense expansion of the decomposition or, for factored = True, the
+    factored one that the sweep uses."""
     u = DiagonalTensor(a, params)
     n = u.dim
-    with slot_rows(symmetric):
-        tensor = dense_expansion(averaging_decomposition(u))
+    tensor = factored_expansion(u) if factored else dense_expansion(averaging_decomposition(u))
     idx = np.arange(n)
     diag = tensor[tuple([idx] * params.k)].copy()
     tensor[tuple([idx] * params.k)] = 0.0
@@ -103,18 +89,16 @@ def test_symmetric_variant_has_equal_slots():
             assert np.array_equal(slot, piece[0])
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("factored", [True, False])
 @pytest.mark.parametrize("complex_coeffs", [False, True])
-def test_reconstruction_seeded(symmetric, complex_coeffs):
+def test_reconstruction_seeded(factored, complex_coeffs):
     rng = np.random.default_rng(202)
     for _ in range(40):
         n = int(rng.integers(1, 6))
         k = int(rng.choice([2, 3]))
         p = float(rng.choice([k + 0.5, k + 1.0, 2.0 * k, 1.0, float(k)]))
-        a = rng.standard_normal(n)
-        if complex_coeffs:
-            a = a + 1j * rng.standard_normal(n)
-        off, diag = reconstruction_defects(a, LpParams(p, k), symmetric)
+        a = draw_coefficients(rng, n, complex_coeffs)
+        off, diag = reconstruction_defects(a, LpParams(p, k), factored)
         scale = float(np.sum(np.abs(a)))
         assert off <= 1e-12 * scale
         assert diag <= 1e-12 * max(np.max(np.abs(a)), 1e-300)
@@ -138,19 +122,21 @@ def test_dense_expansion_single_coordinate_any_degree():
     assert abs(tensor.reshape(-1)[0] + 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 60])
-def test_decomposition_equals_complex_powers_bitwise(k, symmetric):
-    # slot m, j, i = c[j, i] * exp(2 pi i d / k), d the level-(i+1) base-k digit of m
+def test_decomposition_equals_complex_powers_bitwise(k, complex_coeffs):
+    # slot m, j, i = c[i] * exp(2 pi i d / k), d the level-(i+1) base-k digit of m
     rng = np.random.default_rng([83, k])
     n = 1 if k > 7 else 4
-    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    c = _slot_coefficients(u) if symmetric else asymmetric_slot_coefficients(u)
+    u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
+    c = _slot_coefficients(u)
+    assert c.shape == (n,)
     m = np.arange(k ** n, dtype=np.int64)[:, None]
     divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-    expected = c[None, :, :] * np.exp(2j * np.pi * ((m // divisors) % k) / k)[:, None, :]
-    with slot_rows(symmetric):
-        assert np.array_equal(averaging_decomposition(u), expected)
+    piece = c * np.exp(2j * np.pi * ((m // divisors) % k) / k)
+    slots = averaging_decomposition(u)
+    assert np.array_equal(slots, np.broadcast_to(piece[:, None, :], (k ** n, k, n)))
+    assert slots.flags.writeable and slots.flags.c_contiguous
 
 
 def test_decomposition_budget():
@@ -180,30 +166,28 @@ EXPANSION_SHAPES = [(2, 13), (3, 8), (4, 6), (5, 5)]
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="needs a long double more precise than double")
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k, n", EXPANSION_SHAPES)
-def test_gemm_expansion_matches_einsum_formula(k, n, symmetric):
+def test_gemm_expansion_matches_einsum_formula(k, n, complex_coeffs):
     # The einsum, run in extended precision, is the reference; the scale is
     # the expansion of the entries' moduli, the sum|terms| of the error bound.
     rng = np.random.default_rng([91, k, n])
-    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    with slot_rows(symmetric):
-        slots = averaging_decomposition(u)
+    u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
+    slots = averaging_decomposition(u)
     reference = einsum_expansion(slots.astype(np.clongdouble))
     scale = einsum_expansion(np.abs(slots)).real
     assert np.max(np.abs(dense_expansion(slots) - reference) / scale) <= 1e-14
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k, n", EXPANSION_SHAPES + [(2, 3), (60, 1)])
-def test_streamed_expansion_equals_array_expansion(k, n, symmetric):
+def test_streamed_expansion_equals_array_expansion(k, n, complex_coeffs):
     rng = np.random.default_rng([92, k, n])
-    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    with slot_rows(symmetric):
-        pieces = _Pieces(u)
-        assert pieces.shape == (k ** n, k, n)
-        assert np.array_equal(pieces[5:17], averaging_decomposition(u)[5:17])
-        assert np.array_equal(dense_expansion(pieces), dense_expansion(averaging_decomposition(u)))
+    u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
+    pieces = _Pieces(u)
+    assert pieces.shape == (k ** n, k, n)
+    assert np.array_equal(pieces[5:17], averaging_decomposition(u)[5:17])
+    assert np.array_equal(dense_expansion(pieces), dense_expansion(averaging_decomposition(u)))
 
 
 def test_streamed_expansion_memory_at_the_largest_piece_count():
@@ -237,18 +221,17 @@ def test_budgets_are_checked_before_any_piece_is_built(monkeypatch):
         dense_expansion(pieces)
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k, n", EXPANSION_SHAPES + [(2, 3), (60, 1)])
-def test_factored_expansion_matches_streamed_expansion(k, n, symmetric):
+def test_factored_expansion_matches_streamed_expansion(k, n, complex_coeffs):
     # Both are within a few unit roundoffs of the exact expansion, relative
     # to the expansion of the entries' moduli.
     rng = np.random.default_rng([94, k, n])
-    u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 1.0, k))
-    with slot_rows(symmetric):
-        scale = dense_expansion(np.abs(averaging_decomposition(u)))
-        factored = factored_expansion(u)
-        assert factored.shape == (n,) * k
-        assert np.max(np.abs(factored - dense_expansion(_Pieces(u))) / scale) <= 1e-14
+    u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
+    scale = dense_expansion(np.abs(averaging_decomposition(u)))
+    factored = factored_expansion(u)
+    assert factored.shape == (n,) * k
+    assert np.max(np.abs(factored - dense_expansion(_Pieces(u))) / scale) <= 1e-14
 
 
 def test_factored_expansion_checks_budgets_before_any_coefficient(monkeypatch):
@@ -293,26 +276,23 @@ def test_upper_bound_examples():
     assert pi_upper_bound(u2) == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-12)
 
 
-def bruteforce_upper_bound(u, symmetric):
+def bruteforce_upper_bound(u):
     """Max over the pieces of the product of the slots' l_p norms."""
-    with slot_rows(symmetric):
-        slots = averaging_decomposition(u)
+    slots = averaging_decomposition(u)
     norms = np.sum(np.abs(slots) ** u.params.p, axis=2) ** (1.0 / u.params.p)
     return float(np.max(np.prod(norms, axis=1)))
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_upper_bound_matches_bruteforce_over_pieces(k, symmetric):
+def test_upper_bound_matches_bruteforce_over_pieces(k, complex_coeffs):
     rng = np.random.default_rng([84, k])
     # n = 8 at k = 5 is left out: its 390,625 pieces take 250 MB as one array
     for n in range(1, 9 if k < 5 else 8):
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a = draw_coefficients(rng, n, complex_coeffs)
         for p in (k + 0.5, 2.0 * k):
             u = DiagonalTensor(a, LpParams(p, k))
-            with slot_rows(symmetric):
-                upper = pi_upper_bound(u)
-            assert upper == pytest.approx(bruteforce_upper_bound(u, symmetric), rel=1e-14, abs=0)
+            assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("largest", ["first", "last"])
@@ -326,7 +306,7 @@ def test_upper_bound_visits_every_piece(k, n, largest, monkeypatch):
                         lambda k, dtype=complex: moduli * np.exp(2j * np.pi / k) ** np.arange(k))
     rng = np.random.default_rng([86, k])
     u = DiagonalTensor(rng.standard_normal(n) + 1j * rng.standard_normal(n), LpParams(k + 0.5, k))
-    assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
+    assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u), rel=1e-14, abs=0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -341,13 +321,25 @@ def test_upper_bound_at_the_largest_degree(k, p, coeff):
     assert abs(pi_upper_bound(u) - closed) <= 1e-12 * closed
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_upper_bound_at_the_largest_piece_count(symmetric):
+@pytest.mark.parametrize("p", [1e19, 1e20, 1e300])
+def test_upper_bound_at_a_huge_exponent(p):
+    # A complex |a_i / max|a|| may round to 1 + 2u at the top; raised to the
+    # p-th power it went to 0 or past the float range from p of about 5e18.
+    rng = np.random.default_rng(96)
+    for k in (2, 3):
+        for a in ([1 + 2j, 0.5 - 1j, 3j], rng.standard_normal(5) + 1j * rng.standard_normal(5)):
+            u = DiagonalTensor(a, LpParams(p, k))
+            upper, closed = pi_upper_bound(u), pi_norm_closed_form(u)
+            assert math.isfinite(upper)
+            assert abs(upper - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("complex_coeffs", [True, False])
+def test_upper_bound_at_the_largest_piece_count(complex_coeffs):
     # 2^19 pieces, the largest k = 2 enumeration under MAX_PIECES
     rng = np.random.default_rng(85)
-    u = DiagonalTensor(rng.standard_normal(19) + 1j * rng.standard_normal(19), LpParams(5.0, 2))
-    with slot_rows(symmetric):
-        assert pi_upper_bound(u) == pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
+    u = DiagonalTensor(draw_coefficients(rng, 19, complex_coeffs), LpParams(5.0, 2))
+    assert pi_upper_bound(u) == pytest.approx(pi_norm_closed_form(u), rel=1e-12, abs=0)
 
 
 def test_upper_bound_at_the_widest_slot_count():
@@ -365,8 +357,9 @@ def test_upper_bound_at_the_widest_slot_count():
 
 
 def test_upper_bound_past_the_float_range_of_the_product(monkeypatch):
-    # k = 1030, n = 2: every piece's product of slot sums is 2^1030, past the
-    # float range, and the bound stays finite and sharp
+    # k = 1030, n = 2: each of a piece's k slot power sums is 2, so their
+    # product, 2^1030, is past the float range; the bound raises the one
+    # sum to k/p instead, and stays finite and sharp
     monkeypatch.setattr("oadiag.diagonal.MAX_PIECES", 2 * 10 ** 6)
     u = DiagonalTensor([1.0, -1.0], LpParams(1031.0, 1030))
     upper = pi_upper_bound(u)
@@ -389,23 +382,6 @@ def test_upper_bound_memory_at_one_coordinate():
     assert abs(upper - closed) <= 1e-10 * closed
 
 
-@pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 0)])
-def test_upper_bound_with_a_distinct_row_per_slot(pattern, monkeypatch):
-    # The decomposition's slot rows are all equal, and the asymmetric split
-    # has two runs; slot j here takes random row pattern[j], so the bound
-    # forms up to k power sums per piece, with unequal weights when a row
-    # repeats.
-    k, n = len(pattern), 5
-    rng = np.random.default_rng([88, k])
-    rows = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))[list(pattern)]
-    a = np.prod(rows, axis=0)
-    # the bound asks for the rows of a / max|a|: scale each row by the k-th root
-    monkeypatch.setattr("oadiag.diagonal._slot_coefficients",
-                        lambda u: rows * (abs(u.coeffs[0]) / abs(a[0])) ** (1.0 / k))
-    u = DiagonalTensor(a, LpParams(k + 0.5, k))
-    assert pi_upper_bound(u) == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
-
-
 @pytest.mark.parametrize("largest", ["first", "last"])
 def test_upper_bound_visits_every_block(largest, monkeypatch):
     # As in test_upper_bound_visits_every_piece, the first or the last piece
@@ -423,7 +399,7 @@ def test_upper_bound_visits_every_block(largest, monkeypatch):
             monkeypatch.setattr("oadiag.diagonal._BOUND_BLOCK", block)
             bounds.add(pi_upper_bound(u))
         assert len(bounds) == 1
-        assert bounds.pop() == pytest.approx(bruteforce_upper_bound(u, True), rel=1e-14, abs=0)
+        assert bounds.pop() == pytest.approx(bruteforce_upper_bound(u), rel=1e-14, abs=0)
 
 
 def test_dual_form_examples():
