@@ -42,7 +42,8 @@ _COMMON_FLAGS = (
     ("--n", dict(type=int, help="dimension / coefficient count")),
     ("--seed", dict(type=int, help="base random seed (default 0)")),
     ("--trials", dict(type=int, help="number of seeded trials")),
-    ("--restarts", dict(type=int, help="optimizer restarts")),
+    ("--restarts", dict(type=int, help="optimizer starts (oa-norm / sweep also take "
+                                       "every basis vector, past this count)")),
     ("--iters", dict(type=int, help="oa-norm / sweep ascent step cap at p <= k "
                                     "(k < p stops on a certificate)")),
     ("--coeffs", dict(type=str, help="comma-separated reals or re+imi literals")),

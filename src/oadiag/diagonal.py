@@ -426,23 +426,23 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
 
     The bound is tight: it reproduces the closed form up to roundoff, which
     is the content of the norm identification.  For k < p it is positively
-    homogeneous in a, so it is computed for a / max|a|, whose dual
-    coefficients |a_i / max|a||^(p/k - 1) and pairing neither overflow nor
-    underflow, and scaled back.  A scaled complex modulus may round up to
-    1 + 2u, which the power p/k - 1 takes past e from p/k = 2^52 on and past
-    the float range from about 1.6e18; any dual form gives a lower bound, so
-    there the moduli are clipped to 1.  For p <= k the dual coefficients are the
-    unimodular phases and the pairing is the l_1 sum itself, so u is used as
-    it is and the bound stays exactly the l_1 closed form for real a.
+    homogeneous in a, so it is computed for a / max|a|, whose pairing
+    neither overflows nor underflows, and scaled back.  A scaled complex
+    modulus may round to 1 +- 2u, which the power p/k - 1 takes to 0 or past
+    the float range once p/k is near 1/u; any dual form gives a lower bound,
+    so the dual coefficients are formed from the moduli divided by their
+    largest value, all in [0, 1] with an exact 1 at the top.  For p <= k the
+    dual coefficients are the unimodular phases and the pairing is the l_1
+    sum itself, so u is used as it is and the bound stays exactly the l_1
+    closed form for real a.
     """
-    top = 1.0
+    top, moduli = 1.0, np.abs(u.coeffs)
     if u.params.k_less_than_p:
         top, u = _scaled_to_unit(u)
         if top == 0.0:
             return 0.0
-    moduli = np.abs(u.coeffs)
-    if u.params.p / u.params.k > 2.0 ** 52:
-        moduli = np.minimum(moduli, 1.0)
+        moduli = np.abs(u.coeffs)
+        moduli /= moduli.max()
     form = _dual_form(u, moduli)
     pairing = abs(pair(u, form))
     bound = form.norm_bound()

@@ -14,7 +14,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,6 @@ from .rademacher import integrate_product, integrate_product_bruteforce
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ResultRecord",
     "DEFAULT_TOLERANCES",
     "run_command",
     "results_to_json",
@@ -167,27 +166,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> Dict[str, object]:
         """Every field except the output path, with coefficients as literals."""
-        doc = asdict(self)
-        del doc["out"]
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
         if self.coeffs is not None:
             doc["coeffs"] = [format_scalar(z) for z in self.coeffs]
         doc["tolerances"] = dict(sorted(self.tolerances.items()))
         return doc
-
-
-@dataclass
-class ResultRecord:
-    command: str
-    case_index: int
-    parameters: Dict[str, object]
-    values: Dict[str, float]
-    deviations: Dict[str, float]
-    passes: Dict[str, bool]
-    passed: bool
-    wall_time_ms: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -198,11 +181,14 @@ def _relative_deviation(a: float, b: float) -> float:
 
 
 Case = Tuple[Dict[str, object], Dict[str, float], Dict[str, float], Dict[str, bool]]
+# command, case_index, parameters, values, deviations, passes, passed, wall_time_ms
+Record = Dict[str, object]
 
 
 def _run_cases(cfg: ExperimentConfig, count: int,
-               case: Callable[[int], Case]) -> List[ResultRecord]:
-    """One record per case index, in index order.
+               case: Callable[[int], Case]) -> List[Record]:
+    """One record per case index, in index order, as the dict that JSON
+    and CSV write.
 
     case(index) returns (parameters, values, deviations, passes); a record
     passes when all its pass flags do.  Wall time is measured only under
@@ -214,8 +200,9 @@ def _run_cases(cfg: ExperimentConfig, count: int,
         start = time.perf_counter() if cfg.timing else None
         parameters, values, deviations, passes = case(index)
         wall_time_ms = None if start is None else (time.perf_counter() - start) * 1e3
-        records.append(ResultRecord(cfg.command, index, parameters, values, deviations, passes,
-                                    all(passes.values()), wall_time_ms))
+        records.append({"command": cfg.command, "case_index": index, "parameters": parameters,
+                        "values": values, "deviations": deviations, "passes": passes,
+                        "passed": all(passes.values()), "wall_time_ms": wall_time_ms})
     return records
 
 
@@ -292,7 +279,7 @@ def _random_coeffs(rng: np.random.Generator, n: int, complex_values: bool) -> np
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[Record]:
     """Exhaustive product-integral check over all level tuples up to depth."""
     k = cfg.k
     tol = cfg.tol("rademacher")
@@ -314,7 +301,7 @@ def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, cfg.depth ** k, case)
 
 
-def cmd_pi_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_pi_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, decomposition upper bound and dual lower bound for one tensor."""
 
     def case(index: int) -> Case:
@@ -334,7 +321,7 @@ def cmd_pi_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, 1, case)
 
 
-def cmd_oa_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, witness value and ascent estimate for one polynomial."""
 
     def case(index: int) -> Case:
@@ -353,7 +340,7 @@ def cmd_oa_norm(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, 1, case)
 
 
-def cmd_additivity(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
     """Structural and behavioral additivity checks on diagonal extensions."""
     params = LpParams(cfg.p, cfg.k)
 
@@ -376,7 +363,7 @@ def cmd_additivity(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case)
 
 
-def cmd_zalduendo(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
     """Diagonal extraction bound against the sup norm of random forms, with
     the ascent estimate judged by the certified enclosure's upper bound."""
     params = LpParams(cfg.p, cfg.k)
@@ -403,7 +390,7 @@ def cmd_zalduendo(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, cfg.trials, case)
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
+def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     """Grid of seeded random instances running every invariant suite.
 
     Case indices run in order over k, then p, then n, then trial.  Cases
@@ -472,7 +459,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[ResultRecord]:
     return _run_cases(cfg, math.prod(shape), case)
 
 
-COMMANDS: Dict[str, Callable[[ExperimentConfig], List[ResultRecord]]] = {
+COMMANDS: Dict[str, Callable[[ExperimentConfig], List[Record]]] = {
     "verify-rademacher": cmd_verify_rademacher,
     "pi-norm": cmd_pi_norm,
     "oa-norm": cmd_oa_norm,
@@ -482,10 +469,10 @@ COMMANDS: Dict[str, Callable[[ExperimentConfig], List[ResultRecord]]] = {
 }
 
 
-def run_command(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], Dict[str, object]]:
+def run_command(cfg: ExperimentConfig) -> Tuple[List[Record], Dict[str, object]]:
     cfg.validate()
     records = COMMANDS[cfg.command](cfg)
-    failures = sum(1 for r in records if not r.passed)
+    failures = sum(1 for r in records if not r["passed"])
     summary: Dict[str, object] = {
         "total": len(records),
         "failures": failures,
@@ -498,17 +485,17 @@ def run_command(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], Dict[str, ob
 # Serialization
 # ---------------------------------------------------------------------------
 
-def results_to_json(cfg: ExperimentConfig, records: Sequence[ResultRecord],
+def results_to_json(cfg: ExperimentConfig, records: Sequence[Record],
                     summary: Dict[str, object]) -> str:
     doc = {
         "config": cfg.to_dict(),
-        "records": [r.to_dict() for r in records],
+        "records": records,
         "summary": summary,
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],
+def results_to_csv(cfg: ExperimentConfig, records: Sequence[Record],
                    summary: Dict[str, object]) -> str:
     import csv
     import io
@@ -516,7 +503,7 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],
     # one column per key that any record carries, in first-seen order
     groups = (("value", "values", repr), ("deviation", "deviations", repr), ("pass", "passes", str))
     columns = [(prefix, attr, key, fmt) for prefix, attr, fmt in groups
-               for key in dict.fromkeys(k for record in records for k in getattr(record, attr))]
+               for key in dict.fromkeys(k for record in records for k in record[attr])]
     header = (["command", "case_index", "parameters"]
               + [f"{prefix}_{key}" for prefix, _, key, _ in columns]
               + ["passed", "wall_time_ms"])
@@ -524,11 +511,11 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[ResultRecord],
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for record in records:
-        row = [record.command, record.case_index,
-               json.dumps(record.parameters, sort_keys=True)]
-        row += [fmt(getattr(record, attr)[key]) if key in getattr(record, attr) else ""
+        row = [record["command"], record["case_index"],
+               json.dumps(record["parameters"], sort_keys=True)]
+        row += [fmt(record[attr][key]) if key in record[attr] else ""
                 for _, attr, key, fmt in columns]
-        row += [str(record.passed),
-                "" if record.wall_time_ms is None else repr(record.wall_time_ms)]
+        row += [str(record["passed"]),
+                "" if record["wall_time_ms"] is None else repr(record["wall_time_ms"])]
         writer.writerow(row)
     return buffer.getvalue()

@@ -216,10 +216,13 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     Phase alignment reduces the problem to maximizing f(t) = sum w_n t_n^k
     over nonnegative unit vectors t, with w = |c| / max|c|; each step
     applies the Hoelder-equality update t <- normalize((w t^{k-1})^{1/(p-1)}),
-    which never decreases f.  Starts: a uniform vector, the basis vectors
-    (as `restarts` allows), then seeded random points; the result is the best
-    value over the starts, scaled back by max|c| (the norm is positively
-    homogeneous, so no power overflows).  Deterministic for fixed arguments.
+    which never decreases f.  Starts: the n basis vectors e_i, each taken at
+    its exact value w_i without iterating it (for p <= k the norm is reached
+    only there, and each is a fixed point of the update), a uniform vector,
+    and seeded random points for the rest of `restarts`; the result is the
+    best value over the starts, scaled back by max|c| (the norm is
+    positively homogeneous, so no power overflows).  Deterministic for fixed
+    arguments.
 
     k < p: each restart stops on a certificate, and `iters` does not cap it.
     On the positive vectors of one support, Hilbert's projective metric
@@ -238,9 +241,8 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     is taken on the row's own support, and a row whose zero pattern changed
     in the step is not done.  A row on a face (some t_i = 0) bounds only
     that face's maximum; the uniform and random starts have full support,
-    whose fixed point is the global maximizer, so they certify the norm.  A
-    basis vector is a fixed point with delta = 0 and stops after one step;
-    at k = 1 (r = 0) the first step takes every start to the maximizer.
+    whose fixed point is the global maximizer, so they certify the norm.  At
+    k = 1 (r = 0) the first step takes every start to the maximizer.
 
     Budget: in exact arithmetic delta_m = r delta_{m-1}, and float steps
     keep delta above a roundoff floor of at most _DELTA_FLOOR.  So a row at
@@ -266,21 +268,15 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     top = float(np.max(w))
     p, k = poly.params.p, poly.params.k
     values, _ = _ascent(w / top, k, p, _ascent_starts(n, p, restarts, seed), iters)
-    return top * float(np.max(values))
+    # the basis starts' values are w / top, whose largest is exactly 1
+    return top * max(float(np.max(values)), 1.0)
 
 
 def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
-    """norm_numeric's unit l_p start rows: uniform, the basis vectors as
-    `restarts` allows, then seeded random points."""
+    """norm_numeric's iterated unit l_p start rows: uniform, then seeded
+    random points for the restarts left after the n basis vectors."""
     rng = np.random.default_rng(seed)
-    rows = [np.full(n, 1.0)]
-    for j in range(min(n, restarts - 1)):
-        basis = np.zeros(n)
-        basis[j] = 1.0
-        rows.append(basis)
-    while len(rows) < restarts:
-        rows.append(rng.random(n) + 1e-3)
-    T = np.stack(rows[:restarts])
+    T = np.vstack([np.ones(n), rng.random((max(restarts - 1 - n, 0), n)) + 1e-3])
     # max-scaled norms: an unscaled power sum of a random row underflows to 0
     # from p of about 300 on
     return T / _lq_columns(T.T, p)[:, None]

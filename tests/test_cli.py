@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -218,6 +219,30 @@ def test_csv_projection(tmp_path):
     header = lines[0].split(",")
     assert "value_closed_form" in header
     assert "pass_sandwich_violation" in header
+
+
+def test_csv_rows_match_the_json_records(capsys):
+    argv = ["sweep", "--n", "2", "--trials", "2", "--inject-failure"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    records = json.loads(out)["records"]
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(records) == 8
+    for row, record in zip(rows, records):
+        expected = {"command": "sweep", "case_index": str(record["case_index"]),
+                    "parameters": json.dumps(record["parameters"], sort_keys=True),
+                    "passed": str(record["passed"]), "wall_time_ms": ""}
+        for prefix, group, fmt in (("value", "values", repr), ("deviation", "deviations", repr),
+                                   ("pass", "passes", str)):
+            expected.update({f"{prefix}_{key}": fmt(v) for key, v in record[group].items()})
+        # a column that only another record carries is empty
+        assert expected.keys() <= row.keys()
+        assert row == {column: expected.get(column, "") for column in row}
+    assert rows[0]["pass_injected_failure"] == "False" and rows[1]["pass_injected_failure"] == ""
+    code, out, _ = run(argv + ["--format", "csv", "--timing"], capsys)
+    assert all(float(row["wall_time_ms"]) >= 0.0 for row in csv.DictReader(io.StringIO(out)))
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -478,6 +503,22 @@ def test_oa_norm_near_tie_scan_just_above_p_equals_k(k, gap, one_minus_r, capsys
     assert code == 0, err
 
 
+NEAR_TIE_AT_THE_END = ",".join(["0.9999"] * 24 + ["1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "2", "--p", "2", "--coeffs=0.9999,1", "--restarts", "2"],
+    ["--k", "2", "--p", "2", f"--coeffs={NEAR_TIE_AT_THE_END}"],
+    ["--k", "2", "--p", "1.99", f"--coeffs={NEAR_TIE_AT_THE_END}"],
+    ["--k", "3", "--p", "3", f"--coeffs={NEAR_TIE_AT_THE_END}"],
+])
+def test_oa_norm_at_p_at_most_k_starts_from_every_basis_vector(argv, capsys):
+    # the norm max|c_i| is reached only at the last basis vector, which the
+    # ascent from the other starts does not find
+    code, out, err = run(["oa-norm", *argv], capsys)
+    assert code == 0, err
+
+
 def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
     code, out, err = run(["oa-norm", "--k", "4", "--p", repr(4 + 1e-12), "--coeffs=1,0.5"], capsys)
     assert code == 3
@@ -525,6 +566,10 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # a subnormal max|a|, whose reciprocal overflows
     (["pi-norm", "--k", "2", "--p", "4", "--coeffs=3e-310,1e-311"], 0),
     (["pi-norm", "--k", "3", "--p", "5", "--coeffs=3e-310+1e-310i,-2e-311,4e-309i"], 0),
+    # the lower bound's scaled top modulus rounds to 1 - u, whose power
+    # p/k - 1 underflowed to 0
+    *[(["pi-norm", "--k", "2", "--p", p, "--coeffs=1e-300,3e-301i"], 0)
+      for p in ("1.4e19", "1e20", "1e300")],
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
     exit_code, out, err = run(argv, capsys)

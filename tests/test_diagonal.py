@@ -419,6 +419,15 @@ def test_lower_bound_examples():
     assert pi_lower_bound(DiagonalTensor([3, 4], LpParams(2.0, 2))) == 7.0
 
 
+@pytest.mark.parametrize("p", [1.4e19, 1e20, 1e300])
+def test_lower_bound_keeps_its_top_dual_coefficient_at_huge_p(p):
+    # the scaled top modulus |3e-301i| / 3e-301 rounds to 1 - u, whose power
+    # p/k - 1 underflows to 0 unless the moduli are divided by their largest
+    u = DiagonalTensor([1e-300, 3e-301j], LpParams(p, 2))
+    closed = pi_norm_closed_form(u)
+    assert abs(pi_lower_bound(u) - closed) <= 1e-12 * closed
+
+
 def test_pair_examples():
     prm = LpParams(4.0, 2)
     u = DiagonalTensor([1, 1], prm)
