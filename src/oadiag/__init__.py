@@ -21,7 +21,6 @@ from .rademacher import (
 )
 from .diagonal import (
     DiagonalTensor,
-    DualDiagonalForm,
     averaging_decomposition,
     build_dual_form,
     dense_expansion,
@@ -64,7 +63,6 @@ __all__ = [
     "integrate_product_bruteforce",
     "integrate_step_product",
     "DiagonalTensor",
-    "DualDiagonalForm",
     "averaging_decomposition",
     "build_dual_form",
     "dense_expansion",

@@ -18,8 +18,9 @@ adds about k roundings per entry to the streamed expansion's error bound.
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
 here recomputes it from the slot vectors of the averaging decomposition and
-the lower bound from the pairing with a dual diagonal multilinear form, so
-the three routes certify one another.  Every slot entry of every piece is
+the lower bound from the pairing with a norming orthogonally additive
+polynomial, the dual object, whose norm is oapoly.norm_closed_form, so the
+three routes certify one another.  Every slot entry of every piece is
 c[i] * omega^d, with d one base-k digit of the piece index, so its modulus
 depends only on (coordinate i, digit d): the upper bound tabulates those
 n * k values and forms each piece's one power sum as a Kronecker sum of the
@@ -30,17 +31,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 import numpy as np
 
-from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, LpParams, Scalar, check_budget,
-                       ensure_finite, lq_norm, phase)
+from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, CoefficientVector, LpParams, Scalar,
+                       check_budget, lq_norm, phase)
+from .oapoly import OrthAddPolynomial, norm_closed_form
 
 __all__ = [
     "DiagonalTensor",
-    "DualDiagonalForm",
     "averaging_decomposition",
     "dense_expansion",
     "factored_expansion",
@@ -66,63 +66,13 @@ _BOUND_BLOCK = 1 << 15
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalTensor:
+class DiagonalTensor(CoefficientVector):
     """u = sum_i coeffs[i] e_i (x) ... (x) e_i with k tensor factors."""
-
-    coeffs: np.ndarray
-    params: LpParams
 
     def __post_init__(self) -> None:
         if self.params.k < 2:
             raise ValueError("diagonal tensors require degree k >= 2")
-        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
-        ensure_finite(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class DualDiagonalForm:
-    """B(x_1, ..., x_k) = sum_i b[i] * x_1[i] * ... * x_k[i]."""
-
-    b: np.ndarray
-    params: LpParams
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.b, dtype=complex).reshape(-1)
-        ensure_finite(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "b", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
-    def apply(self, vectors) -> Scalar:
-        xs = [np.asarray(x, dtype=complex) for x in vectors]
-        if len(xs) != self.params.k:
-            raise ValueError(f"expected {self.params.k} argument vectors, got {len(xs)}")
-        for x in xs:
-            if x.shape != (self.dim,):
-                raise ValueError("argument dimension mismatch")
-            ensure_finite(x)
-        return complex(np.sum(self.b * np.prod(np.stack(xs), axis=0)))
-
-    def norm_bound(self) -> float:
-        """Generalized-Hoelder bound on sup |B| over unit l_p vectors.
-
-        For k < p the bound is the l_{p/(p-k)} norm of b (each coordinate
-        product of k unit-l_p vectors lies in the unit ball of l_{p/k}); for
-        p <= k it is 1, via |B(x_1,...,x_k)| <= ||x_1||_k ... ||x_k||_k.
-        """
-        if self.params.k_less_than_p:
-            return lq_norm(self.b, self.params.dual_exponent)
-        return 1.0
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +340,10 @@ def _kronecker_sum(table: np.ndarray) -> np.ndarray:
     return sums
 
 
-def build_dual_form(u: DiagonalTensor) -> DualDiagonalForm:
-    """Dual diagonal form whose pairing with u is sum |a_i|^{p/k} (k < p) or
-    sum |a_i| (p <= k).
+def build_dual_form(u: DiagonalTensor) -> OrthAddPolynomial:
+    """The orthogonally additive polynomial P(x) = sum_i b_i x_i^k that
+    norms u: its pairing with u is sum |a_i|^{p/k} (k < p) or sum |a_i|
+    (p <= k).
 
     The phase of each coefficient is conjugated so the pairing comes out
     real and nonnegative; for k < p the modulus is raised to p/k - 1.
@@ -400,41 +351,47 @@ def build_dual_form(u: DiagonalTensor) -> DualDiagonalForm:
     return _dual_form(u, np.abs(u.coeffs))
 
 
-def _dual_form(u: DiagonalTensor, moduli: np.ndarray) -> DualDiagonalForm:
+def _dual_form(u: DiagonalTensor, moduli: np.ndarray) -> OrthAddPolynomial:
     """build_dual_form with the moduli of u's coefficients given."""
     b = np.array([phase(z) for z in u.coeffs], dtype=complex).conj()
     if u.params.k_less_than_p:
         b = b * moduli ** (u.params.p / u.params.k - 1.0)
-    return DualDiagonalForm(b, u.params)
+    return OrthAddPolynomial(b, u.params)
 
 
-def pair(u: DiagonalTensor, form: DualDiagonalForm) -> Scalar:
-    """<u, B> = sum_i a_i b_i: cross terms vanish on diagonal tensors.
+def pair(u: DiagonalTensor, poly: OrthAddPolynomial) -> Scalar:
+    """<u, P> = sum_i a_i c_i, c the coefficients of P: cross terms vanish
+    on diagonal tensors.
 
     Summed with math.fsum per component, so the pairing is exactly
     permutation invariant and, for real coefficients, exactly reproduces the
     l_1 closed form in the p <= k regime.
     """
-    if u.dim != form.dim:
-        raise ValueError(f"dimension mismatch: tensor has {u.dim}, form has {form.dim}")
-    products = u.coeffs * form.b
+    if u.dim != poly.dim:
+        raise ValueError(f"dimension mismatch: tensor has {u.dim}, polynomial has {poly.dim}")
+    if u.params.k != poly.params.k:
+        raise ValueError(f"degree mismatch: tensor has k = {u.params.k}, "
+                         f"polynomial has k = {poly.params.k}")
+    products = u.coeffs * poly.coeffs
     return complex(math.fsum(products.real), math.fsum(products.imag))
 
 
 def pi_lower_bound(u: DiagonalTensor) -> float:
-    """|<u, B>| / ||B||_bound for the dual form of build_dual_form.
+    """|<u, P>| / ||P|| for the polynomial P of build_dual_form, its norm
+    the closed form of oapoly.norm_closed_form.
 
     The bound is tight: it reproduces the closed form up to roundoff, which
     is the content of the norm identification.  For k < p it is positively
     homogeneous in a, so it is computed for a / max|a|, whose pairing
     neither overflows nor underflows, and scaled back.  A scaled complex
     modulus may round to 1 +- 2u, which the power p/k - 1 takes to 0 or past
-    the float range once p/k is near 1/u; any dual form gives a lower bound,
-    so the dual coefficients are formed from the moduli divided by their
-    largest value, all in [0, 1] with an exact 1 at the top.  For p <= k the
-    dual coefficients are the unimodular phases and the pairing is the l_1
-    sum itself, so u is used as it is and the bound stays exactly the l_1
-    closed form for real a.
+    the float range once p/k is near 1/u; any dual polynomial gives a lower
+    bound, so the dual coefficients are formed from the moduli divided by
+    their largest value, all in [0, 1] with an exact 1 at the top.  For
+    p <= k the dual coefficients are the unimodular phases, so the pairing
+    is the l_1 sum itself and the norm their largest modulus, 1 up to a
+    rounding; u is used as it is, and for real a every phase is exactly +-1
+    and the bound exactly the l_1 closed form.
     """
     top, moduli = 1.0, np.abs(u.coeffs)
     if u.params.k_less_than_p:
@@ -443,9 +400,9 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
             return 0.0
         moduli = np.abs(u.coeffs)
         moduli /= moduli.max()
-    form = _dual_form(u, moduli)
-    pairing = abs(pair(u, form))
-    bound = form.norm_bound()
+    dual = _dual_form(u, moduli)
+    pairing = abs(pair(u, dual))
+    bound = norm_closed_form(dual)
     if bound == 0.0:
         return 0.0
     return top * (pairing / bound)

@@ -19,6 +19,7 @@ Scalar = complex
 __all__ = [
     "Scalar",
     "LpParams",
+    "CoefficientVector",
     "BudgetError",
     "check_budget",
     "ensure_finite",
@@ -109,6 +110,29 @@ class LpParams:
     def dual_exponent(self) -> float:
         """Exponent carrying the polynomial norm: p/(p-k), or inf when p <= k."""
         return conjugate_exponent(self.p, self.k)
+
+
+@dataclass(frozen=True, eq=False)
+class CoefficientVector:
+    """One coefficient per coordinate of l_p^n, with the (p, k) it lives under.
+
+    The coefficients are copied to a read-only 1-D complex array, with
+    NaN/Inf rejected: the common part of a diagonal tensor and of the
+    orthogonally additive polynomial that is its dual.
+    """
+
+    coeffs: np.ndarray
+    params: LpParams
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
+        ensure_finite(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[0]
 
 
 def lq_norm(v, q: float) -> float:

@@ -40,6 +40,7 @@ from .numerics import (
     MAX_POLARIZE_COST,
     MAX_POLARIZE_DEGREE,
     BudgetError,
+    CoefficientVector,
     LpParams,
     Scalar,
     check_budget,
@@ -66,22 +67,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class OrthAddPolynomial:
+class OrthAddPolynomial(CoefficientVector):
     """P(x) = sum_n coeffs[n] * x_n^k; coeffs[n] = P(e_n)."""
-
-    coeffs: np.ndarray
-    params: LpParams
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
-        ensure_finite(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +164,7 @@ def evaluate(poly: OrthAddPolynomial, x) -> Scalar:
 
 def norm_closed_form(poly: OrthAddPolynomial) -> float:
     """sup over the unit l_p ball of |P|: ||c||_{p/(p-k)} if k < p, max|c_n| if p <= k."""
-    if poly.dim == 0:
-        return 0.0
-    if poly.params.k_less_than_p:
-        return lq_norm(poly.coeffs, poly.params.dual_exponent)
-    return float(np.max(np.abs(poly.coeffs)))
+    return lq_norm(poly.coeffs, poly.params.dual_exponent)
 
 
 def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
@@ -413,14 +396,6 @@ class AdditivityReport:
         return self.structural_ok == self.behavioral_ok
 
 
-def _offdiagonal_mask(shape: Tuple[int, ...]) -> np.ndarray:
-    idx = np.indices(shape)
-    diag = np.ones(shape, dtype=bool)
-    for j in range(1, len(shape)):
-        diag &= idx[0] == idx[j]
-    return ~diag
-
-
 def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-12,
                              tol_behavioral: float = 1e-10, samples: int = 32,
                              seed: int = 0) -> AdditivityReport:
@@ -452,7 +427,8 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     worst_index: Optional[Tuple[int, ...]] = None
     worst_ratio = 0.0
     if coeffs.size and n > 1:
-        off = np.where(_offdiagonal_mask(coeffs.shape), coeffs, 0.0)
+        off = np.array(coeffs)
+        off[(np.arange(n),) * k] = 0.0
         flat = int(np.argmax(np.abs(off)))
         worst = float(np.abs(off).reshape(-1)[flat])
         if scale > 0 and worst > 0:

@@ -6,7 +6,6 @@ import pytest
 
 from oadiag.diagonal import (
     DiagonalTensor,
-    DualDiagonalForm,
     _Pieces,
     _phase_expansion,
     averaging_decomposition,
@@ -20,6 +19,7 @@ from oadiag.diagonal import (
     _slot_coefficients,
 )
 from oadiag.numerics import BudgetError, LpParams, lq_norm
+from oadiag.oapoly import OrthAddPolynomial, extend_diagonal_functional, norm_closed_form
 
 
 def draw_coefficients(rng, n, complex_coeffs):
@@ -403,11 +403,11 @@ def test_upper_bound_visits_every_block(largest, monkeypatch):
 
 
 def test_dual_form_examples():
-    b = build_dual_form(DiagonalTensor([1, 1], LpParams(4.0, 2))).b
+    b = build_dual_form(DiagonalTensor([1, 1], LpParams(4.0, 2))).coeffs
     assert np.allclose(b, [1, 1])
-    b = build_dual_form(DiagonalTensor([4, 0], LpParams(4.0, 2))).b
+    b = build_dual_form(DiagonalTensor([4, 0], LpParams(4.0, 2))).coeffs
     assert np.allclose(b, [4, 0])
-    b = build_dual_form(DiagonalTensor([-1, 1], LpParams(2.0, 2))).b
+    b = build_dual_form(DiagonalTensor([-1, 1], LpParams(2.0, 2))).coeffs
     assert np.allclose(b, [-1, 1])
 
 
@@ -431,15 +431,20 @@ def test_lower_bound_keeps_its_top_dual_coefficient_at_huge_p(p):
 def test_pair_examples():
     prm = LpParams(4.0, 2)
     u = DiagonalTensor([1, 1], prm)
-    assert pair(u, DualDiagonalForm(np.array([1, 1]), prm)) == 2
-    assert pair(DiagonalTensor([1, 0], prm), DualDiagonalForm(np.array([0, 1]), prm)) == 0
-    assert pair(DiagonalTensor([2, -1], prm), DualDiagonalForm(np.array([1, 1]), prm)) == 1
+    assert pair(u, OrthAddPolynomial(np.array([1, 1]), prm)) == 2
+    assert pair(DiagonalTensor([1, 0], prm), OrthAddPolynomial(np.array([0, 1]), prm)) == 0
+    assert pair(DiagonalTensor([2, -1], prm), OrthAddPolynomial(np.array([1, 1]), prm)) == 1
 
 
 def test_pair_dimension_mismatch():
     prm = LpParams(4.0, 2)
     with pytest.raises(ValueError):
-        pair(DiagonalTensor([1, 2], prm), DualDiagonalForm(np.array([1]), prm))
+        pair(DiagonalTensor([1, 2], prm), OrthAddPolynomial(np.array([1]), prm))
+
+
+def test_pair_degree_mismatch():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        pair(DiagonalTensor([1, 1], LpParams(4.0, 2)), OrthAddPolynomial([1, 1], LpParams(4.0, 3)))
 
 
 def test_sandwich_seeded():
@@ -508,14 +513,20 @@ def test_permutation_invariance_exact():
 
 
 def test_holder_certificate():
-    # |B(x_1,...,x_k)| <= ||B||_bound over 10^4 unit-ball argument tuples
+    # |B(x_1,...,x_k)| <= ||P|| for the diagonal k-linear form B of each dual
+    # polynomial P, over every tuple of equal basis vectors and 2500 random
+    # unit-ball argument tuples; the last P has max|c| > 1 at p <= k
     rng = np.random.default_rng(81)
+    polys = []
     for p, k, n in [(5.0, 2, 4), (2.0, 2, 4), (4.5, 3, 3), (1.0, 4, 3)]:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u = DiagonalTensor(a, LpParams(p, k))
-        form = build_dual_form(u)
-        bound = form.norm_bound()
-        worst = 0.0
+        polys.append(build_dual_form(DiagonalTensor(a, LpParams(p, k))))
+    polys.append(OrthAddPolynomial([5.0, 0.5], LpParams(1.0, 2)))
+    for poly in polys:
+        p, k, n = poly.params.p, poly.params.k, poly.dim
+        form = extend_diagonal_functional(poly.coeffs, poly.params)
+        bound = norm_closed_form(poly)
+        worst = max(abs(form.apply([e] * k)) for e in np.eye(n))
         for _ in range(2500):
             xs = []
             for _ in range(k):
