@@ -18,9 +18,12 @@ bound, against which the ascent is judged.
 The ascent runs all its restarts as one (restarts, k, n) array, the l_p power
 method / HOPM iteration on many starts at once, with one einsum per slot
 update and a per-restart stall counter that drops converged restarts; its
-loop calls no checked method.  The enclosure bounds all its open boxes a
-round at a time, closing the last slot by Hoelder and bounding the others
-over pyramids that touch the unit sphere to second order.
+loop calls no checked method.  The enclosure bounds all its open box tuples
+a round at a time, closing the last slot by Hoelder and bounding the others
+over pyramids that touch the unit sphere to second order.  Tuples are arrays
+of ids into one table of boxes that the slots share, each chunk of tuples
+bounds its distinct boxes once, and a value the ascent attained, passed as
+the incumbent, starts the best lower bound.
 """
 
 from __future__ import annotations
@@ -603,63 +606,113 @@ _ENCLOSURE_GAP = 1e-5
 # Relative margin on every box's upper bound against float error; derived in
 # multilinear_norm_grid.
 _ENCLOSURE_MARGIN = 2.0 ** -40
-# box tuples bounded at once: about 0.4 MB per temporary array at n = k = 3
+# box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction
+# and each (n, 17, chunk) temporary are about 0.4 MB, and the geometry of the
+# chunk's distinct boxes at most 2 MB (on random forms a few dozen boxes)
 _ENCLOSURE_CHUNK = 2 ** 10
-# _CORNERS[n][i, v]: whether box vertex v takes hi over lo in local coordinate
-# i; never in the last one, the face's fixed 1
-_CORNERS = {n: np.array([c + (False,) for c in itertools.product((False, True), repeat=n - 1)]).T
-            for n in (2, 3)}
 
 
-def _box_bounds(coeffs: np.ndarray, faces: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bound of N (see multilinear_norm_grid) over each
-    tuple of slot boxes.  faces is (slots, boxes); lo and hi are (slots, n,
-    boxes) in local coordinates, the face's 1 last: local coordinate j is
-    coordinate (f + 1 + j) mod n of R^n."""
-    slots, n = lo.shape[:2]
-    corners = _CORNERS[n]
-    vertices = corners.shape[1]
-    local = np.concatenate([np.where(corners[:, None], hi[..., None], lo[..., None]),
-                            (lo + hi)[..., None] / 2], axis=-1)
-    order = (np.arange(n)[:, None] - faces[:, None] - 1) % n
-    # points[s, i, box, v]: coordinate i of vertex v (the centre last) of slot s
-    points = np.take_along_axis(local, order[..., None], axis=1)
-    # the vertex tuples, slot 0 most significant, then the tuple of centres
-    tuples = np.array(list(itertools.product(range(vertices), repeat=slots))
-                      + [(vertices,) * slots]).T
-    values = sum(coeffs[a][..., None, None] * points[0, a] for a in range(n))
-    if slots == 1:
-        values = values[..., tuples[0]]
-    else:
-        values = sum(values[b][..., tuples[0]] * points[1, b][:, tuples[1]] for b in range(n))
-    values = _lq_columns(values, q)
-    centre = points[..., -1]
+def _face_corners(n: int) -> np.ndarray:
+    """[i, v, f]: whether vertex v of a box on face f takes hi over lo in
+    coordinate i; never in coordinate f, the face's fixed 1.  Vertex v runs
+    over the other coordinates f + 1, f + 2, ... mod n, the first most
+    significant."""
+    local = np.array([c + (False,) for c in itertools.product((False, True), repeat=n - 1)]).T
+    return np.stack([local[(np.arange(n) - f - 1) % n] for f in range(n)], axis=-1)
+
+
+_CORNERS = {n: _face_corners(n) for n in (2, 3)}
+
+
+class _Boxes:
+    """The slot boxes of multilinear_norm_grid, one table that every slot
+    shares, so that box tuples are arrays of box ids: per box, its face, lo
+    and hi (n, boxes) and width.  Boxes are only added."""
+
+    def __init__(self, n: int):
+        # box f is the whole face f
+        self.face = np.arange(n)
+        self.lo = np.where(np.eye(n, dtype=bool), 1.0, -1.0)
+        self.hi = np.ones((n, n))
+        self.width = np.full(n, 2.0)
+
+    def split(self, parents: np.ndarray) -> np.ndarray:
+        """The ids of the 2^(n-1) children of each parent, (children,
+        parents), made by halving every coordinate but the face's."""
+        n = self.lo.shape[0]
+        corners = np.take(_CORNERS[n], self.face[parents], axis=-1)
+        lo, hi = self.lo[:, None, parents], self.hi[:, None, parents]
+        mid = (lo + hi) / 2
+        first = self.face.size
+        self.face = np.concatenate([self.face, np.tile(self.face[parents], corners.shape[1])])
+        self.lo = np.concatenate([self.lo, np.where(corners, mid, lo).reshape(n, -1)], axis=1)
+        self.hi = np.concatenate([self.hi, np.where(corners, hi, mid).reshape(n, -1)], axis=1)
+        self.width = np.concatenate([self.width, np.tile(self.width[parents] / 2, corners.shape[1])])
+        return np.arange(first, self.face.size).reshape(corners.shape[1], -1)
+
+
+def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  tuples: np.ndarray, p: float, q: float):
+    """What every box tuple holding a box reads of it, the box axis last:
+    points[i, v] is coordinate i of vertex v (the centre last), contraction
+    = sum_a coeffs[a] * points[a], and scale[s] and dots[s] hold, per vertex
+    tuple column of slot s (the tuple of centres last), the l_p norm of the
+    box's point and its <g, u_a>, g the dual functional of the box centre;
+    valid is whether every <g, u_a> is positive.  Returns (points,
+    contraction, scale, dots, valid)."""
+    n = lo.shape[0]
+    # C-contiguous, as are all that follow: np.take along the box axis of
+    # any other layout copies the whole array
+    corners = np.take(_CORNERS[n], face, axis=-1)
+    points = np.concatenate([np.where(corners, hi[:, None], lo[:, None]),
+                             (lo + hi)[:, None] / 2], axis=1)
+    centre = points[:, -1]
     g = np.sign(centre) * np.abs(centre) ** (p - 1.0)
-    g /= _lq_columns(g.transpose(1, 0, 2), q)[:, None]
-    dots = np.sum(points[..., :vertices] * g[..., None], axis=1)
-    scale = _lq_columns(points.transpose(1, 0, 2, 3), p)
-    lower, upper = values, values[:, :-1]
-    for s in range(slots):
-        lower = lower / scale[s][:, tuples[s]]
-        upper = upper / dots[s][:, tuples[s, :-1]]
-    upper = np.max(upper, axis=1) * (1.0 + _ENCLOSURE_MARGIN)
-    return np.max(lower, axis=1), np.where(np.all(dots > 0, axis=(0, 2)), upper, math.inf)
+    g /= _lq_columns(g, q)
+    dots = np.sum(points[:, :-1] * g[:, None], axis=0)
+    contraction = sum(coeffs[a][..., None, None] * points[a] for a in range(n))
+    return (points, contraction, _lq_columns(points, p)[tuples], dots[tuples[:, :-1]],
+            np.all(dots > 0, axis=0))
 
 
-def _split_widest(faces: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np.ndarray,
+                  p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bound of N (see multilinear_norm_grid) over each
+    tuple of slot boxes; ids is (slots, tuples) of box ids.  Each distinct
+    box is bounded once, then gathered by id."""
+    live, ids = np.unique(ids, return_inverse=True)
+    ids = ids.reshape(len(tuples), -1)
+    points, contraction, scale, dots, valid = _box_geometry(
+        coeffs, boxes.face[live], boxes.lo[:, live], boxes.hi[:, live], tuples, p, q)
+    values = np.take(contraction, ids[0], axis=-1)
+    if len(ids) == 2:
+        # the vertex pairs, slot 0 most significant, then the pair of centres
+        points = np.take(points, ids[1], axis=-1)
+        pairs = sum(values[b][:, :-1, None] * points[b][:-1] for b in range(len(points)))
+        centres = sum(values[b][:, -1:] * points[b][-1:] for b in range(len(points)))
+        values = np.concatenate([pairs.reshape(len(pairs), -1, ids.shape[1]), centres], axis=1)
+    values = _lq_columns(values, q)
+    lower, upper = values, values[:-1]
+    for s, box in enumerate(ids):
+        lower = lower / np.take(scale[s], box, axis=-1)
+        upper = upper / np.take(dots[s], box, axis=-1)
+    upper = np.max(upper, axis=0) * (1.0 + _ENCLOSURE_MARGIN)
+    return np.max(lower, axis=0), np.where(np.all(valid[ids], axis=0), upper, math.inf)
+
+
+def _split_widest(boxes: _Boxes, ids: np.ndarray) -> np.ndarray:
     """Split each tuple's widest slot box (the first on ties) into its
-    2^(n-1) halves, child-major."""
-    widest = np.argmax(hi[:, 0] - lo[:, 0], axis=0)
-    split = (np.arange(len(faces))[:, None] == widest)[:, None]
-    mid = (lo + hi) / 2
-    children = [(np.where(split & c[:, None], mid, lo), np.where(split & ~c[:, None], mid, hi))
-                for c in _CORNERS[lo.shape[1]].T]
-    return (np.tile(faces, len(children)), np.concatenate([c[0] for c in children], axis=-1),
-            np.concatenate([c[1] for c in children], axis=-1))
+    2^(n-1) children, child-major; the other slots keep their box ids, and
+    a box split by several tuples is split once."""
+    widest = np.argmax(boxes.width[ids], axis=0)
+    parents, which = np.unique(ids[widest, np.arange(ids.shape[1])], return_inverse=True)
+    children = boxes.split(parents)[:, which]
+    out = np.tile(ids, len(children))
+    out[np.tile(widest, len(children)), np.arange(out.shape[1])] = children.reshape(-1)
+    return out
 
 
-def multilinear_norm_grid(form: MultilinearForm) -> Tuple[float, float]:
+def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tuple[float, float]:
     """Certified enclosure (lower, upper) of sup |phi(x_1, ..., x_k)| over
     unit l_p vectors of a real form with n, k in {2, 3}, closed to
     (upper - lower) / lower <= _ENCLOSURE_GAP by branch and bound over cones
@@ -681,10 +734,30 @@ def multilinear_norm_grid(form: MultilinearForm) -> Tuple[float, float]:
     the sphere to second order, so the gap shrinks like the square of the
     box width.  A box with some <g, u_a> <= 0 has bound inf.  All open
     tuples are bounded a round at a time; a tuple is dropped once its upper
-    bound is at most best * (1 + _ENCLOSURE_GAP), else its widest slot box
-    is split into its 2^(n-1) halves.  upper is the largest bound of a
-    dropped tuple: the maximizer lies in one of their cones.  More than
-    MAX_ENCLOSURE_BOXES tuples raise BudgetError.
+    bound is at most max(best, incumbent) * (1 + _ENCLOSURE_GAP), else its
+    widest slot box is split into its 2^(n-1) halves.  upper is the largest
+    bound of a dropped tuple: the maximizer lies in one of their cones.
+    More than MAX_ENCLOSURE_BOXES tuples raise BudgetError.
+
+    Box table.  A box sits in many tuples (on random forms at n = k = 3, a
+    chunk holds about 256 tuples over 43 distinct boxes), so open tuples are
+    arrays of ids into one table of box coordinates (_Boxes) that every
+    slot shares.  Each chunk bounds its distinct boxes once: vertices,
+    centre, g, l_p norms, <g, u_a> and the slot-0 contraction with the
+    form.  The pass over the tuples gathers these by id and forms only the
+    pairing of the slots, the l_q norms and the quotients.  A round splits
+    each chosen box once, whichever tuples chose it, and the other slots
+    keep their ids.  Every element is formed by the same operations as
+    when each tuple is bounded from its own boxes' coordinates, so neither
+    the table nor the chunk size changes a bit of the result.
+
+    Incumbent.  incumbent must be a value |phi| attains at unit vectors,
+    such as the ascent's; it starts the best lower bound, and the result
+    is (max(best, incumbent), upper).  upper is proven whatever the
+    incumbent: every tuple is dropped in the end, and the one holding the
+    maximizer has a bound of at least S, the sup.  An incumbent above S
+    makes only lower wrong.
+    With the default 0, lower is the best bound the boxes found.
 
     Float margin.  Box coordinates are dyadic in [-1, 1], so vertices and
     centres are exact; u is the unit roundoff, S the sup, and every
@@ -710,28 +783,32 @@ def multilinear_norm_grid(form: MultilinearForm) -> Tuple[float, float]:
         raise ValueError("the sup-norm enclosure supports n, k in {2, 3} only")
     if np.any(form.coeffs.imag != 0):
         raise ValueError("the sup-norm enclosure supports real forms only")
+    if not 0.0 <= incumbent < math.inf:
+        raise ValueError(f"incumbent must be a finite value >= 0, got {incumbent}")
     coeffs = form.coeffs.real
     if not np.any(coeffs):
         return 0.0, 0.0
     q = holder_conjugate(p)
-    faces = np.array([f for f in itertools.product(range(n), repeat=k - 1)
-                      if not form.symmetric or list(f) == sorted(f)]).T
-    lo = np.full((k - 1, n, faces.shape[1]), -1.0)
-    lo[:, -1] = 1.0
-    hi = np.ones_like(lo)
+    vertices = 2 ** (n - 1)
+    # the vertex tuples, slot 0 most significant, then the tuple of centres
+    tuples = np.array(list(itertools.product(range(vertices), repeat=k - 1))
+                      + [(vertices,) * (k - 1)]).T
+    boxes = _Boxes(n)
+    # box f is the whole face f
+    ids = np.array([f for f in itertools.product(range(n), repeat=k - 1)
+                    if not form.symmetric or list(f) == sorted(f)]).T
     best = upper = 0.0
-    visited = faces.shape[1]
-    while faces.shape[1]:
-        chunks = [_box_bounds(coeffs, faces[:, i:i + _ENCLOSURE_CHUNK],
-                              lo[..., i:i + _ENCLOSURE_CHUNK], hi[..., i:i + _ENCLOSURE_CHUNK], p, q)
-                  for i in range(0, faces.shape[1], _ENCLOSURE_CHUNK)]
+    visited = ids.shape[1]
+    while ids.shape[1]:
+        chunks = [_tuple_bounds(coeffs, boxes, ids[:, i:i + _ENCLOSURE_CHUNK], tuples, p, q)
+                  for i in range(0, ids.shape[1], _ENCLOSURE_CHUNK)]
         lower, bound = (np.concatenate(parts) for parts in zip(*chunks))
         best = max(best, float(lower.max()))
-        done = bound <= best * (1.0 + _ENCLOSURE_GAP)
+        done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(bound[done].max(initial=0.0)))
-        faces, lo, hi = faces[:, ~done], lo[..., ~done], hi[..., ~done]
+        ids = ids[:, ~done]
         # checked before the children are built
-        visited += faces.shape[1] * 2 ** (n - 1)
+        visited += ids.shape[1] * vertices
         check_budget("sup-norm enclosure box", visited, "boxes", MAX_ENCLOSURE_BOXES)
-        faces, lo, hi = _split_widest(faces, lo, hi)
-    return best, upper
+        ids = _split_widest(boxes, ids)
+    return max(best, incumbent), upper

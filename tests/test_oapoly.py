@@ -572,6 +572,9 @@ def test_grid_rejects_unsupported_inputs():
     with pytest.raises(ValueError, match="real forms"):
         multilinear_norm_grid(
             MultilinearForm(1j * np.ones((2, 2)), P42, symmetric=True))
+    for incumbent in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="incumbent"):
+            multilinear_norm_grid(MultilinearForm(np.ones((2, 2)), P42), incumbent=incumbent)
 
 
 def grid_pin_cases():
@@ -638,6 +641,89 @@ def test_enclosure_box_budget(monkeypatch):
     monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 100)
     with pytest.raises(BudgetError, match=r"box budget .*: \d+ boxes asked for, cap is 100"):
         multilinear_norm_grid(form)
+
+
+def enclosure_pin_forms():
+    """grid_pin_cases() as symmetric forms, then non-symmetric forms at
+    (n, k) = (2, 2), (3, 2), (2, 3), (3, 3), each at p = 1 and p = k + 0.5."""
+    forms = [MultilinearForm(raw.astype(complex), params).symmetrize()
+             for raw, params in grid_pin_cases()]
+    rng = np.random.default_rng(25)
+    for n, k in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        for p in (1.0, k + 0.5):
+            forms.append(MultilinearForm(rng.standard_normal((n,) * k).astype(complex),
+                                         LpParams(p, k)))
+    return forms
+
+
+# multilinear_norm_grid(form) on enclosure_pin_forms(), as float.hex, recorded
+# when every box tuple was bounded from its own boxes' coordinates: the box
+# table gathers the same numbers and must not move a bit
+ENCLOSURE_PINS = [
+    ("0x1.59ca939add422p+0", "0x1.59ca939ade9bfp+0"),
+    ("0x1.481f5d7250815p+0", "0x1.481fe39f4ad06p+0"),
+    ("0x1.961359ca92352p+0", "0x1.961441a590993p+0"),
+    ("0x1.4682fbf2a09e8p+0", "0x1.468345613fb30p+0"),
+    ("0x1.342fc22b2b1dfp+0", "0x1.3430608fbf043p+0"),
+    ("0x1.0c17b66d293f4p+1", "0x1.0c17b66d2a4b5p+1"),
+    ("0x1.bb40776731544p+0", "0x1.bb419079d7a11p+0"),
+    ("0x1.ee5d714775ed1p+0", "0x1.ee5d7ee51b06ep+0"),
+    ("0x1.0ae2e8959272bp+0", "0x1.0ae37fc645802p+0"),
+    ("0x1.3da2e8059929fp+2", "0x1.3da35252acc3ep+2"),
+    ("0x1.ed7d8918efa3ep-1", "0x1.ed7d8918f1916p-1"),
+    ("0x1.a58f98af08181p+0", "0x1.a5900f6536bd5p+0"),
+    ("0x1.1d0c6f732cb96p+1", "0x1.1d0d2369dc8a5p+1"),
+    ("0x1.dcdc6254b0bdfp+0", "0x1.dcdd3846a39a3p+0"),
+    ("0x1.293ba113261c3p+1", "0x1.293bf4e82ca16p+1"),
+    ("0x1.669f0437d9a75p+1", "0x1.669f0437db0dfp+1"),
+    ("0x1.65bb2f0d809bfp+0", "0x1.65bbdfa5e8540p+0"),
+    ("0x1.3248fcbd25a1ap+1", "0x1.3249b3e12642ep+1"),
+    ("0x1.2cd738bc43578p+2", "0x1.2cd7e5c79dbfcp+2"),
+    ("0x1.d6ef612845d4dp+2", "0x1.d6f05241fa17cp+2"),
+    ("0x1.3bde2d59a1f72p+2", "0x1.3bdedb2c20e2ap+2"),
+    ("0x1.236687ae4b3a1p+1", "0x1.236687ae4c5d7p+1"),
+    ("0x1.775500065bb8ep+0", "0x1.7755bff285c42p+0"),
+    ("0x1.1d5bcb37ec062p+1", "0x1.1d5bcb37ed238p+1"),
+    ("0x1.4779e26d063d2p+0", "0x1.477aaf5be506dp+0"),
+    ("0x1.f8006604f5630p+0", "0x1.f8006604f75b0p+0"),
+    ("0x1.4273a441ef49ep+1", "0x1.4273f23842b60p+1"),
+    ("0x1.0e597917b752fp+1", "0x1.0e597917b8615p+1"),
+    ("0x1.7105f6259ad90p+2", "0x1.7106dfcc11d06p+2"),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_enclosure_is_bitwise_pinned(chunk, monkeypatch):
+    if chunk is not None:
+        # many chunk borders, so the box-id gathers cross them
+        monkeypatch.setattr("oadiag.oapoly._ENCLOSURE_CHUNK", chunk)
+    got = [tuple(v.hex() for v in multilinear_norm_grid(form)) for form in enclosure_pin_forms()]
+    assert got == ENCLOSURE_PINS
+
+
+def sampled_sup(form, points, rng):
+    """The largest |phi(x_1, ..., x_k)| over seeded random unit l_p vectors."""
+    n, k, p = form.dim, form.degree, form.params.p
+    xs = rng.standard_normal((points, k, n))
+    xs /= (np.abs(xs) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    letters = "abc"[:k]
+    spec = ",".join([letters] + ["z" + c for c in letters]) + "->z"
+    return float(np.max(np.abs(np.einsum(spec, form.coeffs.real, *(xs[:, j] for j in range(k))))))
+
+
+def test_enclosure_with_the_ascent_as_incumbent():
+    rng = np.random.default_rng(26)
+    cases = grid_pin_cases() + [(rng.standard_normal((3, 3, 3)), LpParams(p, 3))
+                                for p in (3.3, 4.5, 6.0, 8.5)]
+    for raw, params in cases:
+        form = MultilinearForm(raw.astype(complex), params).symmetrize()
+        ascent = multilinear_norm_ascent(form, restarts=20, iters=60, seed=0)
+        lower, upper = multilinear_norm_grid(form, incumbent=ascent)
+        plain_lower, plain_upper = multilinear_norm_grid(form)
+        assert ascent <= lower <= plain_upper, (raw.shape, params)
+        assert plain_lower <= upper, (raw.shape, params)
+        assert sampled_sup(form, 2000, rng) <= upper, (raw.shape, params)
+        assert (upper - lower) / lower <= 1e-5, (raw.shape, params)
 
 
 def per_restart_ascent(form, restarts, iters, seed):
