@@ -2,29 +2,29 @@
 
 A diagonal tensor u = sum_i a_i e_i (x) ... (x) e_i admits an exact finite
 decomposition into rank-one tensors obtained by averaging over the k-ary
-Rademacher system: the integrand is piecewise constant on k^n intervals, so
-the integral representation becomes the mean of k^n rank-one tensors.  The
-decomposition is one complex array of shape (k^n, k, n): piece, slot,
-coordinate.  Off-diagonal contributions cancel exactly because products of
-distinct-level step functions integrate to zero.  The dense expansion of the
-decomposition takes the pieces a block at a time, without ever holding all
-k^n of them.  Every piece is the k-th tensor power of one vector, entry
-[m, j, i] being c[i], the principal k-th root of a_i, times a phase that
-depends on neither j nor the coefficients.  So the sweep's expansion is the
+Rademacher system: the integrand x(t)^(x)k, x(t) = sum_i c_i r_(i+1)(t) e_i
+with c the principal k-th roots of a, is piecewise constant on k^n
+intervals, so the integral representation becomes the mean of the k^n
+tensor powers x_m (x) ... (x) x_m.  The decomposition is one complex array
+of shape (k^n, n): piece, coordinate.  Off-diagonal contributions cancel
+exactly because products of distinct-level step functions integrate to zero.
+The dense expansion of the decomposition takes the pieces a block at a time,
+without ever holding all k^n of them.  Entry [m, i] is c[i] times a phase
+that does not depend on the coefficients, so the sweep's expansion is the
 k-fold outer power of c times the expansion of the unit tensor's pieces,
 which is enumerated once per shape (k, n) and cached; the factored product
 adds about k roundings per entry to the streamed expansion's error bound.
 
 The projective norm of u has a closed form: the l_{p/k} norm of the
 coefficients when k < p, and their l_1 norm when p <= k.  The upper bound
-here recomputes it from the slot vectors of the averaging decomposition and
-the lower bound from the pairing with a norming orthogonally additive
+here recomputes it from the pieces of the averaging decomposition and the
+lower bound from the pairing with a norming orthogonally additive
 polynomial, the dual object, whose norm is oapoly.norm_closed_form, so the
-three routes certify one another.  Every slot entry of every piece is
+three routes certify one another.  Every entry of every piece is
 c[i] * omega^d, with d one base-k digit of the piece index, so its modulus
 depends only on (coordinate i, digit d): the upper bound tabulates those
 n * k values and forms each piece's one power sum as a Kronecker sum of the
-table's rows, without building the slot vectors.
+table's rows, without building the pieces.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .numerics import (MAX_EXPANSION_ENTRIES, MAX_PIECES, CoefficientVector, LpParams, Scalar,
-                       check_budget, lq_norm, phase)
+from .numerics import (MAX_DENSE_DEGREE, MAX_EXPANSION_ENTRIES, MAX_PIECES, CoefficientVector,
+                       LpParams, Scalar, check_budget, lq_norm, phase)
 from .oapoly import OrthAddPolynomial, norm_closed_form
 
 __all__ = [
@@ -61,7 +61,7 @@ _CHUNK = 1 << 12
 # two such buffers) raised the duality workload's peak RSS by 0.2-0.4 MB, and
 # 2^14 made the bound about 30% slower.
 _BOUND_BLOCK = 1 << 15
-# Complex entries of one block's running outer product of slots 0..k-2, the
+# Complex entries of one block's (k-1)-fold outer power of its pieces, the
 # (block, n^(k-1)) left operand of its GEMM: 1 MB.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -97,82 +97,71 @@ def _step_values(k: int, dtype=np.complex128) -> np.ndarray:
     return np.exp(np.asarray(2j * np.pi, dtype) * np.arange(k) / k)
 
 
-class _Pieces:
-    """The (k^n, k, n) averaging decomposition of u, built a slice at a time.
-
-    pieces[start:stop] builds rows start..stop of the array that
-    averaging_decomposition returns: entry [m, j, i] is c[i] * omega^d, with
-    d the level-(i+1) base-k digit of m.  shape is checked against the piece
-    budget when the object is made, before any piece is built.
-    """
-
-    def __init__(self, u: DiagonalTensor) -> None:
-        n = u.dim
-        k = u.params.k
-        check_budget("piece", k ** n, "pieces", MAX_PIECES)
-        self.shape: Tuple[int, int, int] = (k ** n, k, n)
-        self._row = _slot_coefficients(u)
-        self._steps = _step_values(k)
-        self._divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
-
-    def __getitem__(self, window: slice) -> np.ndarray:
-        start, stop, _ = window.indices(self.shape[0])
-        m = np.arange(start, stop, dtype=np.int64)[:, None]
-        phases = self._steps[(m // self._divisors) % self.shape[1]]
-        # a contiguous block for every slot: dense_expansion's GEMM would read
-        # a broadcast view with other strides, and round otherwise
-        out = np.empty((len(m),) + self.shape[1:], dtype=complex)
-        return np.multiply(self._row, phases[:, None, :], out=out)
+def _pieces(row: np.ndarray, k: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of the averaging decomposition whose slot row is
+    row: entry [m, i] is row[i] * omega^d, d the level-(i+1) base-k digit
+    of m, in a fresh C-contiguous array."""
+    n = len(row)
+    m = np.arange(start, stop, dtype=np.int64)[:, None]
+    divisors = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return row * _step_values(k)[(m // divisors) % k]
 
 
 def averaging_decomposition(u: DiagonalTensor) -> np.ndarray:
     """Exact rank-one decomposition of u by k-ary Rademacher averaging.
 
-    Evaluates the averaged integrand on each of the k^n constancy pieces and
-    returns the slot vectors as one (k^n, k, n) array (piece, slot,
-    coordinate).  Every piece carries the same weight 1/k^n, so u is the mean
-    over the pieces of slots[m, 0] (x) ... (x) slots[m, k-1]: the diagonal
-    coefficients equal a_i and every off-diagonal coefficient vanishes by the
-    product-integral orthogonality.
+    Evaluates x(t) = sum_i c[i] r_(i+1)(t) e_i on each of the k^n constancy
+    pieces and returns the values x_m as one fresh (k^n, n) array (piece,
+    coordinate).  Every piece carries the same weight 1/k^n, so u is the
+    mean over the pieces of x_m (x) ... (x) x_m, k factors: the diagonal
+    coefficients equal c[i]^k = a_i and every off-diagonal coefficient
+    vanishes by the product-integral orthogonality.  The piece budget is
+    checked before any piece is built.
     """
-    return _Pieces(u)[:]
+    k, n = u.params.k, u.dim
+    check_budget("piece", k ** n, "pieces", MAX_PIECES)
+    return _pieces(_slot_coefficients(u), k, 0, k ** n)
 
 
-def dense_expansion(slots: np.ndarray) -> np.ndarray:
-    """Coefficient tensor (shape (n,)*k) of the mean of the pieces' outer products.
+def dense_expansion(u: DiagonalTensor) -> np.ndarray:
+    """Coefficient tensor (shape (n,)*k) of the mean of the k-th tensor
+    powers of u's averaging pieces, streamed a block of pieces at a time.
 
-    slots has shape (pieces, k, n), as averaging_decomposition returns it,
-    or is the same pieces unbuilt, a _Pieces whose blocks are built one at a
-    time, as _phase_expansion passes them.  The block size depends only on k
-    and n, so both give the same blocks and bitwise the same tensor.  Each
-    block is expanded by one GEMM: the outer product of slots 0..k-2 is
-    formed by broadcasting, a (block, n^(k-1)) array, and contracted with
-    slot k-1 over the piece axis (for n = 1 this is a plain product).  A BLAS
-    partial sums at most one block of pieces, in whatever order it chooses,
-    so its error is at most (block - 1) u sum|terms|, u the unit roundoff.
-    The partials are then summed pairwise, which adds at most
-    ceil(log2(blocks)) u sum|terms| whatever the piece count.
+    The degree, piece and entry budgets are checked before any piece or
+    coefficient is built.  Each block is expanded by one GEMM: the (k-1)-fold
+    outer power of its pieces is formed by broadcasting, a
+    (block, n^(k-1)) array, and contracted with the pieces over the piece
+    axis (for n = 1 this is a plain product).  A BLAS partial sums at most
+    one block of pieces, in whatever order it chooses, so its error is at
+    most (block - 1) u sum|terms|, u the unit roundoff.  The partials are
+    then summed pairwise, which adds at most ceil(log2(blocks)) u sum|terms|
+    whatever the piece count.
     """
-    pieces, k, n = slots.shape
-    check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
-    if pieces == 0:
-        raise ValueError("the mean of no pieces is undefined")
+    k, n = u.params.k, u.dim
+    _check_expansion_budgets(k, n)
+    count = k ** n
+    row = _slot_coefficients(u)
     block = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(n ** (k - 1), 1)))
-    partials = (_expand_block(slots[start:start + block]) for start in range(0, pieces, block))
-    return (_pairwise_sum(partials) / pieces).reshape((n,) * k)
+    partials = (_expand_block(_pieces(row, k, start, min(start + block, count)), k)
+                for start in range(0, count, block))
+    return (_pairwise_sum(partials) / count).reshape((n,) * k)
+
+
+def _check_expansion_budgets(k: int, n: int) -> None:
+    """The budgets of a dense expansion: its degree, k^n pieces, n^k entries."""
+    check_budget("dense tensor degree", k, "axes", MAX_DENSE_DEGREE)
+    check_budget("piece", k ** n, "pieces", MAX_PIECES)
+    check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
 
 
 @functools.lru_cache(maxsize=8)
 def _phase_expansion(k: int, n: int) -> np.ndarray:
-    """Read-only E(k, n): the dense expansion of the k^n pieces of the unit
-    diagonal tensor, mean_m w_m (x) ... (x) w_m with w_m[i] = omega^(d_i(m)).
-
-    The k^n unit-coefficient pieces are all enumerated, through the same
-    block GEMM and pairwise sum as any other expansion.  Eight shapes are
-    kept, the six of the default sweep among them, each at most
-    MAX_EXPANSION_ENTRIES complex values (1.6 MB).
+    """Read-only E(k, n): the dense expansion of the unit diagonal tensor,
+    mean_m w_m (x) ... (x) w_m with w_m[i] = omega^(d_i(m)), its k^n pieces
+    all enumerated.  Eight shapes are kept, the six of the default sweep
+    among them, each at most MAX_EXPANSION_ENTRIES complex values (1.6 MB).
     """
-    phases = dense_expansion(_Pieces(DiagonalTensor(np.ones(n), LpParams(k + 1.0, k))))
+    phases = dense_expansion(DiagonalTensor(np.ones(n), LpParams(k + 1.0, k)))
     phases.flags.writeable = False
     return phases
 
@@ -181,12 +170,12 @@ def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     """The dense expansion of u's averaging decomposition, formed as the
     k-fold outer power of the slot row c times E(k, n), entry by entry.
 
-    Entry [m, j, i] of the decomposition is c[i] * w_m[i], and w_m does not
+    Entry [m, i] of the decomposition is c[i] * w_m[i], and w_m does not
     depend on the coefficients, so by linearity the mean over the pieces of
-    their outer products is the k-fold outer power of c times the expansion
+    their tensor powers is the k-fold outer power of c times the expansion
     E(k, n) of the unit pieces, which _phase_expansion enumerates once per
-    shape.  Both budgets, k^n pieces and n^k entries, are checked before
-    any coefficient or outer product is formed.  The result is a fresh,
+    shape.  The degree, piece and entry budgets are checked before any
+    coefficient or outer product is formed.  The result is a fresh,
     writeable array.
 
     Error bound, u the unit roundoff: every unit piece's term is a product
@@ -200,8 +189,7 @@ def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     relative to sum|a|, stay within about (4096 + k) u, under 1e-12.
     """
     k, n = u.params.k, u.dim
-    check_budget("piece", k ** n, "pieces", MAX_PIECES)
-    check_budget("dense expansion entry", n ** k, "entries", MAX_EXPANSION_ENTRIES)
+    _check_expansion_budgets(k, n)
     phases = _phase_expansion(k, n)
     row = _slot_coefficients(u)
     outer = row
@@ -210,14 +198,14 @@ def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     return outer * phases
 
 
-def _expand_block(block: np.ndarray) -> np.ndarray:
-    """sum over the block's pieces of slot 0 (x) ... (x) slot k-1, as an
-    (n^(k-1), n) matrix: broadcast products of slots 0..k-2, then one GEMM."""
-    size, k, _ = block.shape
-    acc = block[:, 0]
-    for j in range(1, k - 1):
-        acc = (acc[:, :, None] * block[:, None, j]).reshape(size, -1)
-    return acc.T @ block[:, k - 1]
+def _expand_block(block: np.ndarray, k: int) -> np.ndarray:
+    """sum over the block's pieces x of x (x) ... (x) x, k factors, as an
+    (n^(k-1), n) matrix: the broadcast (k-1)-fold outer power, then one GEMM."""
+    size = len(block)
+    acc = block
+    for _ in range(k - 2):
+        acc = (acc[:, :, None] * block[:, None]).reshape(size, -1)
+    return acc.T @ block
 
 
 def _pairwise_sum(arrays: Iterable[np.ndarray]) -> np.ndarray:
@@ -264,10 +252,10 @@ def _scaled_to_unit(u: DiagonalTensor) -> Tuple[float, DiagonalTensor]:
 def pi_upper_bound(u: DiagonalTensor) -> float:
     """Triangle-inequality bound computed from an explicit decomposition.
 
-    k < p: the supremum over all k^n averaging pieces of the product of the
-    pieces' slot l_p norms.  Every slot of piece m is the vector with entries
-    c[i] * omega^d, c the slot row and d = d_i(m) the level-(i+1) base-k
-    digit of m, so the product is S(m)^(k/p) with the one power sum
+    k < p: the supremum over all k^n averaging pieces x_m of ||x_m||_p^k,
+    the norm bound of the rank-one tensor x_m (x) ... (x) x_m.  Piece m has
+    entries c[i] * omega^d, c the slot row and d = d_i(m) the level-(i+1)
+    base-k digit of m, so ||x_m||_p^k is S(m)^(k/p) with the one power sum
     S(m) = sum_i |c[i] * omega^(d_i(m))|^p.  The bound is computed for
     a / max|a| and scaled back, as it is positively homogeneous in a.  It
     forms the n x k moduli |c[i] * omega^d| once, in long double, divides
@@ -290,7 +278,7 @@ def pi_upper_bound(u: DiagonalTensor) -> float:
     the p-th power raises to the p-th power, and each entry is rounded once
     to float64.  A sum of n nonnegative entries adds (n - 1) u and the root
     raises the sum's error factor to the power k/p, so the bound is within
-    about 2k u_L + (n + 3) u of the supremum over the computed slot vectors,
+    about 2k u_L + (n + 3) u of the supremum over the computed pieces,
     1.1e-13 at k = 10^6 (2.2e-10 with float64 step values).  The computed
     |c[i]|^k are within about k u of |a_i| / max|a|; the closed form sees it.
 

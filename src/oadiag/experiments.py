@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -128,14 +129,16 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.restarts < 1 or self.iters < 1:
             raise ConfigError("restarts and iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in self.tolerances:
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if not self.tolerances[name] >= 0:
-                raise ConfigError(f"tolerance {name} must be >= 0")
+            if not 0 <= self.tolerances[name] <= sys.float_info.max:
+                raise ConfigError(f"tolerance {name} must be finite and >= 0")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.p is not None and not self.p >= 1:
+        if self.p is not None and not 1 <= self.p <= sys.float_info.max:
             raise ConfigError("p must satisfy 1 <= p < inf")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")

@@ -57,6 +57,9 @@ MAX_FORM_ENTRIES = 10 ** 6
 MAX_POLARIZE_COST = 4 * 10 ** 6
 # Degree k of a polarization.
 MAX_POLARIZE_DEGREE = 6
+# Degree k of a dense n^k array (an expansion or a diagonal form): numpy
+# indexes at most 63 axes at once and holds at most 64.
+MAX_DENSE_DEGREE = 63
 # Box tuples one sup-norm enclosure (oapoly.multilinear_norm_grid) may bound.
 MAX_ENCLOSURE_BOXES = 10 ** 6
 # Records one CLI command may produce.

@@ -38,6 +38,7 @@ import numpy as np
 from .numerics import (
     ASCENT_CERTIFICATE_TARGET,
     MAX_ASCENT_STEPS,
+    MAX_DENSE_DEGREE,
     MAX_ENCLOSURE_BOXES,
     MAX_FORM_ENTRIES,
     MAX_POLARIZE_COST,
@@ -375,6 +376,7 @@ def extend_diagonal_functional(diag_values: Sequence[Scalar],
     ensure_finite(d)
     n = d.shape[0]
     k = params.k
+    check_budget("dense tensor degree", k, "axes", MAX_DENSE_DEGREE)
     check_budget("dense form entry", n ** k, "entries", MAX_FORM_ENTRIES)
     coeffs = np.zeros((n,) * k, dtype=complex)
     if n:

@@ -13,7 +13,6 @@ import numpy as np
 from oadiag.cli import main
 from oadiag.diagonal import (
     DiagonalTensor,
-    averaging_decomposition,
     dense_expansion,
     pi_lower_bound,
     pi_norm_closed_form,
@@ -71,7 +70,7 @@ def test_criterion_2_averaging_reconstruction():
         if case % 2 == 1:
             a = a + 1j * rng.standard_normal(n)
         u = DiagonalTensor(a, LpParams(p, k))
-        tensor = dense_expansion(averaging_decomposition(u))
+        tensor = dense_expansion(u)
         idx = np.arange(n)
         diag = tensor[tuple([idx] * k)].copy()
         tensor[tuple([idx] * k)] = 0.0

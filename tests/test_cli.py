@@ -274,6 +274,15 @@ def test_config_file_value_of_wrong_type_is_a_config_error(values, tmp_path, cap
     assert out == "" and err.startswith("error: config key")
 
 
+def test_config_file_p_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # an integer p of 401 digits passed the p >= 1 check, and float(p) raised
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"k": 2, "p": 1' + "0" * 400 + ', "coeffs": ["1"]}')
+    code, out, err = run(["pi-norm", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == "" and err == "error: p must satisfy 1 <= p < inf\n"
+
+
 def test_coeffs_file(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps(["3", "4"]))
@@ -539,8 +548,13 @@ def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
     (["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187", "--trials", "1",
       "--seed", "52202"], ("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50),
      "sup-norm enclosure box budget exceeded: 126 boxes asked for, cap is 50"),
+    # numpy indexes at most 63 axes at once, and holds at most 64
+    (["sweep", "--k", "64", "--n", "1", "--trials", "1"], None,
+     "dense tensor degree budget exceeded: 64 axes asked for, cap is 63"),
+    (["additivity-test", "--k", "65", "--p", "80", "--n", "1", "--trials", "1"], None,
+     "dense tensor degree budget exceeded: 65 axes asked for, cap is 63"),
 ], ids=["pieces", "expansion_entries", "form_entries", "cases", "ascent_steps",
-        "enclosure_boxes"])
+        "enclosure_boxes", "expansion_degree", "form_degree"])
 def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, message,
                                                                     monkeypatch, capsys):
     if patch:
@@ -570,6 +584,20 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # p/k - 1 underflowed to 0
     *[(["pi-norm", "--k", "2", "--p", p, "--coeffs=1e-300,3e-301i"], 0)
       for p in ("1.4e19", "1e20", "1e300")],
+    # an infinite p passed the p >= 1 check, and LpParams raised
+    *[([command, "--k", "2", "--p", p, *rest], 2)
+      for p in ("inf", "1e400")
+      for command, *rest in (["pi-norm", "--coeffs=1"], ["oa-norm", "--coeffs=1"],
+                             ["sweep", "--n", "2", "--trials", "1"])],
+    # numpy's seeding raised on a negative seed
+    (["sweep", "--trials", "1", "--n", "2", "--seed", "-5"], 2),
+    (["oa-norm", "--k", "2", "--p", "4", "--coeffs=1,2", "--seed", "-1"], 2),
+    # an infinite tolerance passed validation, and the config echo raised
+    *[(["sweep", "--k", "2", "--n", "2", "--trials", "1", "--tol", "sandwich=" + tol], 2)
+      for tol in ("inf", "1e400")],
+    # the largest degree whose dense arrays numpy can index
+    (["sweep", "--k", "63", "--n", "1", "--trials", "1"], 0),
+    (["additivity-test", "--k", "63", "--p", "80", "--n", "1", "--trials", "1"], 0),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
     exit_code, out, err = run(argv, capsys)

@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oadiag.diagonal import (
+    _BLOCK_ENTRIES,
+    _CHUNK,
     DiagonalTensor,
-    _Pieces,
     _phase_expansion,
+    _step_values,
     averaging_decomposition,
     build_dual_form,
     dense_expansion,
@@ -16,10 +19,13 @@ from oadiag.diagonal import (
     pi_lower_bound,
     pi_norm_closed_form,
     pi_upper_bound,
+    _expand_block,
+    _pairwise_sum,
     _slot_coefficients,
 )
 from oadiag.numerics import BudgetError, LpParams, lq_norm
 from oadiag.oapoly import OrthAddPolynomial, extend_diagonal_functional, norm_closed_form
+from oadiag.rademacher import GeneralizedRademacher
 
 
 def draw_coefficients(rng, n, complex_coeffs):
@@ -35,7 +41,7 @@ def reconstruction_defects(a, params, factored=False):
     factored one that the sweep uses."""
     u = DiagonalTensor(a, params)
     n = u.dim
-    tensor = factored_expansion(u) if factored else dense_expansion(averaging_decomposition(u))
+    tensor = factored_expansion(u) if factored else dense_expansion(u)
     idx = np.arange(n)
     diag = tensor[tuple([idx] * params.k)].copy()
     tensor[tuple([idx] * params.k)] = 0.0
@@ -49,24 +55,21 @@ def reconstruction_defects(a, params, factored=False):
 
 def test_single_coefficient_decomposition():
     u = DiagonalTensor([1.0], LpParams(4.0, 2))
-    slots = averaging_decomposition(u)
-    assert slots.shape == (2, 2, 1)  # pieces, slots, coordinates
-    signs = sorted(round(s.real) for s in slots[:, 0, 0])
+    pieces = averaging_decomposition(u)
+    assert pieces.shape == (2, 1)  # pieces, coordinates
+    signs = sorted(round(x.real) for x in pieces[:, 0])
     assert signs == [-1, 1]
-    for piece in slots:
-        assert np.allclose(piece[0], piece[1])
-    tensor = dense_expansion(slots)
+    tensor = dense_expansion(u)
     # every piece carries weight 1/2
-    weighted = sum(0.5 * np.multiply.outer(piece[0], piece[1]) for piece in slots)
+    weighted = sum(0.5 * np.multiply.outer(x, x) for x in pieces)
     assert np.array_equal(tensor, weighted)
     assert abs(tensor[0, 0] - 1.0) < 1e-15
 
 
 def test_two_coefficient_cancellation_is_exact_scale():
     u = DiagonalTensor([1.0, 1.0], LpParams(4.0, 2))
-    slots = averaging_decomposition(u)
-    assert slots.shape[0] == 4
-    tensor = dense_expansion(slots)
+    assert averaging_decomposition(u).shape == (4, 2)
+    tensor = dense_expansion(u)
     assert abs(tensor[0, 1]) < 1e-15
     assert abs(tensor[1, 0]) < 1e-15
     assert tensor[0, 0] == pytest.approx(1.0, rel=1e-14)
@@ -76,17 +79,10 @@ def test_two_coefficient_cancellation_is_exact_scale():
 def test_degree_three_decomposition_matches_signed_diagonal():
     a = np.array([1.0, -1.0])
     u = DiagonalTensor(a, LpParams(4.0, 3))
-    assert averaging_decomposition(u).shape == (9, 3, 2)
+    assert averaging_decomposition(u).shape == (9, 2)
     off, diag = reconstruction_defects(a, LpParams(4.0, 3))
     assert off <= 1e-12 * np.sum(np.abs(a))
     assert diag <= 1e-12
-
-
-def test_symmetric_variant_has_equal_slots():
-    u = DiagonalTensor([2.0, -3.0, 1.5], LpParams(5.0, 3))
-    for piece in averaging_decomposition(u):
-        for slot in piece[1:]:
-            assert np.array_equal(slot, piece[0])
 
 
 @pytest.mark.parametrize("factored", [True, False])
@@ -117,7 +113,7 @@ def test_reconstruction_stays_within_tolerance_at_many_pieces(n):
 
 def test_dense_expansion_single_coordinate_any_degree():
     u = DiagonalTensor([-2.0], LpParams(70.0, 60))
-    tensor = dense_expansion(averaging_decomposition(u))
+    tensor = dense_expansion(u)
     assert tensor.shape == (1,) * 60
     assert abs(tensor.reshape(-1)[0] + 2.0) < 1e-12
 
@@ -125,7 +121,7 @@ def test_dense_expansion_single_coordinate_any_degree():
 @pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 60])
 def test_decomposition_equals_complex_powers_bitwise(k, complex_coeffs):
-    # slot m, j, i = c[i] * exp(2 pi i d / k), d the level-(i+1) base-k digit of m
+    # piece m, i = c[i] * exp(2 pi i d / k), d the level-(i+1) base-k digit of m
     rng = np.random.default_rng([83, k])
     n = 1 if k > 7 else 4
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
@@ -134,9 +130,22 @@ def test_decomposition_equals_complex_powers_bitwise(k, complex_coeffs):
     m = np.arange(k ** n, dtype=np.int64)[:, None]
     divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
     piece = c * np.exp(2j * np.pi * ((m // divisors) % k) / k)
-    slots = averaging_decomposition(u)
-    assert np.array_equal(slots, np.broadcast_to(piece[:, None, :], (k ** n, k, n)))
-    assert slots.flags.writeable and slots.flags.c_contiguous
+    pieces = averaging_decomposition(u)
+    assert pieces.shape == (k ** n, n) and np.array_equal(pieces, piece)
+    assert pieces.flags.writeable and pieces.flags.c_contiguous and pieces.flags.owndata
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 4), (4, 3), (5, 2)])
+def test_pieces_are_the_rademacher_average(k, n):
+    # piece m is x(t) = sum_i c[i] r_(i+1)(t) e_i on [m / k^n, (m + 1) / k^n)
+    rng = np.random.default_rng([87, k])
+    u = DiagonalTensor(draw_coefficients(rng, n, True), LpParams(k + 1.0, k))
+    exponents = np.array([[GeneralizedRademacher(k, i + 1).eval(Fraction(m, k ** n)).exponent
+                           for i in range(n)] for m in range(k ** n)])
+    # one array product, as numpy's vectorised complex product may round a
+    # last bit otherwise than its scalar one
+    expected = _slot_coefficients(u) * _step_values(k)[exponents]
+    assert np.array_equal(averaging_decomposition(u), expected)
 
 
 def test_decomposition_budget():
@@ -148,16 +157,25 @@ def test_decomposition_budget():
 
 
 def test_dense_expansion_budget():
-    with pytest.raises(BudgetError):
-        dense_expansion(np.zeros((0, 4, 50), dtype=complex))
+    with pytest.raises(BudgetError, match="dense expansion entry"):  # 7^6 entries
+        dense_expansion(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
+    with pytest.raises(BudgetError, match="dense tensor degree"):  # 64 axes
+        dense_expansion(DiagonalTensor(np.ones(1), LpParams(65.0, 64)))
 
 
-def einsum_expansion(slots):
+def einsum_expansion(pieces, k):
     """The expansion as one einsum over every piece: piece axis 0 is summed,
-    slot j becomes output axis j + 1."""
-    pieces, k, n = slots.shape
+    factor j becomes output axis j."""
     axes = list(range(1, k + 1))
-    return np.einsum(*[x for j in axes for x in (slots[:, j - 1], [0, j])], axes) / pieces
+    return np.einsum(*[x for j in axes for x in (pieces, [0, j])], axes) / len(pieces)
+
+
+def outer_power(row, k):
+    """row (x) ... (x) row, k factors."""
+    outer = row
+    for _ in range(k - 1):
+        outer = np.multiply.outer(outer, row)
+    return outer
 
 
 # 2, 7, 14 and 31 blocks: the block size is min(4096, 2^16 // n^(k-1)) pieces
@@ -173,10 +191,10 @@ def test_gemm_expansion_matches_einsum_formula(k, n, complex_coeffs):
     # the expansion of the entries' moduli, the sum|terms| of the error bound.
     rng = np.random.default_rng([91, k, n])
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
-    slots = averaging_decomposition(u)
-    reference = einsum_expansion(slots.astype(np.clongdouble))
-    scale = einsum_expansion(np.abs(slots)).real
-    assert np.max(np.abs(dense_expansion(slots) - reference) / scale) <= 1e-14
+    pieces = averaging_decomposition(u)
+    reference = einsum_expansion(pieces.astype(np.clongdouble), k)
+    scale = einsum_expansion(np.abs(pieces), k)
+    assert np.max(np.abs(dense_expansion(u) - reference) / scale) <= 1e-14
 
 
 @pytest.mark.parametrize("complex_coeffs", [True, False])
@@ -184,21 +202,23 @@ def test_gemm_expansion_matches_einsum_formula(k, n, complex_coeffs):
 def test_streamed_expansion_equals_array_expansion(k, n, complex_coeffs):
     rng = np.random.default_rng([92, k, n])
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
-    pieces = _Pieces(u)
-    assert pieces.shape == (k ** n, k, n)
-    assert np.array_equal(pieces[5:17], averaging_decomposition(u)[5:17])
-    assert np.array_equal(dense_expansion(pieces), dense_expansion(averaging_decomposition(u)))
+    # the stream's blocks are the rows of the one array, each taken once
+    pieces = averaging_decomposition(u)
+    block = max(1, min(_CHUNK, _BLOCK_ENTRIES // n ** (k - 1)))
+    partials = (_expand_block(pieces[start:start + block], k)
+                for start in range(0, k ** n, block))
+    array_expansion = (_pairwise_sum(partials) / k ** n).reshape((n,) * k)
+    assert np.array_equal(dense_expansion(u), array_expansion)
 
 
 def test_streamed_expansion_memory_at_the_largest_piece_count():
-    # 2^19 pieces: the (k^n, k, n) array alone is 319 MB, and the array route
-    # peaks at about 460 MB of traced numpy buffers.
+    # 2^19 pieces: the (k^n, n) array alone would take 159 MB.
     rng = np.random.default_rng(93)
     a = rng.standard_normal(19) + 1j * rng.standard_normal(19)
     u = DiagonalTensor(a, LpParams(5.0, 2))
     tracemalloc.start()
     try:
-        tensor = dense_expansion(_Pieces(u))
+        tensor = dense_expansion(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,13 +232,14 @@ def test_budgets_are_checked_before_any_piece_is_built(monkeypatch):
         raise AssertionError("a piece was built")
 
     monkeypatch.setattr("oadiag.diagonal._step_values", no_pieces)
-    with pytest.raises(BudgetError):  # 2^25 pieces
-        _Pieces(DiagonalTensor(np.ones(25), LpParams(4.0, 2)))
-    monkeypatch.undo()
-    pieces = _Pieces(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
-    monkeypatch.setattr(_Pieces, "__getitem__", no_pieces)
+    monkeypatch.setattr("oadiag.diagonal._slot_coefficients", no_pieces)
+    for build in (averaging_decomposition, dense_expansion):
+        with pytest.raises(BudgetError):  # 2^25 pieces
+            build(DiagonalTensor(np.ones(25), LpParams(4.0, 2)))
     with pytest.raises(BudgetError):  # 6^7 pieces in budget, 7^6 entries not
-        dense_expansion(pieces)
+        dense_expansion(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
+    with pytest.raises(BudgetError):  # 64^1 pieces and 1 entry in budget, 64 axes not
+        dense_expansion(DiagonalTensor(np.ones(1), LpParams(65.0, 64)))
 
 
 @pytest.mark.parametrize("complex_coeffs", [True, False])
@@ -228,10 +249,11 @@ def test_factored_expansion_matches_streamed_expansion(k, n, complex_coeffs):
     # to the expansion of the entries' moduli.
     rng = np.random.default_rng([94, k, n])
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
-    scale = dense_expansion(np.abs(averaging_decomposition(u)))
+    # every piece has the moduli |c|, so the expansion of the moduli is |c|^(x)k
+    scale = outer_power(np.abs(_slot_coefficients(u)), k)
     factored = factored_expansion(u)
     assert factored.shape == (n,) * k
-    assert np.max(np.abs(factored - dense_expansion(_Pieces(u))) / scale) <= 1e-14
+    assert np.max(np.abs(factored - dense_expansion(u)) / scale) <= 1e-14
 
 
 def test_factored_expansion_checks_budgets_before_any_coefficient(monkeypatch):
@@ -243,6 +265,8 @@ def test_factored_expansion_checks_budgets_before_any_coefficient(monkeypatch):
         factored_expansion(DiagonalTensor(np.ones(7), LpParams(8.0, 6)))
     with pytest.raises(BudgetError):  # 2^25 pieces
         factored_expansion(DiagonalTensor(np.ones(25), LpParams(4.0, 2)))
+    with pytest.raises(BudgetError):  # 64 axes
+        factored_expansion(DiagonalTensor(np.ones(1), LpParams(65.0, 64)))
 
 
 def test_phase_expansion_is_cached_read_only():
@@ -277,18 +301,18 @@ def test_upper_bound_examples():
 
 
 def bruteforce_upper_bound(u):
-    """Max over the pieces of the product of the slots' l_p norms."""
-    slots = averaging_decomposition(u)
-    norms = np.sum(np.abs(slots) ** u.params.p, axis=2) ** (1.0 / u.params.p)
-    return float(np.max(np.prod(norms, axis=1)))
+    """Max over the pieces x_m of ||x_m||_p^k."""
+    pieces = averaging_decomposition(u)
+    norms = np.sum(np.abs(pieces) ** u.params.p, axis=1) ** (1.0 / u.params.p)
+    return float(np.max(norms ** u.params.k))
 
 
 @pytest.mark.parametrize("complex_coeffs", [True, False])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_upper_bound_matches_bruteforce_over_pieces(k, complex_coeffs):
     rng = np.random.default_rng([84, k])
-    # n = 8 at k = 5 is left out: its 390,625 pieces take 250 MB as one array
-    for n in range(1, 9 if k < 5 else 8):
+    # n = 8 at k = 5: 390,625 pieces, 50 MB as one array
+    for n in range(1, 9):
         a = draw_coefficients(rng, n, complex_coeffs)
         for p in (k + 0.5, 2.0 * k):
             u = DiagonalTensor(a, LpParams(p, k))
