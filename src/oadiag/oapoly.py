@@ -23,7 +23,9 @@ a round at a time, closing the last slot by Hoelder and bounding the others
 over pyramids that touch the unit sphere to second order.  Tuples are arrays
 of ids into one table of boxes that the slots share, each chunk of tuples
 bounds its distinct boxes once, and a value the ascent attained, passed as
-the incumbent, starts the best lower bound.
+the incumbent, starts the best lower bound.  When the coefficients are
+symmetric in the two box slots, only one tuple of each mirror pair is
+searched.
 """
 
 from __future__ import annotations
@@ -608,6 +610,11 @@ _ENCLOSURE_GAP = 1e-5
 # Relative margin on every box's upper bound against float error; derived in
 # multilinear_norm_grid.
 _ENCLOSURE_MARGIN = 2.0 ** -40
+# Largest max|c - c.swapaxes(0, 1)| / max|c| at which the enclosure treats a
+# k = 3 form as symmetric in its two box slots: 8u, u the unit roundoff, where
+# symmetrize() leaves about 2u; _ENCLOSURE_MARGIN covers it (see
+# multilinear_norm_grid).
+_MIRROR_ASYMMETRY = 8 * np.finfo(float).eps / 2
 # box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction
 # and each (n, 17, chunk) temporary are about 0.4 MB, and the geometry of the
 # chunk's distinct boxes at most 2 MB (on random forms a few dozen boxes)
@@ -702,16 +709,24 @@ def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np
     return np.max(lower, axis=0), np.where(np.all(valid[ids], axis=0), upper, math.inf)
 
 
-def _split_widest(boxes: _Boxes, ids: np.ndarray) -> np.ndarray:
+def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarray:
     """Split each tuple's widest slot box (the first on ties) into its
     2^(n-1) children, child-major; the other slots keep their box ids, and
-    a box split by several tuples is split once."""
+    a box split by several tuples is split once.  Each tuple (X, X) marked
+    in twin is split in both slots at once instead, into the tuples
+    (X_i, X_j), i <= j, of X's children, placed after the others; its
+    widest box is X, so the same split serves it."""
     widest = np.argmax(boxes.width[ids], axis=0)
     parents, which = np.unique(ids[widest, np.arange(ids.shape[1])], return_inverse=True)
     children = boxes.split(parents)[:, which]
-    out = np.tile(ids, len(children))
-    out[np.tile(widest, len(children)), np.arange(out.shape[1])] = children.reshape(-1)
-    return out
+    out = np.tile(ids[:, ~twin], len(children))
+    out[np.tile(widest[~twin], len(children)), np.arange(out.shape[1])] = \
+        children[:, ~twin].reshape(-1)
+    if not twin.any():
+        return out
+    i, j = np.triu_indices(len(children))
+    halves = children[:, twin]
+    return np.concatenate([out, np.stack([halves[i].reshape(-1), halves[j].reshape(-1)])], axis=1)
 
 
 def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tuple[float, float]:
@@ -724,10 +739,9 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     ||phi(x_1, ..., x_{k-1}, .)||_q, q = p'.  A sign change of a slot does
     not change N, so slots 1..k-1 range over the n positive faces
     {u_f = 1, |u_i| <= 1} of the l_inf cube, a box B on a face standing for
-    its cone {t u : u in B}; for a symmetric form only face pairs
-    f_1 <= f_2 start.  Per tuple of slot boxes, the lower bound is N at the
-    tuple of box centres and at the vertex tuples, each divided by the l_p
-    norms of its points.  For the upper bound, g = sign(c) |c|^(p-1), scaled
+    its cone {t u : u in B}.  Per tuple of slot boxes, the lower bound is N
+    at the tuple of box centres and at the vertex tuples, each divided by
+    the l_p norms of its points.  For the upper bound, g = sign(c) |c|^(p-1), scaled
     to ||g||_q = 1, of a box centre c puts the unit ball in {<g, x> <= 1}
     and its part of the cone in the pyramid conv(0, u_a / <g, u_a>) over
     the box vertices u_a.  N is convex in each slot (a norm of a linear map
@@ -739,7 +753,19 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     bound is at most max(best, incumbent) * (1 + _ENCLOSURE_GAP), else its
     widest slot box is split into its 2^(n-1) halves.  upper is the largest
     bound of a dropped tuple: the maximizer lies in one of their cones.
-    More than MAX_ENCLOSURE_BOXES tuples raise BudgetError.
+    More than MAX_ENCLOSURE_BOXES tuples, counted as a round is about to
+    make them, raise BudgetError.
+
+    Mirror.  At k = 3, N(x_1, x_2) = N(x_2, x_1) when the coefficients are
+    symmetric in the two box slots, so only the half x_1 <= x_2 in box order
+    is searched.  The test is on the coefficients, max|c - c'| <=
+    _MIRROR_ASYMMETRY max|c| with c' = c.swapaxes(0, 1); the form's
+    symmetric flag is not read.  Face pairs f_1 <= f_2 start, and a twin
+    tuple (X, X) is split in both slots at once into the
+    2^(n-2) (2^(n-1) + 1) tuples (X_i, X_j), i <= j, of X's children, each
+    mirror (X_j, X_i) left out.  Below a tuple of two distinct boxes no twin
+    arises, so every other tuple splits as before.  Either the maximizer or
+    its mirror lies in a kept cone.  k = 2 has one box slot and no mirror.
 
     Box table.  A box sits in many tuples (on random forms at n = k = 3, a
     chunk holds about 256 tuples over 43 distinct boxes), so open tuples are
@@ -776,9 +802,15 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     holding the maximizer that attains its exact bound; that bound is at
     least S, so N(u*) >= S prod <g, u*_a> / (1 + 8u)^(k-1), at least
     S / (n^(k-1) (1 + 8u)^(k-1)), and (c) is at most 9 * 163u ~ 1470u of
-    N(u*).  With (a), (b), the norm in (c) and the products and quotients,
-    the computed bound of u* is at least S (1 - 1500u), about
-    S (1 - 1.7e-13).  The margin 2^-40 ~ 9.1e-13 is five times that.
+    N(u*).  (d) Under the mirror the kept tuple may hold only the mirror
+    (x_2, x_1) of the maximizer (x_1, x_2).  Every |c_t - c'_t| <=
+    8u max|c| <= 8u S, and unit vectors have |x_i| <= 1, so N(x_2, x_1)
+    falls short of S by at most n^k 8u S = 216u S, at most 9 * 216u ~ 1950u
+    of N(u*) counted as in (c).  With (a), (b), the norm in (c) and the
+    products and quotients, the computed bound of u* is at least
+    S (1 - 1500u), about S (1 - 1.7e-13), without the mirror, and with (d)
+    at least S (1 - 3450u), about S (1 - 3.8e-13).  The margin
+    2^-40 ~ 9.1e-13 is 2.4 times the latter.
     """
     n, k, p = form.dim, form.degree, form.params.p
     if n not in (2, 3) or k not in (2, 3):
@@ -795,10 +827,12 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     # the vertex tuples, slot 0 most significant, then the tuple of centres
     tuples = np.array(list(itertools.product(range(vertices), repeat=k - 1))
                       + [(vertices,) * (k - 1)]).T
+    asymmetry = np.max(np.abs(coeffs - coeffs.swapaxes(0, 1)))
+    mirror = k == 3 and bool(asymmetry <= _MIRROR_ASYMMETRY * np.max(np.abs(coeffs)))
     boxes = _Boxes(n)
     # box f is the whole face f
     ids = np.array([f for f in itertools.product(range(n), repeat=k - 1)
-                    if not form.symmetric or list(f) == sorted(f)]).T
+                    if not mirror or list(f) == sorted(f)]).T
     best = upper = 0.0
     visited = ids.shape[1]
     while ids.shape[1]:
@@ -809,8 +843,10 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(bound[done].max(initial=0.0)))
         ids = ids[:, ~done]
+        twin = mirror & (ids[0] == ids[-1])
+        twins = int(np.count_nonzero(twin))
         # checked before the children are built
-        visited += ids.shape[1] * vertices
+        visited += (ids.shape[1] - twins) * vertices + twins * vertices * (vertices + 1) // 2
         check_budget("sup-norm enclosure box", visited, "boxes", MAX_ENCLOSURE_BOXES)
-        ids = _split_widest(boxes, ids)
+        ids = _split_widest(boxes, ids, twin)
     return max(best, incumbent), upper

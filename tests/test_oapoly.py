@@ -19,6 +19,7 @@ from oadiag.oapoly import (
     polarize,
     _ascent,
     _ascent_starts,
+    _tuple_bounds,
 )
 
 P42 = LpParams(4.0, 2)
@@ -622,7 +623,7 @@ def test_enclosure_of_known_bilinear_norms():
 
 def test_enclosure_searches_every_face_pair_of_a_non_symmetric_form():
     # The maximum of this form needs slot boxes on faces f1 > f2, which the
-    # enclosure skips only for forms marked symmetric.
+    # enclosure skips only for coefficients symmetric in the two box slots.
     raw = np.random.default_rng([2, 7]).standard_normal((3, 3, 3))
     form = MultilinearForm(raw.astype(complex), LpParams(5.0, 3))
     lower, upper = multilinear_norm_grid(form)
@@ -658,7 +659,9 @@ def enclosure_pin_forms():
 
 # multilinear_norm_grid(form) on enclosure_pin_forms(), as float.hex, recorded
 # when every box tuple was bounded from its own boxes' coordinates: the box
-# table gathers the same numbers and must not move a bit
+# table gathers the same numbers and must not move a bit.  Entries 6, 8, 9
+# and 16-20, symmetric forms at k = 3, were re-recorded when the mirror rule
+# left out mirrored box tuples; the others did not move.
 ENCLOSURE_PINS = [
     ("0x1.59ca939add422p+0", "0x1.59ca939ade9bfp+0"),
     ("0x1.481f5d7250815p+0", "0x1.481fe39f4ad06p+0"),
@@ -666,21 +669,21 @@ ENCLOSURE_PINS = [
     ("0x1.4682fbf2a09e8p+0", "0x1.468345613fb30p+0"),
     ("0x1.342fc22b2b1dfp+0", "0x1.3430608fbf043p+0"),
     ("0x1.0c17b66d293f4p+1", "0x1.0c17b66d2a4b5p+1"),
-    ("0x1.bb40776731544p+0", "0x1.bb419079d7a11p+0"),
+    ("0x1.bb40776731544p+0", "0x1.bb419079d7a0fp+0"),
     ("0x1.ee5d714775ed1p+0", "0x1.ee5d7ee51b06ep+0"),
-    ("0x1.0ae2e8959272bp+0", "0x1.0ae37fc645802p+0"),
-    ("0x1.3da2e8059929fp+2", "0x1.3da35252acc3ep+2"),
+    ("0x1.0ae2e8959272bp+0", "0x1.0ae37f41d1ab0p+0"),
+    ("0x1.3da2e8059929fp+2", "0x1.3da34b79ec439p+2"),
     ("0x1.ed7d8918efa3ep-1", "0x1.ed7d8918f1916p-1"),
     ("0x1.a58f98af08181p+0", "0x1.a5900f6536bd5p+0"),
     ("0x1.1d0c6f732cb96p+1", "0x1.1d0d2369dc8a5p+1"),
     ("0x1.dcdc6254b0bdfp+0", "0x1.dcdd3846a39a3p+0"),
     ("0x1.293ba113261c3p+1", "0x1.293bf4e82ca16p+1"),
     ("0x1.669f0437d9a75p+1", "0x1.669f0437db0dfp+1"),
-    ("0x1.65bb2f0d809bfp+0", "0x1.65bbdfa5e8540p+0"),
-    ("0x1.3248fcbd25a1ap+1", "0x1.3249b3e12642ep+1"),
-    ("0x1.2cd738bc43578p+2", "0x1.2cd7e5c79dbfcp+2"),
-    ("0x1.d6ef612845d4dp+2", "0x1.d6f05241fa17cp+2"),
-    ("0x1.3bde2d59a1f72p+2", "0x1.3bdedb2c20e2ap+2"),
+    ("0x1.65bb2f0d809bfp+0", "0x1.65bc186d3286cp+0"),
+    ("0x1.3248fcbd25a1ap+1", "0x1.3249af1a35429p+1"),
+    ("0x1.2cd738bc43578p+2", "0x1.2cd7fd25562dbp+2"),
+    ("0x1.d6ef9aeef9746p+2", "0x1.d6f0ceaee9602p+2"),
+    ("0x1.3bde2d59a1f72p+2", "0x1.3bdefc2ce3ab1p+2"),
     ("0x1.236687ae4b3a1p+1", "0x1.236687ae4c5d7p+1"),
     ("0x1.775500065bb8ep+0", "0x1.7755bff285c42p+0"),
     ("0x1.1d5bcb37ec062p+1", "0x1.1d5bcb37ed238p+1"),
@@ -724,6 +727,48 @@ def test_enclosure_with_the_ascent_as_incumbent():
         assert plain_lower <= upper, (raw.shape, params)
         assert sampled_sup(form, 2000, rng) <= upper, (raw.shape, params)
         assert (upper - lower) / lower <= 1e-5, (raw.shape, params)
+
+
+def test_enclosure_reads_symmetry_from_the_coefficients_not_the_flag():
+    # marked symmetric, but c[a, b, :] != c[b, a, :]: the mirror would skip
+    # the cone of the maximizer and prove an upper bound below the ascent
+    form = MultilinearForm(np.random.default_rng(16).standard_normal((3, 3, 3)),
+                           LpParams(5.0, 3), symmetric=True)
+    lower, upper = multilinear_norm_grid(form)
+    assert multilinear_norm_ascent(form, restarts=20, iters=60, seed=0) <= upper
+    assert (upper - lower) / lower <= 1e-5
+
+
+def test_mirror_agrees_with_the_full_tree(monkeypatch):
+    counts = []
+
+    def counting(coeffs, boxes, ids, *rest):
+        counts[-1] += ids.shape[1]
+        return _tuple_bounds(coeffs, boxes, ids, *rest)
+
+    def enclose(form):
+        counts.append(0)
+        return multilinear_norm_grid(form), counts[-1]
+
+    monkeypatch.setattr("oadiag.oapoly._tuple_bounds", counting)
+    rng = np.random.default_rng(27)
+    forms = enclosure_pin_forms() + [
+        MultilinearForm(rng.standard_normal((3, 3, 3)).astype(complex), LpParams(p, 3)).symmetrize()
+        for p in (3.4, 4.6, 6.2, 9.0)]
+    for form in forms:
+        (lower, upper), tuples = enclose(form)
+        with monkeypatch.context() as off:
+            # no coefficients pass the symmetry test: the full tree
+            off.setattr("oadiag.oapoly._MIRROR_ASYMMETRY", -1.0)
+            (full_lower, full_upper), full_tuples = enclose(form)
+        shape = (form.dim, form.degree, form.params.p)
+        assert lower <= full_upper and full_lower <= upper, shape
+        sampled = sampled_sup(form, 2000, rng)
+        assert sampled <= upper and sampled <= full_upper, shape
+        if form.degree == 3 and form.symmetric:
+            assert tuples < full_tuples, shape
+        else:
+            assert (lower, upper, tuples) == (full_lower, full_upper, full_tuples), shape
 
 
 def per_restart_ascent(form, restarts, iters, seed):
