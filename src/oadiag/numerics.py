@@ -105,11 +105,6 @@ class LpParams:
         return self.k < self.p
 
     @property
-    def diagonal_exponent(self) -> float:
-        """Exponent carrying the diagonal-tensor norm: p/k, or 1 when p <= k."""
-        return self.p / self.k if self.k_less_than_p else 1.0
-
-    @property
     def dual_exponent(self) -> float:
         """Exponent carrying the polynomial norm: p/(p-k), or inf when p <= k."""
         return conjugate_exponent(self.p, self.k)

@@ -83,7 +83,6 @@ class MultilinearForm:
 
     coeffs: np.ndarray
     params: LpParams
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=complex)
@@ -135,17 +134,24 @@ class MultilinearForm:
         return np.einsum(",".join(subscripts) + "->" + letters[slot], *operands)
 
     def symmetrize(self) -> "MultilinearForm":
+        """The average of the coefficients over all k! orders of the slots;
+        the form itself when is_symmetric() holds.  Both induce the same
+        polynomial x -> phi(x, ..., x)."""
+        if self.is_symmetric():
+            return self
         k = self.degree
         acc = np.zeros_like(self.coeffs)
         for perm in itertools.permutations(range(k)):
             acc = acc + np.transpose(self.coeffs, axes=perm)
-        return MultilinearForm(acc / math.factorial(k), self.params, symmetric=True)
+        return MultilinearForm(acc / math.factorial(k), self.params)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        for perm in itertools.permutations(range(self.degree)):
-            if np.max(np.abs(self.coeffs - np.transpose(self.coeffs, axes=perm))) > tol:
-                return False
-        return True
+    def is_symmetric(self) -> bool:
+        """Whether every order of the slots leaves the coefficients exactly
+        unchanged.  The swap of slots 0 and 1 and the cyclic shift generate
+        all k! orders, so those two are checked."""
+        c = self.coeffs
+        return c.ndim < 2 or (np.array_equal(c, c.swapaxes(0, 1))
+                              and np.array_equal(c, np.moveaxis(c, 0, -1)))
 
     def diagonal(self) -> np.ndarray:
         """The sequence phi(e_n, ..., e_n)."""
@@ -384,14 +390,13 @@ def extend_diagonal_functional(diag_values: Sequence[Scalar],
     if n:
         idx = np.arange(n)
         coeffs[tuple([idx] * k)] = d
-    return MultilinearForm(coeffs, params, symmetric=True)
+    return MultilinearForm(coeffs, params)
 
 
 @dataclass(frozen=True)
 class AdditivityReport:
     """Outcome of the structural and behavioral orthogonal-additivity checks."""
 
-    additive: bool
     structural_ok: bool
     behavioral_ok: bool
     worst_offdiagonal_index: Optional[Tuple[int, ...]]
@@ -425,7 +430,7 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     check gives.  The reported defect is scaled back by s and reads inf past
     the float range.
     """
-    sym = form if form.symmetric else form.symmetrize()
+    sym = form.symmetrize()
     coeffs = sym.coeffs
     n = sym.dim
     k = sym.degree
@@ -470,7 +475,6 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
         worst_defect = unit * float(np.max(defects, initial=0.0))
         behavioral_ok = not bool(np.any(defects > allowance))
     return AdditivityReport(
-        additive=structural_ok,
         structural_ok=structural_ok,
         behavioral_ok=behavioral_ok,
         worst_offdiagonal_index=worst_index,
@@ -502,7 +506,7 @@ def polarize(poly: Callable[[np.ndarray], Scalar], dim: int,
             np.add.at(z, list(t), eps)
             acc += sp * complex(poly(z))
         coeffs[t] = acc * scale
-    return MultilinearForm(coeffs, params, symmetric=True)
+    return MultilinearForm(coeffs, params)
 
 
 def diagonal_of_multilinear(form: MultilinearForm) -> Tuple[np.ndarray, float]:
@@ -759,13 +763,13 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     Mirror.  At k = 3, N(x_1, x_2) = N(x_2, x_1) when the coefficients are
     symmetric in the two box slots, so only the half x_1 <= x_2 in box order
     is searched.  The test is on the coefficients, max|c - c'| <=
-    _MIRROR_ASYMMETRY max|c| with c' = c.swapaxes(0, 1); the form's
-    symmetric flag is not read.  Face pairs f_1 <= f_2 start, and a twin
-    tuple (X, X) is split in both slots at once into the
-    2^(n-2) (2^(n-1) + 1) tuples (X_i, X_j), i <= j, of X's children, each
-    mirror (X_j, X_i) left out.  Below a tuple of two distinct boxes no twin
-    arises, so every other tuple splits as before.  Either the maximizer or
-    its mirror lies in a kept cone.  k = 2 has one box slot and no mirror.
+    _MIRROR_ASYMMETRY max|c| with c' = c.swapaxes(0, 1).  Face pairs
+    f_1 <= f_2 start, and a twin tuple (X, X) is split in both slots at
+    once into the 2^(n-2) (2^(n-1) + 1) tuples (X_i, X_j), i <= j, of X's
+    children, each mirror (X_j, X_i) left out.  Below a tuple of two
+    distinct boxes no twin arises, so every other tuple splits as before.
+    Either the maximizer or its mirror lies in a kept cone.  k = 2 has one
+    box slot and no mirror.
 
     Box table.  A box sits in many tuples (on random forms at n = k = 3, a
     chunk holds about 256 tuples over 43 distinct boxes), so open tuples are

@@ -141,10 +141,8 @@ def test_lp_params_regime_is_total():
             assert params.k_less_than_p == (k < p)
             if params.k_less_than_p:
                 assert params.dual_exponent == pytest.approx(p / (p - k))
-                assert params.diagonal_exponent == pytest.approx(p / k)
             else:
                 assert params.dual_exponent == math.inf
-                assert params.diagonal_exponent == 1.0
 
 
 def test_lp_params_validation():

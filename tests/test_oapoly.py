@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oadiag.oapoly import (
     norm_numeric,
     norm_witness,
     polarize,
+    _MIRROR_ASYMMETRY,
     _ascent,
     _ascent_starts,
     _tuple_bounds,
@@ -341,17 +343,17 @@ def test_round_trip_diagonal_extension_is_identity():
 
 def test_additivity_examples():
     report = is_orthogonally_additive(extend_diagonal_functional([1.0, 1.0], P42))
-    assert report.additive and report.structural_ok and report.behavioral_ok
+    assert report.structural_ok and report.behavioral_ok
 
     coeffs = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    report = is_orthogonally_additive(MultilinearForm(coeffs, P42, symmetric=True))
-    assert not report.additive
+    report = is_orthogonally_additive(MultilinearForm(coeffs, P42))
+    assert not report.structural_ok
     assert report.worst_offdiagonal_index == (0, 1)
     assert not report.behavioral_ok
     assert report.checks_agree
 
     # behavioral defect realized at x = e_1, y = e_2: P(x+y) = 2 vs P(x)+P(y) = 0
-    form = MultilinearForm(coeffs, P42, symmetric=True)
+    form = MultilinearForm(coeffs, P42)
     x = np.array([1.0, 0.0], dtype=complex)
     y = np.array([0.0, 1.0], dtype=complex)
     assert form.apply([x + y] * 2) == pytest.approx(2.0)
@@ -365,21 +367,23 @@ def test_additivity_on_any_diagonal_extension():
         k = int(rng.choice([2, 3]))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         report = is_orthogonally_additive(extend_diagonal_functional(c, LpParams(5.0, k)))
-        assert report.additive and report.checks_agree
+        assert report.structural_ok and report.checks_agree
 
 
 def test_additivity_symmetrizes_first():
     # asymmetric coefficients whose symmetrization is diagonal
-    coeffs = np.array([[1.0, 2.0], [-2.0, 1.0]], dtype=complex)
-    report = is_orthogonally_additive(MultilinearForm(coeffs, P42))
-    assert report.additive
-    assert report.checks_agree
+    for coeffs in ([[1, 2], [-2, 1]], [[1, 1], [-1, 2]]):
+        form = MultilinearForm(coeffs, P42)
+        report = is_orthogonally_additive(form)
+        assert report.structural_ok
+        assert report.checks_agree
+        assert report == is_orthogonally_additive(form.symmetrize())
 
 
 def per_sample_behavioral(form, tol, samples, seed):
     """Worst defect, pass flag and largest |P| of the behavioral check, with
     one apply call per point and the same draws as is_orthogonally_additive."""
-    sym = form if form.symmetric else form.symmetrize()
+    sym = form.symmetrize()
     n, k = sym.dim, sym.degree
     rng = np.random.default_rng(seed)
     worst, ok, size = 0.0, True, 0.0
@@ -523,6 +527,31 @@ def test_symmetrize_and_is_symmetric():
     assert sym.apply([x, x]) == pytest.approx(form.apply([x, x]), rel=1e-14)
     assert sym.apply([x, y]) == pytest.approx(0.5 * (form.apply([x, y]) + form.apply([y, x])),
                                               rel=1e-14)
+    assert sym.symmetrize() is sym
+
+
+def test_is_symmetric_needs_every_order_of_the_slots():
+    # integer coefficients, so every sum below is exact
+    c = np.random.default_rng(28).integers(-9, 10, (3, 3, 3)).astype(float)
+    params = LpParams(5.0, 3)
+    swapped = MultilinearForm(c + c.swapaxes(0, 1), params)
+    shift = lambda a: np.moveaxis(a, 0, -1)
+    shifted = MultilinearForm(c + shift(c) + shift(shift(c)), params)
+    assert np.array_equal(swapped.coeffs, swapped.coeffs.swapaxes(0, 1))
+    assert np.array_equal(shifted.coeffs, shift(shifted.coeffs))
+    assert not swapped.is_symmetric() and not shifted.is_symmetric()
+    for form in (swapped, shifted):
+        sym = form.symmetrize()
+        assert sym is not form and sym.is_symmetric()
+
+
+def test_symmetry_of_a_high_degree_diagonal_extension_is_quick():
+    # 63! slot orders: only the two generating permutations are compared
+    form = extend_diagonal_functional([2.0], LpParams(80.0, 63))
+    start = time.perf_counter()
+    assert form.is_symmetric()
+    assert form.symmetrize() is form
+    assert time.perf_counter() - start < 1.0
 
 
 def test_diagonal_of_multilinear_examples():
@@ -531,7 +560,7 @@ def test_diagonal_of_multilinear_examples():
     assert np.allclose(d, [1, 1])
     assert norm == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
-    zero_diag = MultilinearForm(np.array([[0, 1], [1, 0]], dtype=complex), P42, symmetric=True)
+    zero_diag = MultilinearForm(np.array([[0, 1], [1, 0]], dtype=complex), P42)
     d, norm = diagonal_of_multilinear(zero_diag)
     assert np.allclose(d, 0) and norm == 0.0
 
@@ -555,12 +584,12 @@ def test_diagonal_norm_bounded_by_estimated_form_norm():
 
 def test_ascent_known_bilinear_norm():
     # identity bilinear form on l_2: norm 1
-    form = MultilinearForm(np.eye(3, dtype=complex), LpParams(2.0, 2), symmetric=True)
+    form = MultilinearForm(np.eye(3, dtype=complex), LpParams(2.0, 2))
     assert multilinear_norm_ascent(form, restarts=4, iters=40, seed=0) == \
         pytest.approx(1.0, rel=1e-10)
     # singular values rule the l_2 -> l_2 case
     a = np.array([[3.0, 0.0], [0.0, 1.0]])
-    form = MultilinearForm(a.astype(complex), LpParams(2.0, 2), symmetric=True)
+    form = MultilinearForm(a.astype(complex), LpParams(2.0, 2))
     assert multilinear_norm_ascent(form, restarts=4, iters=40, seed=0) == \
         pytest.approx(3.0, rel=1e-10)
 
@@ -572,7 +601,7 @@ def test_grid_rejects_unsupported_inputs():
         multilinear_norm_grid(MultilinearForm(np.zeros((2,) * 4, dtype=complex), LpParams(5.0, 4)))
     with pytest.raises(ValueError, match="real forms"):
         multilinear_norm_grid(
-            MultilinearForm(1j * np.ones((2, 2)), P42, symmetric=True))
+            MultilinearForm(1j * np.ones((2, 2)), P42))
     for incumbent in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="incumbent"):
             multilinear_norm_grid(MultilinearForm(np.ones((2, 2)), P42), incumbent=incumbent)
@@ -615,7 +644,7 @@ def test_enclosure_bounds_the_ascent_and_the_old_grid():
 
 def test_enclosure_of_known_bilinear_norms():
     for a, norm in ((np.eye(3), 1.0), (np.diag([3.0, 1.0]), 3.0)):
-        form = MultilinearForm(a.astype(complex), LpParams(2.0, 2), symmetric=True)
+        form = MultilinearForm(a.astype(complex), LpParams(2.0, 2))
         lower, upper = multilinear_norm_grid(form)
         assert lower <= norm <= upper
         assert upper - lower <= 1e-5 * lower
@@ -729,11 +758,11 @@ def test_enclosure_with_the_ascent_as_incumbent():
         assert (upper - lower) / lower <= 1e-5, (raw.shape, params)
 
 
-def test_enclosure_reads_symmetry_from_the_coefficients_not_the_flag():
-    # marked symmetric, but c[a, b, :] != c[b, a, :]: the mirror would skip
-    # the cone of the maximizer and prove an upper bound below the ascent
+def test_enclosure_of_a_non_symmetric_form_bounds_the_ascent():
+    # c[a, b, :] != c[b, a, :]: a mirror would skip the cone of the
+    # maximizer and prove an upper bound below the ascent
     form = MultilinearForm(np.random.default_rng(16).standard_normal((3, 3, 3)),
-                           LpParams(5.0, 3), symmetric=True)
+                           LpParams(5.0, 3))
     lower, upper = multilinear_norm_grid(form)
     assert multilinear_norm_ascent(form, restarts=20, iters=60, seed=0) <= upper
     assert (upper - lower) / lower <= 1e-5
@@ -765,7 +794,9 @@ def test_mirror_agrees_with_the_full_tree(monkeypatch):
         assert lower <= full_upper and full_lower <= upper, shape
         sampled = sampled_sup(form, 2000, rng)
         assert sampled <= upper and sampled <= full_upper, shape
-        if form.degree == 3 and form.symmetric:
+        c = form.coeffs.real
+        asymmetry = np.max(np.abs(c - c.swapaxes(0, 1)))
+        if form.degree == 3 and asymmetry <= _MIRROR_ASYMMETRY * np.max(np.abs(c)):
             assert tuples < full_tuples, shape
         else:
             assert (lower, upper, tuples) == (full_lower, full_upper, full_tuples), shape
