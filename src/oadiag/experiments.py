@@ -11,6 +11,7 @@ output files stay byte-reproducible.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -184,28 +185,51 @@ def _relative_deviation(a: float, b: float) -> float:
 
 
 Case = Tuple[Dict[str, object], Dict[str, float], Dict[str, float], Dict[str, bool]]
-# command, case_index, parameters, values, deviations, passes, passed, wall_time_ms
+# command, case_index, parameters, values, deviations, passes, passed,
+# wall_time_ms, and timings_ms under --timing where the case times its stages
 Record = Dict[str, object]
 
 
-def _run_cases(cfg: ExperimentConfig, count: int,
-               case: Callable[[int], Case]) -> List[Record]:
+class _Stages:
+    """Wall time of the named stages of the running case, in ms, measured
+    only when enabled: `with stages("name"): ...` times one stage."""
+
+    def __init__(self, enabled: bool):
+        self.enabled = enabled
+        self.ms: Dict[str, float] = {}
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter() if self.enabled else None
+        yield
+        if start is not None:
+            self.ms[name] = (time.perf_counter() - start) * 1e3
+
+
+def _run_cases(cfg: ExperimentConfig, count: int, case: Callable[[int], Case],
+               stages: Optional[_Stages] = None) -> List[Record]:
     """One record per case index, in index order, as the dict that JSON
     and CSV write.
 
     case(index) returns (parameters, values, deviations, passes); a record
     passes when all its pass flags do.  Wall time is measured only under
-    cfg.timing, so untimed output stays byte-reproducible.
+    cfg.timing, so untimed output stays byte-reproducible; then the stages
+    that case timed through `stages` go to timings_ms.
     """
     check_budget("case", count, "cases", MAX_CASES)
     records = []
     for index in range(count):
         start = time.perf_counter() if cfg.timing else None
+        if stages is not None:
+            stages.ms = {}
         parameters, values, deviations, passes = case(index)
         wall_time_ms = None if start is None else (time.perf_counter() - start) * 1e3
-        records.append({"command": cfg.command, "case_index": index, "parameters": parameters,
-                        "values": values, "deviations": deviations, "passes": passes,
-                        "passed": all(passes.values()), "wall_time_ms": wall_time_ms})
+        record = {"command": cfg.command, "case_index": index, "parameters": parameters,
+                  "values": values, "deviations": deviations, "passes": passes,
+                  "passed": all(passes.values()), "wall_time_ms": wall_time_ms}
+        if stages is not None and stages.ms:
+            record["timings_ms"] = stages.ms
+        records.append(record)
     return records
 
 
@@ -372,14 +396,17 @@ def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
     ascent's value is the enclosure's incumbent, so grid_estimate, the
     enclosure's lower bound, is at least ascent_estimate."""
     params = LpParams(cfg.p, cfg.k)
+    stages = _Stages(cfg.timing)
 
     def case(trial: int) -> Case:
         rng = np.random.default_rng([cfg.seed, trial])
         raw = rng.standard_normal((cfg.n,) * cfg.k)
         form = MultilinearForm(raw.astype(complex), params).symmetrize()
-        ascent = multilinear_norm_ascent(form, restarts=max(cfg.restarts, 12),
-                                         iters=60, seed=cfg.seed + trial)
-        lower, upper = multilinear_norm_grid(form, incumbent=ascent)
+        with stages("ascent"):
+            ascent = multilinear_norm_ascent(form, restarts=max(cfg.restarts, 12),
+                                             iters=60, seed=cfg.seed + trial)
+        with stages("enclosure"):
+            lower, upper = multilinear_norm_grid(form, incumbent=ascent)
         _, diag_norm = diagonal_of_multilinear(form)
         agreement = _relative_deviation(ascent, upper)
         excess = max(diag_norm - lower, 0.0)
@@ -391,7 +418,7 @@ def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
                 {"oracle_agreement": agreement <= cfg.tol("grid_agreement"),
                  "diagonal_bound": excess <= cfg.tol("zalduendo")})
 
-    return _run_cases(cfg, cfg.trials, case)
+    return _run_cases(cfg, cfg.trials, case, stages)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
@@ -508,9 +535,11 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[Record],
     groups = (("value", "values", repr), ("deviation", "deviations", repr), ("pass", "passes", str))
     columns = [(prefix, attr, key, fmt) for prefix, attr, fmt in groups
                for key in dict.fromkeys(k for record in records for k in record[attr])]
+    stages = list(dict.fromkeys(name for record in records
+                                for name in record.get("timings_ms", {})))
     header = (["command", "case_index", "parameters"]
               + [f"{prefix}_{key}" for prefix, _, key, _ in columns]
-              + ["passed", "wall_time_ms"])
+              + ["passed", "wall_time_ms"] + [f"timing_{name}_ms" for name in stages])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -521,5 +550,7 @@ def results_to_csv(cfg: ExperimentConfig, records: Sequence[Record],
                 for _, attr, key, fmt in columns]
         row += [str(record["passed"]),
                 "" if record["wall_time_ms"] is None else repr(record["wall_time_ms"])]
+        row += [repr(record["timings_ms"][name]) if name in record.get("timings_ms", {}) else ""
+                for name in stages]
         writer.writerow(row)
     return buffer.getvalue()

@@ -523,24 +523,29 @@ def diagonal_of_multilinear(form: MultilinearForm) -> Tuple[np.ndarray, float]:
 # Multilinear sup-norm estimation (oracle machinery)
 # ---------------------------------------------------------------------------
 
-def _lq_columns(v: np.ndarray, q: float) -> np.ndarray:
+def _lq_columns(v: np.ndarray, q: float, mags: Optional[np.ndarray] = None) -> np.ndarray:
     """l_q norms (q >= 1 or inf) over the first axis of v.  Each column is
     scaled by its largest modulus before the powers are taken, as in
     lq_norm, but summed in order rather than with math.fsum; a zero column
-    has norm 0."""
-    mags = np.abs(v)
-    top = np.max(mags, axis=0)
+    has norm 0.  mags, if given, is np.abs(v) and is left as it is;
+    otherwise the ratios and their powers are formed in place in a fresh
+    np.abs(v)."""
+    own = mags is None
+    if own:
+        mags = np.abs(v)
+    top = mags.max(axis=0)
     if q == math.inf:
         return top
-    ratios = mags / np.where(top > 0, top, 1.0)
-    return top * np.sum(ratios ** q, axis=0) ** (1.0 / q)
+    ratios = np.divide(mags, np.where(top > 0, top, 1.0), out=mags if own else None)
+    ratios **= q
+    return top * ratios.sum(axis=0) ** (1.0 / q)
 
 
-def _holder_slot_witness(grad: np.ndarray, p: float) -> np.ndarray:
-    """Unit-l_p maximizers x of Re <g, x>, one per nonzero row g of grad;
-    each attains ||g||_{p'}.  At p = 1 it is the basis vector at the first
-    index of largest |g_i|, with the phase that makes <g, x> real."""
-    mags = np.abs(grad)
+def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
+    """Unit-l_p maximizers x of Re <g, x>, one per nonzero row g of grad,
+    mags = np.abs(grad); each attains ||g||_{p'}.  At p = 1 it is the basis
+    vector at the first index of largest |g_i|, with the phase that makes
+    <g, x> real."""
     if p == 1.0:
         rows = np.arange(grad.shape[0])
         top = np.argmax(mags, axis=1)
@@ -549,7 +554,7 @@ def _holder_slot_witness(grad: np.ndarray, p: float) -> np.ndarray:
         x[rows, top] = g.real / m - 1j * (g.imag / m)
         return x
     q = holder_conjugate(p)
-    total = _lq_columns(grad.T, q)[:, None]
+    total = _lq_columns(grad.T, q, mags.T)[:, None]
     unit_phases = np.where(mags > 0, np.conj(grad) / np.where(mags > 0, mags, 1.0), 0.0)
     return unit_phases * (mags / total) ** (q - 1.0)
 
@@ -566,7 +571,8 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
 
     The restarts run together as one (restarts, k, n) array, the l_p power
     method / HOPM iteration run on many starts at once: each slot update is
-    one einsum over the live restarts, and a restart whose gradient
+    one einsum over the live restarts, whose modulus, taken once, tells
+    which restarts move and forms their update; a restart whose gradient
     vanishes keeps that slot.  A restart leaves the live set once its value
     has gained at most 1e-14 relative in three sweeps running.  The form was
     validated when it was built, so the loop calls no checked method.
@@ -594,14 +600,18 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     for _ in range(iters):
         for j in range(k):
             grad = np.einsum(slot_specs[j], coeffs, *(xs[:, i] for i in range(k) if i != j))
-            moving = np.any(np.abs(grad) > 0, axis=1)
-            xs[moving, j] = _holder_slot_witness(grad[moving], p)
+            mags = np.abs(grad)
+            moving = (mags > 0).any(axis=1)
+            if moving.all():
+                xs[:, j] = _holder_slot_witness(grad, mags, p)
+            else:
+                xs[moving, j] = _holder_slot_witness(grad[moving], mags[moving], p)
         value = np.abs(np.einsum(value_spec, coeffs, *(xs[:, i] for i in range(k))))
         stalled = np.where(value - previous <= 1e-14 * np.maximum(1.0, value), stalled + 1, 0)
         previous = value
         live = stalled < 3
-        if not np.all(live):
-            best = max(best, float(np.max(value[~live])))
+        if not live.all():
+            best = max(best, float(value[~live].max()))
             xs, previous, stalled = xs[live], previous[live], stalled[live]
             if not xs.shape[0]:
                 break
@@ -619,9 +629,11 @@ _ENCLOSURE_MARGIN = 2.0 ** -40
 # symmetrize() leaves about 2u; _ENCLOSURE_MARGIN covers it (see
 # multilinear_norm_grid).
 _MIRROR_ASYMMETRY = 8 * np.finfo(float).eps / 2
-# box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction
-# and each (n, 17, chunk) temporary are about 0.4 MB, and the geometry of the
-# chunk's distinct boxes at most 2 MB (on random forms a few dozen boxes)
+# box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction is
+# about 0.37 MB; the round's (n, 17, chunk) pairing buffer and its term
+# buffer, allocated once per round, and the modulus copy the pairing's l_q
+# norms work in are 0.42 MB each; and the geometry of the chunk's distinct
+# boxes is at most 2 MB (on random forms a few dozen boxes)
 _ENCLOSURE_CHUNK = 2 ** 10
 
 
@@ -640,10 +652,13 @@ _CORNERS = {n: _face_corners(n) for n in (2, 3)}
 class _Boxes:
     """The slot boxes of multilinear_norm_grid, one table that every slot
     shares, so that box tuples are arrays of box ids: per box, its face, lo
-    and hi (n, boxes) and width.  Boxes are only added."""
+    and hi (n, boxes) and width.  Boxes are only added.  The arrays hold
+    spare columns past the first `size`, the boxes, and double when a split
+    needs more, so a split writes only its children."""
 
     def __init__(self, n: int):
         # box f is the whole face f
+        self.size = n
         self.face = np.arange(n)
         self.lo = np.where(np.eye(n, dtype=bool), 1.0, -1.0)
         self.hi = np.ones((n, n))
@@ -653,15 +668,39 @@ class _Boxes:
         """The ids of the 2^(n-1) children of each parent, (children,
         parents), made by halving every coordinate but the face's."""
         n = self.lo.shape[0]
-        corners = np.take(_CORNERS[n], self.face[parents], axis=-1)
+        faces = self.face[parents]
+        corners = _CORNERS[n].take(faces, axis=-1)
         lo, hi = self.lo[:, None, parents], self.hi[:, None, parents]
         mid = (lo + hi) / 2
-        first = self.face.size
-        self.face = np.concatenate([self.face, np.tile(self.face[parents], corners.shape[1])])
-        self.lo = np.concatenate([self.lo, np.where(corners, mid, lo).reshape(n, -1)], axis=1)
-        self.hi = np.concatenate([self.hi, np.where(corners, hi, mid).reshape(n, -1)], axis=1)
-        self.width = np.concatenate([self.width, np.tile(self.width[parents] / 2, corners.shape[1])])
-        return np.arange(first, self.face.size).reshape(corners.shape[1], -1)
+        first, stop = self.size, self.size + corners[0].size
+        if stop > self.width.size:
+            capacity = max(stop, 2 * self.width.size)
+            for name in ("face", "lo", "hi", "width"):
+                old = getattr(self, name)
+                new = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
+                new[..., :first] = old[..., :first]
+                setattr(self, name, new)
+        self.face[first:stop].reshape(corners.shape[1], -1)[:] = faces
+        self.lo[:, first:stop] = np.where(corners, mid, lo).reshape(n, -1)
+        self.hi[:, first:stop] = np.where(corners, hi, mid).reshape(n, -1)
+        self.width[first:stop].reshape(corners.shape[1], -1)[:] = self.width[parents] / 2
+        self.size = stop
+        return np.arange(first, stop).reshape(corners.shape[1], -1)
+
+
+def _distinct(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) of nonnegative ids, without a
+    sort: a mask over [ids.min(), ids.max()] marks the ids present, and the
+    running count of the marks ranks them.  Returns the sorted distinct ids
+    and each id's index among them, in the shape of ids."""
+    top = ids.max(initial=-1)
+    base = ids.min(initial=top)
+    offsets = ids - base
+    present = np.zeros(top - base + 1, dtype=bool)
+    present[offsets] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return np.flatnonzero(present) + base, rank[offsets]
 
 
 def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -676,41 +715,61 @@ def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.n
     n = lo.shape[0]
     # C-contiguous, as are all that follow: np.take along the box axis of
     # any other layout copies the whole array
-    corners = np.take(_CORNERS[n], face, axis=-1)
+    corners = _CORNERS[n].take(face, axis=-1)
     points = np.concatenate([np.where(corners, hi[:, None], lo[:, None]),
                              (lo + hi)[:, None] / 2], axis=1)
     centre = points[:, -1]
     g = np.sign(centre) * np.abs(centre) ** (p - 1.0)
     g /= _lq_columns(g, q)
-    dots = np.sum(points[:, :-1] * g[:, None], axis=0)
+    dots = (points[:, :-1] * g[:, None]).sum(axis=0)
     contraction = sum(coeffs[a][..., None, None] * points[a] for a in range(n))
     return (points, contraction, _lq_columns(points, p)[tuples], dots[tuples[:, :-1]],
-            np.all(dots > 0, axis=0))
+            (dots > 0).all(axis=0))
 
 
 def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np.ndarray,
-                  p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
+                  p: float, q: float,
+                  work: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper bound of N (see multilinear_norm_grid) over each
     tuple of slot boxes; ids is (slots, tuples) of box ids.  Each distinct
-    box is bounded once, then gathered by id."""
-    live, ids = np.unique(ids, return_inverse=True)
-    ids = ids.reshape(len(tuples), -1)
+    box is bounded once, then gathered by id.  With two box slots, work is
+    a flat float buffer of at least 2 n tuples.shape[1] ids.shape[1]
+    entries, which the pairing of the slots overwrites."""
+    live, ids = _distinct(ids)
     points, contraction, scale, dots, valid = _box_geometry(
         coeffs, boxes.face[live], boxes.lo[:, live], boxes.hi[:, live], tuples, p, q)
-    values = np.take(contraction, ids[0], axis=-1)
+    values = contraction.take(ids[0], axis=-1)
     if len(ids) == 2:
-        # the vertex pairs, slot 0 most significant, then the pair of centres
-        points = np.take(points, ids[1], axis=-1)
-        pairs = sum(values[b][:, :-1, None] * points[b][:-1] for b in range(len(points)))
-        centres = sum(values[b][:, -1:] * points[b][-1:] for b in range(len(points)))
-        values = np.concatenate([pairs.reshape(len(pairs), -1, ids.shape[1]), centres], axis=1)
+        values = _pair_slots(values, points.take(ids[1], axis=-1), work)
     values = _lq_columns(values, q)
     lower, upper = values, values[:-1]
     for s, box in enumerate(ids):
-        lower = lower / np.take(scale[s], box, axis=-1)
-        upper = upper / np.take(dots[s], box, axis=-1)
-    upper = np.max(upper, axis=0) * (1.0 + _ENCLOSURE_MARGIN)
-    return np.max(lower, axis=0), np.where(np.all(valid[ids], axis=0), upper, math.inf)
+        lower = lower / scale[s].take(box, axis=-1)
+        upper = upper / dots[s].take(box, axis=-1)
+    upper = upper.max(axis=0) * (1.0 + _ENCLOSURE_MARGIN)
+    return lower.max(axis=0), np.where(valid[ids].all(axis=0), upper, math.inf)
+
+
+def _pair_slots(values: np.ndarray, points: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """phi(u, v, .) for the vertex pairs (u, v) of each tuple, slot 0 most
+    significant, then for its pair of centres: values[b, :, a] is
+    phi(u_a, e_b, .), points[b, a] coordinate b of the slot-1 point a, both
+    with the tuple axis last.  The sum over b is formed term by term, in
+    order, in an (n, vertices^2 + 1, tuples) array cut from work, with a
+    second array of that size for each term.  The sum starts at its first
+    term rather than at 0, which can change only the sign of a zero, and
+    the l_q norms that follow take moduli."""
+    n, vertices, count = len(points), points.shape[1] - 1, points.shape[-1]
+    size = n * (vertices ** 2 + 1) * count
+    out, term = (work[i * size:(i + 1) * size].reshape(n, -1, count) for i in range(2))
+    for b in range(n):
+        dest = term if b else out
+        np.multiply(values[b][:, :-1, None], points[b][:-1],
+                    out=dest[:, :-1].reshape(n, vertices, vertices, count))
+        np.multiply(values[b][:, -1:], points[b][-1:], out=dest[:, -1:])
+        if b:
+            np.add(out, term, out=out)
+    return out
 
 
 def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarray:
@@ -720,12 +779,14 @@ def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarra
     in twin is split in both slots at once instead, into the tuples
     (X_i, X_j), i <= j, of X's children, placed after the others; its
     widest box is X, so the same split serves it."""
-    widest = np.argmax(boxes.width[ids], axis=0)
-    parents, which = np.unique(ids[widest, np.arange(ids.shape[1])], return_inverse=True)
+    widest = boxes.width[ids].argmax(axis=0)
+    parents, which = _distinct(ids[widest, np.arange(ids.shape[1])])
     children = boxes.split(parents)[:, which]
-    out = np.tile(ids[:, ~twin], len(children))
-    out[np.tile(widest[~twin], len(children)), np.arange(out.shape[1])] = \
-        children[:, ~twin].reshape(-1)
+    single = ~twin
+    out = np.empty((len(ids), len(children), np.count_nonzero(single)), dtype=ids.dtype)
+    out[:] = ids[:, None, single]
+    out[widest[single], :, np.arange(out.shape[-1])] = children[:, single].T
+    out = out.reshape(len(ids), -1)
     if not twin.any():
         return out
     i, j = np.triu_indices(len(children))
@@ -774,14 +835,20 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     Box table.  A box sits in many tuples (on random forms at n = k = 3, a
     chunk holds about 256 tuples over 43 distinct boxes), so open tuples are
     arrays of ids into one table of box coordinates (_Boxes) that every
-    slot shares.  Each chunk bounds its distinct boxes once: vertices,
-    centre, g, l_p norms, <g, u_a> and the slot-0 contraction with the
-    form.  The pass over the tuples gathers these by id and forms only the
-    pairing of the slots, the l_q norms and the quotients.  A round splits
-    each chosen box once, whichever tuples chose it, and the other slots
-    keep their ids.  Every element is formed by the same operations as
-    when each tuple is bounded from its own boxes' coordinates, so neither
-    the table nor the chunk size changes a bit of the result.
+    slot shares.  The table keeps spare columns, doubled when a split needs
+    more, so a round writes the children it makes and copies no table.
+    Each chunk finds its distinct boxes by a mask over the range of its ids,
+    not by a sort (_distinct), and bounds each once: vertices, centre, g,
+    l_p norms, <g, u_a> and the slot-0 contraction with the form.  The
+    pass over the tuples gathers these by id and forms only the pairing of
+    the slots, the l_q norms and the quotients.  At k = 3 the pairing is
+    summed term by term into one buffer that the round allocates and every
+    chunk reuses, and each chunk writes its bounds into the round's lower
+    and upper arrays.  A round splits each chosen box once, whichever
+    tuples chose it, and the other slots keep their ids.  Every element is
+    formed by the same operations, in the same order, as when each tuple
+    is bounded from its own boxes' coordinates, so neither the table, the
+    buffers nor the chunk size changes a bit of the result.
 
     Incumbent.  incumbent must be a value |phi| attains at unit vectors,
     such as the ascent's; it starts the best lower bound, and the result
@@ -840,9 +907,14 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     best = upper = 0.0
     visited = ids.shape[1]
     while ids.shape[1]:
-        chunks = [_tuple_bounds(coeffs, boxes, ids[:, i:i + _ENCLOSURE_CHUNK], tuples, p, q)
-                  for i in range(0, ids.shape[1], _ENCLOSURE_CHUNK)]
-        lower, bound = (np.concatenate(parts) for parts in zip(*chunks))
+        count = ids.shape[1]
+        lower, bound = np.empty(count), np.empty(count)
+        # the pairing of the two box slots, reused by every chunk of the round
+        work = np.empty(2 * n * tuples.shape[1] * min(count, _ENCLOSURE_CHUNK)) if k == 3 else None
+        for start in range(0, count, _ENCLOSURE_CHUNK):
+            part = slice(start, start + _ENCLOSURE_CHUNK)
+            lower[part], bound[part] = _tuple_bounds(coeffs, boxes, ids[:, part], tuples, p, q,
+                                                     work)
         best = max(best, float(lower.max()))
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(bound[done].max(initial=0.0)))

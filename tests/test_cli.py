@@ -428,9 +428,30 @@ def test_timing_flag_breaks_byte_identity_only_when_used(command, tmp_path):
     assert main(base + ["--timing", "--out", str(tmp_path / "timed.json")]) == 0
     timed = json.loads((tmp_path / "timed.json").read_text())["records"]
     assert all(isinstance(r.pop("wall_time_ms"), float) for r in timed)
+    # stage timings come only with --timing
+    assert all("timings_ms" not in r for r in plain)
+    for record in timed:
+        assert all(isinstance(ms, float) for ms in record.pop("timings_ms", {}).values())
     for record in plain:
         del record["wall_time_ms"]
     assert timed == plain
+
+
+def test_zalduendo_times_the_ascent_and_the_enclosure(capsys):
+    argv = ["zalduendo-check"] + SMALL_SHAPES["zalduendo-check"] + ["--timing"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    for record in json.loads(out)["records"]:
+        stages = record["timings_ms"]
+        assert list(stages) == ["ascent", "enclosure"]
+        assert all(0.0 <= ms <= record["wall_time_ms"] for ms in stages.values())
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert all(float(row["timing_ascent_ms"]) >= 0.0 and float(row["timing_enclosure_ms"]) >= 0.0
+               for row in rows)
+    code, out, _ = run(argv[:-1] + ["--format", "csv"], capsys)
+    assert "timing_" not in out
 
 
 @pytest.mark.parametrize("command", ["verify-rademacher", "additivity-test",

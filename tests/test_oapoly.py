@@ -19,8 +19,11 @@ from oadiag.oapoly import (
     norm_witness,
     polarize,
     _MIRROR_ASYMMETRY,
+    _Boxes,
+    _CORNERS,
     _ascent,
     _ascent_starts,
+    _distinct,
     _tuple_bounds,
 )
 
@@ -643,11 +646,17 @@ def test_enclosure_bounds_the_ascent_and_the_old_grid():
 
 
 def test_enclosure_of_known_bilinear_norms():
-    for a, norm in ((np.eye(3), 1.0), (np.diag([3.0, 1.0]), 3.0)):
+    # The identity's N is 1 everywhere, so the whole sphere is refined: about
+    # 277,000 open tuples in the last round, hundreds of chunks and a large
+    # box table.  Both enclosures are pinned as float.hex.
+    cases = ((np.eye(3), 1.0, ("0x1.0000000000000p+0", "0x1.0000a7bf40507p+0")),
+             (np.diag([3.0, 1.0]), 3.0, ("0x1.8000000000000p+1", "0x1.8000bfffd1802p+1")))
+    for a, norm, pin in cases:
         form = MultilinearForm(a.astype(complex), LpParams(2.0, 2))
         lower, upper = multilinear_norm_grid(form)
         assert lower <= norm <= upper
         assert upper - lower <= 1e-5 * lower
+        assert (lower.hex(), upper.hex()) == pin
 
 
 def test_enclosure_searches_every_face_pair_of_a_non_symmetric_form():
@@ -731,6 +740,60 @@ def test_enclosure_is_bitwise_pinned(chunk, monkeypatch):
         monkeypatch.setattr("oadiag.oapoly._ENCLOSURE_CHUNK", chunk)
     got = [tuple(v.hex() for v in multilinear_norm_grid(form)) for form in enclosure_pin_forms()]
     assert got == ENCLOSURE_PINS
+
+
+@pytest.mark.parametrize("ids", [
+    np.zeros(0, dtype=np.int64),
+    np.zeros((2, 0), dtype=np.int64),
+    np.array([5]),
+    np.array([7, 7, 7, 7]),
+    np.array([[3, 1, 3], [7, 1, 0]]),
+    np.array([900_000, 12, 450_000, 12, 899_999]),
+    np.random.default_rng(28).integers(40, 5000, size=(2, 700)),
+])
+def test_distinct_is_unique_with_inverse(ids):
+    distinct, inverse = _distinct(ids)
+    expected, expected_inverse = np.unique(ids, return_inverse=True)
+    assert distinct.dtype == expected.dtype and np.array_equal(distinct, expected)
+    assert inverse.shape == ids.shape
+    assert np.array_equal(inverse.reshape(-1), expected_inverse.reshape(-1))
+    assert np.array_equal(distinct[inverse], ids)
+
+
+def concatenated_split(table, parents):
+    """_Boxes.split as a table rebuilt by concatenation: (face, lo, hi,
+    width) with the children of parents appended, and their ids."""
+    face, lo, hi, width = table
+    n = lo.shape[0]
+    corners = np.take(_CORNERS[n], face[parents], axis=-1)
+    plo, phi = lo[:, None, parents], hi[:, None, parents]
+    mid = (plo + phi) / 2
+    table = (np.concatenate([face, np.tile(face[parents], corners.shape[1])]),
+             np.concatenate([lo, np.where(corners, mid, plo).reshape(n, -1)], axis=1),
+             np.concatenate([hi, np.where(corners, phi, mid).reshape(n, -1)], axis=1),
+             np.concatenate([width, np.tile(width[parents] / 2, corners.shape[1])]))
+    return table, np.arange(face.size, table[0].size).reshape(corners.shape[1], -1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_growable_box_table_matches_concatenation(n):
+    rng = np.random.default_rng(29)
+    boxes = _Boxes(n)
+    table = (boxes.face.copy(), boxes.lo.copy(), boxes.hi.copy(), boxes.width.copy())
+    spare = False
+    for _ in range(12):
+        parents = np.unique(rng.integers(0, boxes.size, size=rng.integers(0, 40)))
+        children = boxes.split(parents)
+        table, expected = concatenated_split(table, parents)
+        assert np.array_equal(children, expected)
+        size = boxes.size
+        assert size == table[0].size
+        spare |= boxes.width.size > size
+        for got, want in zip((boxes.face[:size], boxes.lo[:, :size], boxes.hi[:, :size],
+                              boxes.width[:size]), table):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert spare  # some split left spare columns for the next
 
 
 def sampled_sup(form, points, rng):
@@ -851,6 +914,20 @@ def per_restart_ascent(form, restarts, iters, seed):
     return max(values), steps, values, zero_gradients
 
 
+# multilinear_norm_ascent(form, restarts, iters, seed=7) on the cases below,
+# the forms symmetrized, as float.hex: the batched ascent must not move a bit
+ASCENT_PINS = {
+    "real": "0x1.9af962a3e66b6p+1",
+    "complex": "0x1.bfd7bd079fb8dp+2",
+    "p_is_1": "0x1.907a324e6349cp+0",
+    "p_below_k": "0x1.3205860b12877p+1",
+    "zero_gradient": "0x1.428a2f98d728bp+1",
+    "one_restart": "0x1.e019495372e72p+0",
+    "real_two_sweeps": "0x1.9af7f02d6d608p+1",
+    "complex_two_sweeps": "0x1.36804d25d219ap+2",
+}
+
+
 def test_batched_ascent_matches_per_restart_loop():
     rng = np.random.default_rng(25)
     real = rng.standard_normal((3, 3, 3))
@@ -872,6 +949,7 @@ def test_batched_ascent_matches_per_restart_loop():
         expected, steps, values, zero_gradients = per_restart_ascent(form, restarts, iters, 7)
         got = multilinear_norm_ascent(form, restarts=restarts, iters=iters, seed=7)
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0), name
+        assert got.hex() == ASCENT_PINS[name], name
         if name == "zero_gradient":
             assert zero_gradients > 0 and values[0] == 0.0 and expected > 0.0
         seen_steps.update(steps)
