@@ -13,11 +13,9 @@ from .numerics import (
     phase_root,
 )
 from .rademacher import (
-    CycloScalar,
     GeneralizedRademacher,
     integrate_product,
     integrate_product_bruteforce,
-    integrate_step_product,
 )
 from .diagonal import (
     DiagonalTensor,
@@ -43,7 +41,6 @@ from .oapoly import (
     norm_closed_form,
     norm_numeric,
     norm_witness,
-    polarize,
 )
 
 __version__ = "0.1.0"
@@ -57,11 +54,9 @@ __all__ = [
     "lq_norm",
     "phase",
     "phase_root",
-    "CycloScalar",
     "GeneralizedRademacher",
     "integrate_product",
     "integrate_product_bruteforce",
-    "integrate_step_product",
     "DiagonalTensor",
     "averaging_decomposition",
     "build_dual_form",
@@ -83,6 +78,5 @@ __all__ = [
     "norm_closed_form",
     "norm_numeric",
     "norm_witness",
-    "polarize",
     "__version__",
 ]

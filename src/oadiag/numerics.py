@@ -53,15 +53,14 @@ MAX_PIECES = 10 ** 6
 MAX_EXPANSION_ENTRIES = 10 ** 5
 # n^k entries of a dense multilinear form.
 MAX_FORM_ENTRIES = 10 ** 6
-# 2^k n^k polynomial evaluations of one polarization.
-MAX_POLARIZE_COST = 4 * 10 ** 6
-# Degree k of a polarization.
-MAX_POLARIZE_DEGREE = 6
 # Degree k of a dense n^k array (an expansion or a diagonal form): numpy
 # indexes at most 63 axes at once and holds at most 64.
 MAX_DENSE_DEGREE = 63
 # Box tuples one sup-norm enclosure (oapoly.multilinear_norm_grid) may bound.
 MAX_ENCLOSURE_BOXES = 10 ** 6
+# Entries of one optimizer's start array: restarts * k * n for
+# multilinear_norm_ascent, n per random start row for norm_numeric.
+MAX_START_ENTRIES = 10 ** 7
 # Records one CLI command may produce.
 MAX_CASES = 20000
 # Steps of one certified norm_numeric restart (k < p); the certificate's own

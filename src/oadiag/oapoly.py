@@ -8,12 +8,11 @@ optimizer re-derives the value numerically.
 
 The module also carries the dense multilinear-form side: diagonal extension
 of a coefficient sequence to a symmetric form vanishing off the diagonal,
-polarization of a homogeneous polynomial, structural/behavioral additivity
-checks, and diagonal extraction with the dual-exponent norm.  Multilinear
-sup norms have no closed form.  Alternating ascent with exact Hoelder slot
-updates gives a lower bound; at tiny dimension (n, k in {2, 3}) a branch and
-bound over cones encloses the sup norm between a lower and a proven upper
-bound, against which the ascent is judged.
+structural/behavioral additivity checks, and diagonal extraction with the
+dual-exponent norm.  Multilinear sup norms have no closed form.  Alternating
+ascent with exact Hoelder slot updates gives a lower bound; at tiny dimension
+(n, k in {2, 3}) a branch and bound over cones encloses the sup norm between
+a lower and a proven upper bound, against which the ascent is judged.
 
 The ascent runs all its restarts as one (restarts, k, n) array, the l_p power
 method / HOPM iteration on many starts at once, with one einsum per slot
@@ -33,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .numerics import (
     MAX_DENSE_DEGREE,
     MAX_ENCLOSURE_BOXES,
     MAX_FORM_ENTRIES,
-    MAX_POLARIZE_COST,
-    MAX_POLARIZE_DEGREE,
+    MAX_START_ENTRIES,
     BudgetError,
     CoefficientVector,
     LpParams,
@@ -66,7 +64,6 @@ __all__ = [
     "norm_numeric",
     "extend_diagonal_functional",
     "is_orthogonally_additive",
-    "polarize",
     "diagonal_of_multilinear",
     "multilinear_norm_ascent",
     "multilinear_norm_grid",
@@ -97,7 +94,7 @@ class MultilinearForm:
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[0] if self.coeffs.ndim else 0
+        return self.coeffs.shape[0]
 
     @property
     def degree(self) -> int:
@@ -155,8 +152,6 @@ class MultilinearForm:
 
     def diagonal(self) -> np.ndarray:
         """The sequence phi(e_n, ..., e_n)."""
-        if self.dim == 0:
-            return np.zeros(0, dtype=complex)
         idx = np.arange(self.dim)
         return np.array(self.coeffs[tuple([idx] * self.degree)])
 
@@ -270,8 +265,10 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
 def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
     """norm_numeric's iterated unit l_p start rows: uniform, then seeded
     random points for the restarts left after the n basis vectors."""
+    randoms = max(restarts - 1 - n, 0)
+    check_budget("ascent start", randoms * n, "entries", MAX_START_ENTRIES)
     rng = np.random.default_rng(seed)
-    T = np.vstack([np.ones(n), rng.random((max(restarts - 1 - n, 0), n)) + 1e-3])
+    T = np.vstack([np.ones(n), rng.random((randoms, n)) + 1e-3])
     # max-scaled norms: an unscaled power sum of a random row underflows to 0
     # from p of about 300 on
     return T / _lq_columns(T.T, p)[:, None]
@@ -483,32 +480,6 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     )
 
 
-def polarize(poly: Callable[[np.ndarray], Scalar], dim: int,
-             params: LpParams) -> MultilinearForm:
-    """Unique symmetric k-linear form phi with phi(x, ..., x) = poly(x).
-
-    Uses the sign-average polarization identity
-    phi(x_1,...,x_k) = 1/(2^k k!) sum_{eps in {+-1}^k} eps_1...eps_k
-    poly(eps_1 x_1 + ... + eps_k x_k), evaluated on basis tuples.
-    """
-    k = params.k
-    check_budget("polarization degree", k, "slots", MAX_POLARIZE_DEGREE)
-    check_budget("polarization evaluation", (2 ** k) * dim ** k, "evaluations",
-                 MAX_POLARIZE_COST)
-    signs = list(itertools.product((1.0, -1.0), repeat=k))
-    sign_products = [math.prod(s) for s in signs]
-    scale = 1.0 / ((2 ** k) * math.factorial(k))
-    coeffs = np.zeros((dim,) * k, dtype=complex)
-    for t in itertools.product(range(dim), repeat=k):
-        acc = 0j
-        for eps, sp in zip(signs, sign_products):
-            z = np.zeros(dim, dtype=complex)
-            np.add.at(z, list(t), eps)
-            acc += sp * complex(poly(z))
-        coeffs[t] = acc * scale
-    return MultilinearForm(coeffs, params)
-
-
 def diagonal_of_multilinear(form: MultilinearForm) -> Tuple[np.ndarray, float]:
     """Diagonal sequence phi(e_n,...,e_n) and its dual-exponent norm.
 
@@ -584,6 +555,7 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     if n == 0 or not np.any(np.abs(coeffs) > 0):
         return 0.0
     real_form = bool(np.all(coeffs.imag == 0))
+    check_budget("ascent start", restarts * k * n, "entries", MAX_START_ENTRIES)
     rng = np.random.default_rng(seed)
     xs = np.ones((restarts, k, n), dtype=complex)
     draws = rng.standard_normal((restarts - 1, k, 1 if real_form else 2, n))

@@ -2,94 +2,33 @@
 
 For a fixed k >= 2 the level-n function r_n is constant on each k-adic
 interval [m/k^n, (m+1)/k^n) where it takes the root-of-unity value
-omega^(m mod k), omega = e^{2 pi i / k}.  Products r_{n_1} ... r_{n_k}
-integrate over [0,1] to 1 when all levels coincide and to 0 otherwise, and
-both routes to that result implemented here (multiplicity rule, direct
-piecewise summation) are exact integer computations: omega is never
-materialized as a float inside an integral.
+omega^(m mod k), omega = e^{2 pi i / k}; evaluation returns the exponent
+m mod k, an int.  Products r_{n_1} ... r_{n_k} integrate over [0,1] to 1
+when all levels coincide and to 0 otherwise, and both routes to that result
+implemented here (multiplicity rule, direct piecewise summation) are exact
+integer computations: omega is never materialized as a float.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import MAX_PIECES, Scalar, check_budget
+from .numerics import MAX_PIECES, check_budget
 
 __all__ = [
-    "CycloScalar",
     "GeneralizedRademacher",
     "cyclotomic_polynomial",
     "reduce_root_of_unity_sum",
     "integrate_product",
     "integrate_product_bruteforce",
-    "integrate_step_product",
 ]
-
-
-@dataclass(frozen=True)
-class CycloScalar:
-    """omega^exponent with omega = e^{2 pi i / k}, or the zero scalar.
-
-    Closed under multiplication: exponents add mod k.  Every non-zero element
-    has modulus exactly 1.
-    """
-
-    k: int
-    exponent: int = 0
-    is_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"CycloScalar requires an integer k >= 2, got {self.k!r}")
-        normalized = 0 if self.is_zero else self.exponent % self.k
-        object.__setattr__(self, "exponent", normalized)
-
-    @classmethod
-    def one(cls, k: int) -> "CycloScalar":
-        return cls(k, 0)
-
-    @classmethod
-    def zero(cls, k: int) -> "CycloScalar":
-        return cls(k, 0, True)
-
-    def __mul__(self, other: "CycloScalar") -> "CycloScalar":
-        if not isinstance(other, CycloScalar):
-            return NotImplemented
-        if self.k != other.k:
-            raise ValueError("cannot multiply roots of unity of different order")
-        if self.is_zero or other.is_zero:
-            return CycloScalar.zero(self.k)
-        return CycloScalar(self.k, self.exponent + other.exponent)
-
-    def __pow__(self, m: int) -> "CycloScalar":
-        if self.is_zero:
-            if m == 0:
-                return CycloScalar.one(self.k)
-            return self
-        return CycloScalar(self.k, self.exponent * m)
-
-    def conjugate(self) -> "CycloScalar":
-        if self.is_zero:
-            return self
-        return CycloScalar(self.k, -self.exponent)
-
-    def __abs__(self) -> float:
-        return 0.0 if self.is_zero else 1.0
-
-    def to_complex(self) -> Scalar:
-        if self.is_zero:
-            return 0j
-        if self.exponent == 0:
-            return 1 + 0j
-        return cmath.exp(2j * math.pi * self.exponent / self.k)
 
 
 RationalLike = Union[int, float, Fraction]
@@ -113,10 +52,11 @@ class GeneralizedRademacher:
     """The level-n step function for order k.
 
     On the m-th interval of the level-n k-adic subdivision the value is
-    omega^(m mod k), i.e. the exponent is the least-significant base-k digit
-    of m.  Intervals are half-open [m/k^n, (m+1)/k^n): a breakpoint takes the
-    value of the interval to its right, and t = 1 evaluates to 1.  The
-    tie-break is a measure-zero choice that keeps evaluation total.
+    omega^(m mod k); eval returns the exponent m mod k, the least-significant
+    base-k digit of m.  Intervals are half-open [m/k^n, (m+1)/k^n): a
+    breakpoint takes the value of the interval to its right, and t = 1
+    evaluates to exponent 0.  The tie-break is a measure-zero choice that
+    keeps evaluation total.
     """
 
     k: int
@@ -128,15 +68,15 @@ class GeneralizedRademacher:
         if not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"level must be an integer >= 1, got {self.level!r}")
 
-    def eval(self, t: RationalLike) -> CycloScalar:
+    def eval(self, t: RationalLike) -> int:
         """Digit rule: exponent = floor(t * k^n) mod k.  Exact for rational t."""
         tq = _as_fraction(t)
         if tq < 0 or tq > 1:
             raise ValueError(f"t must lie in [0, 1], got {t!r}")
         m = math.floor(tq * self.k ** self.level)
-        return CycloScalar(self.k, m % self.k)
+        return m % self.k
 
-    def eval_recursive(self, t: RationalLike) -> CycloScalar:
+    def eval_recursive(self, t: RationalLike) -> int:
         """Independent evaluation walking the recursive k-adic subdivision.
 
         Descends level by level, at each step locating t in one of the k
@@ -147,7 +87,7 @@ class GeneralizedRademacher:
         if tq < 0 or tq > 1:
             raise ValueError(f"t must lie in [0, 1], got {t!r}")
         if tq == 1:
-            return CycloScalar(self.k, 0)
+            return 0
         lo = Fraction(0)
         width = Fraction(1)
         j = 0
@@ -155,7 +95,7 @@ class GeneralizedRademacher:
             width /= self.k
             j = int((tq - lo) // width)
             lo += j * width
-        return CycloScalar(self.k, j)
+        return j
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +164,8 @@ def reduce_root_of_unity_sum(counts: Sequence[int], k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_levels(levels: Sequence[int], k: int) -> Tuple[int, ...]:
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     lv = tuple(int(x) for x in levels)
     if len(lv) != k:
         raise ValueError(f"exactly {k} levels required, got {len(lv)}")
@@ -236,14 +178,15 @@ def _piece_sum(levels: Sequence[int], k: int, depth: int) -> int:
     """Exact integer sum of prod_j r_{levels[j]} over the k^depth pieces.
 
     The value on piece m is omega^e, where e adds up the base-k digits of m
-    that the levels select; the exponent histogram is reduced exactly.
+    that the levels select, each as often as it is selected, so one pass per
+    distinct level; the exponent histogram is reduced exactly.
     """
     pieces = k ** depth
     check_budget("piece", pieces, "pieces", MAX_PIECES)
     m = np.arange(pieces, dtype=np.int64)
     exponents = np.zeros(pieces, dtype=np.int64)
-    for level in levels:
-        exponents += (m // k ** (depth - level)) % k
+    for level, count in Counter(levels).items():
+        exponents += count * ((m // k ** (depth - level)) % k)
     counts = np.bincount(exponents % k, minlength=k)
     return reduce_root_of_unity_sum([int(c) for c in counts], k)
 
@@ -256,8 +199,6 @@ def integrate_product(levels: Sequence[int], k: int) -> int:
     otherwise.  Since the group sizes add up to k, the product is 1 exactly
     when all levels are equal.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     lv = _check_levels(levels, k)
     for c in Counter(lv).values():
         if c % k != 0:
@@ -273,8 +214,6 @@ def integrate_product_bruteforce(levels: Sequence[int], k: int) -> int:
     off the piece index digits; the accumulated exponent histogram is then
     reduced exactly, never touching floating point.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     lv = _check_levels(levels, k)
     depth = max(lv)
     value = Fraction(_piece_sum(lv, k, depth), k ** depth)
@@ -282,35 +221,3 @@ def integrate_product_bruteforce(levels: Sequence[int], k: int) -> int:
         raise AssertionError("piecewise sum of a product integral must be an integer")
     return int(value)
 
-
-def integrate_step_product(factors: Iterable[Tuple[int, Union[CycloScalar, Scalar]]],
-                           k: int, depth: int) -> Scalar:
-    """Integral of prod_j (coeff_j * r_{level_j}) as an average over pieces.
-
-    The integrand is constant on the k^depth pieces of the level-`depth`
-    subdivision, so the integral is the exact finite average of the piece
-    values.  Coefficients that are CycloScalars stay in exact root-of-unity
-    arithmetic; plain complex coefficients multiply in floating point at the
-    very end.
-    """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    fac = [(int(level), coeff) for level, coeff in factors]
-    if any(level < 1 for level, _ in fac):
-        raise ValueError("levels must be >= 1")
-    max_level = max((level for level, _ in fac), default=0)
-    if depth < max_level:
-        raise ValueError(f"depth {depth} is below the max level {max_level}")
-    levels = [level for level, _ in fac]
-    average = Fraction(_piece_sum(levels, k, depth), k ** depth)
-
-    coeff_exact = CycloScalar.one(k)
-    coeff_float = 1 + 0j
-    for _, coeff in fac:
-        if isinstance(coeff, CycloScalar):
-            if coeff.k != k:
-                raise ValueError("coefficient root order does not match k")
-            coeff_exact = coeff_exact * coeff
-        else:
-            coeff_float *= complex(coeff)
-    return coeff_exact.to_complex() * coeff_float * float(average)

@@ -574,8 +574,16 @@ def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
      "dense tensor degree budget exceeded: 64 axes asked for, cap is 63"),
     (["additivity-test", "--k", "65", "--p", "80", "--n", "1", "--trials", "1"], None,
      "dense tensor degree budget exceeded: 65 axes asked for, cap is 63"),
+    # caps patched down, so no test allocates a large start array
+    (["zalduendo-check", "--k", "3", "--p", "4", "--n", "3", "--trials", "1",
+      "--restarts", "13"], ("oadiag.oapoly.MAX_START_ENTRIES", 116),
+     "ascent start budget exceeded: 117 entries asked for, cap is 116"),
+    (["oa-norm", "--k", "3", "--p", "5", "--coeffs=1,2", "--restarts", "14"],
+     ("oadiag.oapoly.MAX_START_ENTRIES", 21),
+     "ascent start budget exceeded: 22 entries asked for, cap is 21"),
 ], ids=["pieces", "expansion_entries", "form_entries", "cases", "ascent_steps",
-        "enclosure_boxes", "expansion_degree", "form_degree"])
+        "enclosure_boxes", "expansion_degree", "form_degree", "ascent_starts",
+        "norm_starts"])
 def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, message,
                                                                     monkeypatch, capsys):
     if patch:

@@ -140,7 +140,7 @@ def test_pieces_are_the_rademacher_average(k, n):
     # piece m is x(t) = sum_i c[i] r_(i+1)(t) e_i on [m / k^n, (m + 1) / k^n)
     rng = np.random.default_rng([87, k])
     u = DiagonalTensor(draw_coefficients(rng, n, True), LpParams(k + 1.0, k))
-    exponents = np.array([[GeneralizedRademacher(k, i + 1).eval(Fraction(m, k ** n)).exponent
+    exponents = np.array([[GeneralizedRademacher(k, i + 1).eval(Fraction(m, k ** n))
                            for i in range(n)] for m in range(k ** n)])
     # one array product, as numpy's vectorised complex product may round a
     # last bit otherwise than its scalar one

@@ -17,7 +17,6 @@ from oadiag.oapoly import (
     norm_closed_form,
     norm_numeric,
     norm_witness,
-    polarize,
     _MIRROR_ASYMMETRY,
     _Boxes,
     _CORNERS,
@@ -452,53 +451,6 @@ def test_disjoint_support_additivity_of_polynomials():
         y[perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
         px, py, pxy = evaluate(poly, x), evaluate(poly, y), evaluate(poly, x + y)
         assert abs(pxy - px - py) <= 1e-10 * (abs(px) + abs(py) + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Polarization
-# ---------------------------------------------------------------------------
-
-def test_polarize_examples():
-    form = polarize(lambda x: x[0] ** 2, 2, P42)
-    assert np.allclose(form.coeffs, np.diag([1.0, 0.0]))
-
-    form = polarize(lambda x: x[0] * x[1], 2, P42)
-    assert form.coeffs[0, 1] == pytest.approx(0.5)
-    assert form.coeffs[1, 0] == pytest.approx(0.5)
-    assert form.coeffs[0, 0] == pytest.approx(0.0)
-
-
-def test_polarize_diagonal_polynomial_round_trip():
-    rng = np.random.default_rng(19)
-    for k in (2, 3):
-        params = LpParams(2.0 * k, k)
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        poly = OrthAddPolynomial(c, params)
-        form = polarize(lambda x: evaluate(poly, x), 4, params)
-        assert np.allclose(form.diagonal(), c, atol=1e-12)
-        off = form.coeffs.copy()
-        idx = np.arange(4)
-        off[tuple([idx] * k)] = 0.0
-        assert np.max(np.abs(off)) <= 1e-12
-        for _ in range(5):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert form.apply([x] * k) == pytest.approx(evaluate(poly, x), rel=1e-12)
-
-
-def test_polarize_recovers_symmetric_form():
-    rng = np.random.default_rng(20)
-    raw = rng.standard_normal((3, 3, 3))
-    params = LpParams(6.0, 3)
-    sym = MultilinearForm(raw.astype(complex), params).symmetrize()
-    form = polarize(lambda x: sym.apply([x] * 3), 3, params)
-    assert np.allclose(form.coeffs, sym.coeffs, atol=1e-12)
-
-
-def test_polarize_budget():
-    with pytest.raises(BudgetError, match="degree budget exceeded: 7 slots asked for, cap is 6"):
-        polarize(lambda x: 0.0, 2, LpParams(8.0, 7))
-    with pytest.raises(BudgetError):
-        polarize(lambda x: 0.0, 100, LpParams(8.0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -6,55 +6,13 @@ import pytest
 
 from oadiag.numerics import BudgetError
 from oadiag.rademacher import (
-    CycloScalar,
     GeneralizedRademacher,
+    _piece_sum,
     cyclotomic_polynomial,
     integrate_product,
     integrate_product_bruteforce,
-    integrate_step_product,
     reduce_root_of_unity_sum,
 )
-
-
-# ---------------------------------------------------------------------------
-# CycloScalar
-# ---------------------------------------------------------------------------
-
-def test_cyclo_multiplication_is_exponent_addition():
-    a = CycloScalar(5, 2)
-    b = CycloScalar(5, 4)
-    assert (a * b).exponent == 1
-    assert (a * b).k == 5
-
-
-def test_cyclo_modulus_is_one_unless_zero():
-    for k in range(2, 7):
-        for e in range(k):
-            assert abs(CycloScalar(k, e)) == 1.0
-    assert abs(CycloScalar.zero(3)) == 0.0
-
-
-def test_cyclo_zero_absorbs():
-    z = CycloScalar.zero(4) * CycloScalar(4, 3)
-    assert z.is_zero
-
-
-def test_cyclo_mixed_order_rejected():
-    with pytest.raises(ValueError):
-        CycloScalar(3, 1) * CycloScalar(4, 1)
-
-
-def test_cyclo_conjugate_and_power():
-    w = CycloScalar(6, 2)
-    assert w.conjugate().exponent == 4
-    assert (w ** 3).exponent == 0
-    assert abs(w.to_complex() - complex(math.cos(2 * math.pi / 3),
-                                        math.sin(2 * math.pi / 3))) < 1e-15
-
-
-def test_cyclo_requires_k_at_least_two():
-    with pytest.raises(ValueError):
-        CycloScalar(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +20,9 @@ def test_cyclo_requires_k_at_least_two():
 # ---------------------------------------------------------------------------
 
 def test_eval_examples():
-    assert GeneralizedRademacher(2, 1).eval(0.3).exponent == 0   # value 1
-    assert GeneralizedRademacher(2, 2).eval(0.6).exponent == 0   # floor(2.4)=2, 2 mod 2
-    assert GeneralizedRademacher(3, 1).eval(0.5).exponent == 1   # 0.5 in (1/3, 2/3)
+    assert GeneralizedRademacher(2, 1).eval(0.3) == 0   # value 1
+    assert GeneralizedRademacher(2, 2).eval(0.6) == 0   # floor(2.4)=2, 2 mod 2
+    assert GeneralizedRademacher(3, 1).eval(0.5) == 1   # 0.5 in (1/3, 2/3)
 
 
 def test_eval_rejects_out_of_range():
@@ -77,12 +35,12 @@ def test_eval_rejects_out_of_range():
 
 def test_breakpoint_takes_right_interval():
     r = GeneralizedRademacher(2, 1)
-    assert r.eval(Fraction(1, 2)).exponent == 1
-    assert r.eval_recursive(Fraction(1, 2)).exponent == 1
-    assert r.eval(Fraction(0)).exponent == 0
-    # t = 1 has no interval on its right; it evaluates to 1 by convention
-    assert r.eval(1).exponent == 0
-    assert r.eval_recursive(1).exponent == 0
+    assert r.eval(Fraction(1, 2)) == 1
+    assert r.eval_recursive(Fraction(1, 2)) == 1
+    assert r.eval(Fraction(0)) == 0
+    # t = 1 has no interval on its right; it evaluates to omega^0 = 1 by convention
+    assert r.eval(1) == 0
+    assert r.eval_recursive(1) == 0
 
 
 def test_digit_rule_matches_recursive_construction():
@@ -100,9 +58,9 @@ def test_eval_is_never_zero_and_unimodular():
         for level in range(1, 6):
             r = GeneralizedRademacher(k, level)
             for t in rng.random(40):
-                value = r.eval(float(t))
-                assert not value.is_zero
-                assert abs(value) == 1.0
+                # the value omega^d is never zero and has modulus 1
+                d = r.eval(float(t))
+                assert type(d) is int and 0 <= d < k
 
 
 def test_k2_reproduces_classical_rademacher():
@@ -114,7 +72,7 @@ def test_k2_reproduces_classical_rademacher():
             if abs(s) < 1e-9:
                 continue  # breakpoint neighborhood
             expected = 1.0 if s > 0 else -1.0
-            assert r.eval(float(t)).to_complex().real == pytest.approx(expected)
+            assert (-1) ** r.eval(float(t)) == expected
 
 
 def test_level_and_order_validation():
@@ -176,6 +134,9 @@ def test_integrate_product_arity_and_level_errors():
         integrate_product([0, 1], 2)
     with pytest.raises(ValueError):
         integrate_product_bruteforce([1], 2)
+    for integrate in (integrate_product, integrate_product_bruteforce):
+        with pytest.raises(ValueError, match="k must be an integer >= 2, got 1"):
+            integrate([1], 1)
 
 
 def test_bruteforce_budget():
@@ -183,46 +144,30 @@ def test_bruteforce_budget():
         integrate_product_bruteforce([25, 25], 2)
 
 
-def test_integrate_step_product_examples():
-    one2 = CycloScalar.one(2)
-    assert integrate_step_product([(1, one2)], 2, 1) == 0
-    assert integrate_step_product([(1, one2), (1, one2)], 2, 1) == 1
-    one3 = CycloScalar.one(3)
-    assert integrate_step_product([(1, one3), (2, one3), (2, one3)], 3, 2) == 0
-
-
-def test_integrate_step_product_coefficients():
-    one2 = CycloScalar.one(2)
-    minus = CycloScalar(2, 1)
-    # (-1) * r_1 * r_1 integrates to -1
-    assert integrate_step_product([(1, minus), (1, one2)], 2, 1) == pytest.approx(-1.0)
-    # complex scalar coefficients ride along
-    value = integrate_step_product([(1, 2.5j), (1, one2)], 2, 2)
-    assert value == pytest.approx(2.5j)
-
-
-def test_integrate_step_product_depth_and_order_errors():
-    with pytest.raises(ValueError):
-        integrate_step_product([(3, CycloScalar.one(2))], 2, 2)
-    with pytest.raises(ValueError):
-        integrate_step_product([(1, CycloScalar.one(3))], 2, 1)
-    with pytest.raises(BudgetError):
-        integrate_step_product([(1, CycloScalar.one(2))], 2, 40)
-
-
 def test_step_product_agrees_with_eval_enumeration():
-    # the integral engine matches a literal average of eval() products
-    for k, levels in [(2, (1, 2)), (3, (1, 1, 2)), (4, (2, 2, 1, 1))]:
+    # both product integrals match a literal average of omega^(sum of eval digits)
+    for k, levels in [(2, (1, 2)), (2, (2, 2)), (3, (1, 1, 2)), (3, (2, 2, 2)),
+                      (4, (2, 2, 1, 1)), (4, (1, 1, 1, 1))]:
         depth = max(levels)
         pieces = k ** depth
         acc = 0j
         for m in range(pieces):
             t = Fraction(2 * m + 1, 2 * pieces)
-            piece = CycloScalar.one(k)
-            for level in levels:
-                piece = piece * GeneralizedRademacher(k, level).eval(t)
-            acc += piece.to_complex()
+            d = sum(GeneralizedRademacher(k, level).eval(t) for level in levels)
+            acc += complex(math.cos(2 * math.pi * d / k), math.sin(2 * math.pi * d / k))
         literal = acc / pieces
-        engine = integrate_step_product([(lv, CycloScalar.one(k)) for lv in levels], k, depth)
-        assert abs(engine - literal) < 1e-12
-        assert integrate_product(levels, k) == pytest.approx(engine.real, abs=1e-12)
+        assert abs(integrate_product(levels, k) - literal) < 1e-12
+        assert abs(integrate_product_bruteforce(levels, k) - literal) < 1e-12
+
+
+@pytest.mark.parametrize("k, levels", [(3, (2, 2, 1)), (4, (3, 1, 3, 3)), (3, (2, 2, 2)),
+                                       (2, (1, 2, 1, 2)), (3, (1, 3, 1, 3, 1, 3)),
+                                       (5, (1, 2, 1, 2, 2))])
+def test_piece_sum_groups_repeated_levels(k, levels):
+    # one pass per distinct level gives the sum of one pass per level; where
+    # k divides every level's count the sum is k^depth, not 0
+    depth = max(levels)
+    m = np.arange(k ** depth, dtype=np.int64)
+    exponents = sum((m // k ** (depth - level)) % k for level in levels)
+    counts = np.bincount(exponents % k, minlength=k)
+    assert _piece_sum(levels, k, depth) == reduce_root_of_unity_sum(list(counts), k)
