@@ -8,6 +8,7 @@ rejected at the boundary of every operation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -77,6 +78,12 @@ def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.nda
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entry (NaN or Inf) is not admitted")
     return arr
+
+
+def _ensure_finite_scalar(z: complex) -> None:
+    """ensure_finite for one Python complex, without building an array."""
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite entry (NaN or Inf) is not admitted")
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def lq_norm(v, q: float) -> float:
 def phase(a: Scalar) -> Scalar:
     """a/|a|, with phase(0) = 1 so decompositions of zero coefficients stay defined."""
     z = complex(a)
-    ensure_finite(z)
+    _ensure_finite_scalar(z)
     m = abs(z)
     if m == 0.0:
         return complex(1.0)
@@ -176,7 +183,7 @@ def phase_root(a: Scalar, k: int) -> Scalar:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     z = complex(a)
-    ensure_finite(z)
+    _ensure_finite_scalar(z)
     if z == 0:
         return complex(1.0)
     angle = math.atan2(z.imag, z.real) / k

@@ -405,6 +405,39 @@ class AdditivityReport:
         return self.structural_ok == self.behavioral_ok
 
 
+def _disjoint_pairs(rng: np.random.Generator, n: int,
+                    samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The behavioral check's (samples, n) pairs xs, ys with disjoint
+    supports, in is_orthogonally_additive's draw order.  Row r draws perm,
+    cut and 2n normals z; x takes z[j] + 1j * z[cut + j] at perm[j] for
+    j < cut and y takes z[cut + j] + 1j * z[n + j] at perm[j] for j >= cut:
+    the values of standard_normal calls of sizes cut, cut, n - cut and
+    n - cut, which draw in order from the same stream.  perm is
+    rng.shuffle of np.arange(n), as in rng.permutation(n).  The permutation
+    and the cut use buffered 32-bit draws, so they are drawn row by row; the
+    arrays are assembled in one pass."""
+    perms = np.tile(np.arange(n), (samples, 1))
+    z = np.empty((samples, 2 * n))
+    cuts = []
+    for perm, normals in zip(perms, z):
+        rng.shuffle(perm)
+        cuts.append(rng.integers(1, n))
+        rng.standard_normal(out=normals)
+    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 1)
+    j = np.arange(n)
+    in_x = j < cuts
+    shifted = cuts + j
+    re = np.take_along_axis(z, np.where(in_x, j, shifted), axis=1)
+    im = np.take_along_axis(z, np.where(in_x, shifted, n + j), axis=1)
+    values = re + 1j * im
+    rows = np.arange(samples)[:, None]
+    xs = np.zeros((samples, n), dtype=complex)
+    ys = np.zeros((samples, n), dtype=complex)
+    xs[rows, perms] = np.where(in_x, values, 0.0)
+    ys[rows, perms] = np.where(in_x, 0.0, values)
+    return xs, ys
+
+
 def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-12,
                              tol_behavioral: float = 1e-10, samples: int = 32,
                              seed: int = 0) -> AdditivityReport:
@@ -417,6 +450,12 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     tol_behavioral * (|P(x)| + |P(y)| + 1); P is evaluated at all the x, y
     and x + y together, validated once.  The two checks agree on any form
     that cleanly satisfies or violates additivity.
+
+    The pairs are drawn from np.random.default_rng(seed), one row at a time
+    and in this order per row: the permutation of the coordinates, the cut
+    (x on the first cut of them, y on the rest), then 2n standard normals,
+    the real and imaginary parts of x and then of y.  A change to that
+    order re-seeds the check and moves every seeded record.
 
     The behavioral check runs on P_s = P / s, s the power of two at or below
     the largest coefficient modulus (at least 2^-1022), and compares
@@ -438,8 +477,9 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     if coeffs.size and n > 1:
         off = np.array(coeffs)
         off[(np.arange(n),) * k] = 0.0
-        flat = int(np.argmax(np.abs(off)))
-        worst = float(np.abs(off).reshape(-1)[flat])
+        mags = np.abs(off).reshape(-1)
+        flat = int(mags.argmax())
+        worst = float(mags[flat])
         if scale > 0 and worst > 0:
             worst_index = tuple(int(i) for i in np.unravel_index(flat, coeffs.shape))
             worst_ratio = worst / scale
@@ -451,14 +491,7 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
         # numpy divides a complex array by multiplying with 1/unit, which
         # must stay finite: unit is at least the least normal power of two
         unit = math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
-        rng = np.random.default_rng(seed)
-        xs = np.zeros((samples, n), dtype=complex)
-        ys = np.zeros((samples, n), dtype=complex)
-        for row in range(samples):
-            perm = rng.permutation(n)
-            cut = int(rng.integers(1, n))
-            xs[row, perm[:cut]] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
-            ys[row, perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
+        xs, ys = _disjoint_pairs(np.random.default_rng(seed), n, samples)
         # P at every x, y and x + y: one matmul for the first slot, then one
         # batched contraction per further slot
         points = ensure_finite(np.concatenate([xs, ys, xs + ys]))
@@ -619,6 +652,8 @@ def _face_corners(n: int) -> np.ndarray:
 
 
 _CORNERS = {n: _face_corners(n) for n in (2, 3)}
+# the pairs i <= j of the 2^(n-1) children of a box, for _split_widest's twins
+_TWIN_PAIRS = {n: np.triu_indices(2 ** (n - 1)) for n in (2, 3)}
 
 
 class _Boxes:
@@ -761,7 +796,7 @@ def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarra
     out = out.reshape(len(ids), -1)
     if not twin.any():
         return out
-    i, j = np.triu_indices(len(children))
+    i, j = _TWIN_PAIRS[boxes.lo.shape[0]]
     halves = children[:, twin]
     return np.concatenate([out, np.stack([halves[i].reshape(-1), halves[j].reshape(-1)])], axis=1)
 

@@ -22,6 +22,7 @@ from oadiag.oapoly import (
     _CORNERS,
     _ascent,
     _ascent_starts,
+    _disjoint_pairs,
     _distinct,
     _tuple_bounds,
 )
@@ -425,6 +426,52 @@ def test_batched_additivity_matches_per_sample_apply(samples):
             assert report.worst_behavioral_defect == 0.0 and report.behavioral_ok
         elif trial % 2 == 0:
             assert not report.behavioral_ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 19])
+@pytest.mark.parametrize("samples", [0, 1, 32])
+def test_disjoint_pairs_match_the_per_row_loop(n, samples):
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        xs = np.zeros((samples, n), dtype=complex)
+        ys = np.zeros((samples, n), dtype=complex)
+        for row in range(samples):
+            perm = rng.permutation(n)
+            cut = int(rng.integers(1, n))
+            xs[row, perm[:cut]] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
+            ys[row, perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
+        got_xs, got_ys = _disjoint_pairs(np.random.default_rng(seed), n, samples)
+        assert got_xs.shape == got_ys.shape == (samples, n)
+        assert got_xs.tobytes() == xs.tobytes()
+        assert got_ys.tobytes() == ys.tobytes()
+
+
+# is_orthogonally_additive(form, seed=k * n) on the forms below, as
+# (worst_behavioral_defect.hex(), behavioral_ok): a change to the draws of
+# the behavioral check moves these
+ADDITIVITY_PINS = {
+    "full_k2_n5": ("0x1.381f096594f93p+4", False),
+    "full_k3_n5": ("0x1.f6f128b8ff0e9p+6", False),
+    "full_k3_n8": ("0x1.1e5b64ad5cf9fp+8", False),
+    "diagonal_k2_n5": ("0x1.07e0f66afed07p-49", True),
+    "diagonal_k3_n8": ("0x1.c12432fec032ap-47", True),
+    "diagonal_k4_n3": ("0x1.0000000000000p-47", True),
+}
+
+
+def test_behavioral_check_keeps_its_seeded_stream():
+    rng = np.random.default_rng(23)
+    forms = {}
+    for k, n in ((2, 5), (3, 5), (3, 8)):
+        c = rng.standard_normal((n,) * k) + 1j * rng.standard_normal((n,) * k)
+        forms[f"full_k{k}_n{n}"] = (MultilinearForm(c, LpParams(5.0, k)), k * n)
+    for k, n in ((2, 5), (3, 8), (4, 3)):
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        forms[f"diagonal_k{k}_n{n}"] = (extend_diagonal_functional(d, LpParams(5.0, k)), k * n)
+    for name, (form, seed) in forms.items():
+        report = is_orthogonally_additive(form, seed=seed)
+        got = (report.worst_behavioral_defect.hex(), report.behavioral_ok)
+        assert got == ADDITIVITY_PINS[name], name
 
 
 def test_additivity_makes_no_apply_calls(monkeypatch):
