@@ -330,10 +330,12 @@ def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[Record]:
 
 def cmd_pi_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, decomposition upper bound and dual lower bound for one tensor."""
+    stages = _Stages(cfg.timing)
 
     def case(index: int) -> Case:
         u = DiagonalTensor(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
-        closed, upper, lower, tol = _pi_sandwich(cfg, u)
+        with stages("pi_sandwich"):
+            closed, upper, lower, tol = _pi_sandwich(cfg, u)
         deviations = {
             "lower_vs_closed": _relative_deviation(lower, closed),
             "upper_vs_closed": _relative_deviation(upper, closed),
@@ -345,16 +347,18 @@ def cmd_pi_norm(cfg: ExperimentConfig) -> List[Record]:
                 deviations,
                 {name: dev <= tol for name, dev in deviations.items()})
 
-    return _run_cases(cfg, 1, case)
+    return _run_cases(cfg, 1, case, stages)
 
 
 def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, witness value and ascent estimate for one polynomial."""
+    stages = _Stages(cfg.timing)
 
     def case(index: int) -> Case:
         poly = OrthAddPolynomial(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
-        closed, numeric, witness_value, dev, ok = _oa_isometry(
-            cfg, poly, cfg.restarts, cfg.iters, cfg.seed)
+        with stages("oa_isometry"):
+            closed, numeric, witness_value, dev, ok = _oa_isometry(
+                cfg, poly, cfg.restarts, cfg.iters, cfg.seed)
         return ({"k": cfg.k, "p": cfg.p, "seed": cfg.seed,
                  "restarts": cfg.restarts, "iters": cfg.iters,
                  "coeffs": [format_scalar(z) for z in cfg.coeffs],
@@ -364,12 +368,13 @@ def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
                 {"witness_vs_closed": dev["witness"], "numeric_vs_closed": dev["isometry"]},
                 {"witness_vs_closed": ok["witness"], "numeric_vs_closed": ok["isometry"]})
 
-    return _run_cases(cfg, 1, case)
+    return _run_cases(cfg, 1, case, stages)
 
 
 def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
     """Structural and behavioral additivity checks on diagonal extensions."""
     params = LpParams(cfg.p, cfg.k)
+    stages = _Stages(cfg.timing)
 
     def case(trial: int) -> Case:
         if cfg.coeffs is not None:
@@ -377,7 +382,8 @@ def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
         else:
             rng = np.random.default_rng([cfg.seed, trial])
             c = _random_coeffs(rng, cfg.n, complex_values=trial % 2 == 1)
-        report = _additivity(cfg, c, params, cfg.seed + trial)
+        with stages("additivity"):
+            report = _additivity(cfg, c, params, cfg.seed + trial)
         values = {"offdiagonal_ratio": report.worst_offdiagonal_ratio,
                   "behavioral_defect": report.worst_behavioral_defect}
         return ({"k": cfg.k, "p": cfg.p, "n": int(c.shape[0]), "seed": cfg.seed,
@@ -387,7 +393,7 @@ def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
                 {"structural": report.structural_ok, "behavioral": report.behavioral_ok,
                  "checks_agree": report.checks_agree})
 
-    return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case)
+    return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case, stages)
 
 
 def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
@@ -432,6 +438,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
     shape = (len(ks), 1 if cfg.p is not None else 2, len(ns), cfg.trials)
     rec_tol = cfg.tol("reconstruction")
+    stages = _Stages(cfg.timing)
 
     def case(index: int) -> Case:
         k_at, p_at, n_at, trial = _unravel(index, shape)
@@ -443,20 +450,24 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
 
         # rank-one reconstruction of the diagonal tensor
         u = DiagonalTensor(a, params)
-        tensor = factored_expansion(u)
-        idx = np.arange(n)
-        diag = tensor[tuple([idx] * k)].copy()
-        tensor[tuple([idx] * k)] = 0.0
-        off_dev = float(np.max(np.abs(tensor))) / max(float(np.sum(np.abs(a))), 1e-300)
-        diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
+        with stages("reconstruction"):
+            tensor = factored_expansion(u)
+            idx = np.arange(n)
+            diag = tensor[tuple([idx] * k)].copy()
+            tensor[tuple([idx] * k)] = 0.0
+            off_dev = float(np.max(np.abs(tensor))) / max(float(np.sum(np.abs(a))), 1e-300)
+            diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
 
-        closed, upper, lower, sandwich_tol = _pi_sandwich(cfg, u)
+        with stages("pi_sandwich"):
+            closed, upper, lower, sandwich_tol = _pi_sandwich(cfg, u)
         sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
         # moderate optimizer budget; sweeps stay quick
-        oa_closed, numeric, witness_value, iso_dev, iso_ok = _oa_isometry(
-            cfg, OrthAddPolynomial(a, params), min(cfg.restarts, n + 4),
-            min(cfg.iters, 250), cfg.seed + index)
-        report = _additivity(cfg, a, params, cfg.seed + index)
+        with stages("oa_isometry"):
+            oa_closed, numeric, witness_value, iso_dev, iso_ok = _oa_isometry(
+                cfg, OrthAddPolynomial(a, params), min(cfg.restarts, n + 4),
+                min(cfg.iters, 250), cfg.seed + index)
+        with stages("additivity"):
+            report = _additivity(cfg, a, params, cfg.seed + index)
 
         deviations = {
             "reconstruction_offdiagonal": off_dev,
@@ -487,7 +498,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
                 deviations,
                 passes)
 
-    return _run_cases(cfg, math.prod(shape), case)
+    return _run_cases(cfg, math.prod(shape), case, stages)
 
 
 COMMANDS: Dict[str, Callable[[ExperimentConfig], List[Record]]] = {

@@ -209,7 +209,8 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     which never decreases f.  Starts: the n basis vectors e_i, each taken at
     its exact value w_i without iterating it (for p <= k the norm is reached
     only there, and each is a fixed point of the update), a uniform vector,
-    and seeded random points for the rest of `restarts`; the result is the
+    and seeded random points for the rest of `restarts`, from a generator
+    built only when there are any (restarts > n + 1); the result is the
     best value over the starts, scaled back by max|c| (the norm is
     positively homogeneous, so no power overflows).  Deterministic for fixed
     arguments.
@@ -264,11 +265,14 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
 
 def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
     """norm_numeric's iterated unit l_p start rows: uniform, then seeded
-    random points for the restarts left after the n basis vectors."""
+    random points for the restarts left after the n basis vectors.  The
+    generator is built only when random rows are drawn (restarts > n + 1);
+    otherwise numpy.random, about 6 MB of modules, is never imported."""
     randoms = max(restarts - 1 - n, 0)
     check_budget("ascent start", randoms * n, "entries", MAX_START_ENTRIES)
-    rng = np.random.default_rng(seed)
-    T = np.vstack([np.ones(n), rng.random((randoms, n)) + 1e-3])
+    T = np.ones((1 + randoms, n))
+    if randoms:
+        T[1:] = np.random.default_rng(seed).random((randoms, n)) + 1e-3
     # max-scaled norms: an unscaled power sum of a random row underflows to 0
     # from p of about 300 on
     return T / _lq_columns(T.T, p)[:, None]
@@ -828,14 +832,21 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     More than MAX_ENCLOSURE_BOXES tuples, counted as a round is about to
     make them, raise BudgetError.
 
+    Pre-split.  The tuples of whole faces are split once before the first
+    round, under the same count and budget check as a round's split, and
+    never bounded: their pyramids reach the cube's corners, so on random
+    forms no face tuple closes, and bounding them would only delay their
+    split.  The children cover their parent, so every bound stays proven.
+
     Mirror.  At k = 3, N(x_1, x_2) = N(x_2, x_1) when the coefficients are
     symmetric in the two box slots, so only the half x_1 <= x_2 in box order
     is searched.  The test is on the coefficients, max|c - c'| <=
-    _MIRROR_ASYMMETRY max|c| with c' = c.swapaxes(0, 1).  Face pairs
-    f_1 <= f_2 start, and a twin tuple (X, X) is split in both slots at
-    once into the 2^(n-2) (2^(n-1) + 1) tuples (X_i, X_j), i <= j, of X's
-    children, each mirror (X_j, X_i) left out.  Below a tuple of two
-    distinct boxes no twin arises, so every other tuple splits as before.
+    _MIRROR_ASYMMETRY max|c| with c' = c.swapaxes(0, 1).  Only the face
+    pairs f_1 <= f_2 are pre-split, and a twin tuple (X, X) is split in
+    both slots at once into the 2^(n-2) (2^(n-1) + 1) tuples (X_i, X_j),
+    i <= j, of X's children, each mirror (X_j, X_i) left out.  Below a
+    tuple of two distinct boxes no twin arises, so every other tuple splits
+    as before.
     Either the maximizer or its mirror lies in a kept cone.  k = 2 has one
     box slot and no mirror.
 
@@ -870,9 +881,9 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     |phi_t| = |phi(e_t1, ..., e_tk)| <= S.  (a) The computed l_q norm of a
     row is within 6u relative, so the computed g has ||g||_q <= 1 + 8u and
     the ball lies in {<g, x> <= 1 + 8u}: each slot's pyramid grows by that
-    factor.  (b) Splitting starts at 0, so below the whole face every box
-    lies in a closed orthant and every term g_i u_i is >= 0 (on the whole
-    face g = e_f): each <g, u_a> is within gamma_3 ~ 3u relative, and it is
+    factor.  (b) Splitting starts at 0, so every bounded box, being below
+    the whole face, lies in a closed orthant and every term g_i u_i is
+    >= 0: each <g, u_a> is within gamma_3 ~ 3u relative, and it is
     at least g_f >= n^(-1/q) >= 1/n.  (c) Each coordinate of phi(u_a, ...)
     rounds at most (k-1)n <= 6 times on a term's path, with |u_i| <= 1, so
     it errs by at most gamma_6 n^(k-1) S and the l_q norm of the errors by
@@ -914,6 +925,13 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     best = upper = 0.0
     visited = ids.shape[1]
     while ids.shape[1]:
+        # split first: the face tuples are split before they are bounded
+        twin = mirror & (ids[0] == ids[-1])
+        twins = int(np.count_nonzero(twin))
+        # checked before the children are built
+        visited += (ids.shape[1] - twins) * vertices + twins * vertices * (vertices + 1) // 2
+        check_budget("sup-norm enclosure box", visited, "boxes", MAX_ENCLOSURE_BOXES)
+        ids = _split_widest(boxes, ids, twin)
         count = ids.shape[1]
         lower, bound = np.empty(count), np.empty(count)
         # the pairing of the two box slots, reused by every chunk of the round
@@ -926,10 +944,4 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(bound[done].max(initial=0.0)))
         ids = ids[:, ~done]
-        twin = mirror & (ids[0] == ids[-1])
-        twins = int(np.count_nonzero(twin))
-        # checked before the children are built
-        visited += (ids.shape[1] - twins) * vertices + twins * vertices * (vertices + 1) // 2
-        check_budget("sup-norm enclosure box", visited, "boxes", MAX_ENCLOSURE_BOXES)
-        ids = _split_widest(boxes, ids, twin)
     return max(best, incumbent), upper

@@ -99,16 +99,19 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert indices == sorted(indices)
 
 
-def main_in_fresh_process(argv, runs=1, **env):
+def main_in_fresh_process(argv, runs=1, script=None, **env):
     """Exit code and stdout of `oadiag argv` in a new interpreter, with the
     environment variables env added; runs > 1 calls main that many times in
-    the one interpreter and returns the largest exit code."""
+    the one interpreter and returns the largest exit code.  A script, if
+    given, runs in place of `oadiag`, with argv as its arguments."""
     src = str(Path(oadiag.__file__).resolve().parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     program = ["-m", "oadiag.cli"] if runs == 1 else [
         "-c", "import sys; from oadiag.cli import main; "
               f"sys.exit(max(main(sys.argv[1:]) for _ in range({runs})))"]
+    if script is not None:
+        program = ["-c", script]
     done = subprocess.run([sys.executable] + program + argv, env=env, capture_output=True)
     return done.returncode, done.stdout.decode()
 
@@ -152,6 +155,33 @@ def test_sweep_reusing_cached_phase_expansions_matches_a_fresh_process():
     assert main_in_fresh_process(argv, runs=2, OPENBLAS_NUM_THREADS="1") == (0, once * 2)
 
 
+# runs oadiag.cli.main on its arguments and prints whether numpy.random is loaded
+REPORT_NUMPY_RANDOM = """import contextlib, io, sys
+from oadiag.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print('numpy.random' in sys.modules)
+sys.exit(code)
+"""
+DUALITY_COEFFS = "--coeffs=" + ",".join(str(0.5 + i / 7) for i in range(19))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["pi-norm", "--k", "2", "--p", "4.5", DUALITY_COEFFS], False),
+    (["oa-norm", "--k", "2", "--p", "4.5", DUALITY_COEFFS], False),
+    (["oa-norm", "--k", "3", "--p", "5", "--coeffs=1,2-1i,3i", "--restarts", "4"], False),
+    # restarts beyond the n basis vectors and the uniform start draw
+    (["oa-norm", "--k", "3", "--p", "5", "--coeffs=1,2-1i,3i"], True),
+], ids=["pi-norm", "oa-norm", "oa-norm-no-draws", "oa-norm-draws"])
+def test_numpy_random_is_loaded_only_to_draw(argv, loaded):
+    if main_in_fresh_process([], script="import sys, numpy; print('numpy.random' in sys.modules)",
+                             OPENBLAS_NUM_THREADS="1")[1].strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    code, out = main_in_fresh_process(argv, script=REPORT_NUMPY_RANDOM, OPENBLAS_NUM_THREADS="1")
+    assert code == 0
+    assert out.strip() == str(loaded)
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -178,6 +208,8 @@ def test_calls_sharing_the_parser_keep_no_state(capsys):
     def untimed(text):
         doc = json.loads(text)
         assert all(isinstance(r.pop("wall_time_ms"), float) for r in doc["records"])
+        for record in doc["records"]:
+            assert all(isinstance(ms, float) for ms in record.pop("timings_ms").values())
         return doc
 
     alone = {"flagged": main_in_fresh_process(flagged), "plain": main_in_fresh_process(plain)}
@@ -450,6 +482,33 @@ def test_zalduendo_times_the_ascent_and_the_enclosure(capsys):
     assert len(rows) == 4
     assert all(float(row["timing_ascent_ms"]) >= 0.0 and float(row["timing_enclosure_ms"]) >= 0.0
                for row in rows)
+    code, out, _ = run(argv[:-1] + ["--format", "csv"], capsys)
+    assert "timing_" not in out
+
+
+STAGES = {"pi-norm": ["pi_sandwich"], "oa-norm": ["oa_isometry"],
+          "additivity-test": ["additivity"],
+          "sweep": ["reconstruction", "pi_sandwich", "oa_isometry", "additivity"]}
+
+
+@pytest.mark.parametrize("command", sorted(STAGES))
+def test_commands_time_their_stages(command, capsys):
+    argv = [command] + SMALL_SHAPES[command] + ["--timing"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    records = json.loads(out)["records"]
+    for record in records:
+        stages = record["timings_ms"]
+        assert list(stages) == STAGES[command]
+        assert all(ms >= 0.0 for ms in stages.values())
+        assert sum(stages.values()) <= record["wall_time_ms"]
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(records)
+    assert all(float(row[f"timing_{name}_ms"]) >= 0.0
+               for row in rows for name in STAGES[command])
+    code, out, _ = run(argv[:-1], capsys)
+    assert all("timings_ms" not in record for record in json.loads(out)["records"])
     code, out, _ = run(argv[:-1] + ["--format", "csv"], capsys)
     assert "timing_" not in out
 

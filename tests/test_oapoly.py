@@ -741,6 +741,23 @@ def test_enclosure_is_bitwise_pinned(chunk, monkeypatch):
     assert got == ENCLOSURE_PINS
 
 
+def test_enclosure_splits_the_faces_before_bounding(monkeypatch):
+    whole = []
+
+    def recording(coeffs, boxes, ids, *rest):
+        # a box of width 2 is a whole face
+        whole.append(int(np.count_nonzero((boxes.width[ids] == 2.0).all(axis=0))))
+        return _tuple_bounds(coeffs, boxes, ids, *rest)
+
+    monkeypatch.setattr("oadiag.oapoly._tuple_bounds", recording)
+    for form in enclosure_pin_forms():
+        multilinear_norm_grid(form)
+    # the pre-split splits the one widest box of each face tuple (both boxes
+    # of a twin), so no tuple of whole faces is bounded; at k = 3 a split
+    # tuple keeps its other face until a later round splits it
+    assert whole and max(whole) == 0
+
+
 @pytest.mark.parametrize("ids", [
     np.zeros(0, dtype=np.int64),
     np.zeros((2, 0), dtype=np.int64),
