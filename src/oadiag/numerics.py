@@ -34,9 +34,13 @@ __all__ = [
 
 class BudgetError(RuntimeError):
     """An enumeration (pieces, dense coefficients, ...) would exceed its cap.
-    Its one message names the budget, the amount asked for and the cap."""
+    Its one message names the budget, the amount asked for and the cap.  An
+    integer amount of more than 30 digits is named by its power of ten: the
+    message stays one short line, and Python refuses str() past 4300 digits."""
 
     def __init__(self, budget: str, asked, unit: str, cap) -> None:
+        if isinstance(asked, int) and asked >= 10 ** 30:
+            asked = f"about 10^{round(math.log10(asked))}"
         super().__init__(f"{budget} budget exceeded: {asked} {unit} asked for, cap is {cap}")
 
 

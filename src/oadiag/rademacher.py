@@ -15,8 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .numerics import MAX_PIECES, check_budget
 
 __all__ = [
     "GeneralizedRademacher",
-    "cyclotomic_polynomial",
     "reduce_root_of_unity_sum",
     "integrate_product",
     "integrate_product_bruteforce",
@@ -35,16 +33,16 @@ RationalLike = Union[int, float, Fraction]
 
 
 def _as_fraction(t: RationalLike) -> Fraction:
-    """Exact rational form of t; floats convert via their binary value."""
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, int):
-        return Fraction(t)
-    if isinstance(t, float):
-        if not math.isfinite(t):
-            raise ValueError(f"non-finite evaluation point {t!r}")
-        return Fraction(t)
-    raise TypeError(f"evaluation point must be int, float or Fraction, got {type(t)!r}")
+    """Exact rational form of an evaluation point t in [0, 1]; floats convert
+    via their binary value."""
+    if isinstance(t, float) and not math.isfinite(t):
+        raise ValueError(f"non-finite evaluation point {t!r}")
+    if not isinstance(t, (int, float, Fraction)):
+        raise TypeError(f"evaluation point must be int, float or Fraction, got {type(t)!r}")
+    tq = Fraction(t)
+    if tq < 0 or tq > 1:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    return tq
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,6 @@ class GeneralizedRademacher:
     def eval(self, t: RationalLike) -> int:
         """Digit rule: exponent = floor(t * k^n) mod k.  Exact for rational t."""
         tq = _as_fraction(t)
-        if tq < 0 or tq > 1:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
         m = math.floor(tq * self.k ** self.level)
         return m % self.k
 
@@ -84,8 +80,6 @@ class GeneralizedRademacher:
         final subinterval reached at this function's level.
         """
         tq = _as_fraction(t)
-        if tq < 0 or tq > 1:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
         if tq == 1:
             return 0
         lo = Fraction(0)
@@ -102,61 +96,54 @@ class GeneralizedRademacher:
 # Exact sums of roots of unity
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_exact(num: Tuple[int, ...], den: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Quotient and remainder of integer polynomials; den must be monic."""
-    num_l = list(num)
-    deg_d = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * max(len(num_l) - deg_d, 1)
-    for i in range(len(num_l) - 1, deg_d - 1, -1):
-        c = num_l[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num_l[i - deg_d + j] -= c * dj
-    rem = num_l[:deg_d] if deg_d > 0 else [0]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return tuple(quot), tuple(rem)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> Tuple[int, ...]:
-    """Integer coefficients (ascending) of the k-th cyclotomic polynomial.
-
-    Computed by exact division of x^k - 1 by the product of all lower-order
-    cyclotomic polynomials at proper divisors of k.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if k == 1:
-        return (-1, 1)
-    poly = tuple([-1] + [0] * (k - 1) + [1])  # x^k - 1
-    for d in range(1, k):
-        if k % d == 0:
-            poly, rem = _poly_divmod_exact(poly, cyclotomic_polynomial(d))
-            if rem != (0,):
-                raise AssertionError("cyclotomic division left a remainder")
-    return poly
+def _prime_divisors(k: int) -> List[int]:
+    """The distinct primes of k >= 1, by trial division."""
+    primes, rest, p = [], k, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    return primes
 
 
 def reduce_root_of_unity_sum(counts: Sequence[int], k: int) -> int:
-    """Exact integer value of sum_e counts[e] * omega^e, omega = e^{2 pi i/k}.
+    """Exact integer value of f(omega) = sum_e counts[e] omega^e, omega = e^{2 pi i/k}.
 
-    The counts polynomial is reduced modulo the k-th cyclotomic polynomial;
-    a constant remainder is the exact value.  A non-constant remainder means
-    the sum is not rational, which cannot arise from step-product integrals,
-    so it is reported as an error.
+    f(omega) is an algebraic integer, so it is rational exactly when it is an
+    integer N, and exactly when its Galois conjugates f(omega^a), a prime to
+    k, all equal N.  The reduction keeps f's values at these primitive k-th
+    roots and drops the others: for each prime p of k, replacing g by p g
+    minus g's residue sums modulo k/p, tiled to length k, multiplies g's
+    value at omega^j by p when p does not divide j and by 0 when it does.
+    After all primes, f has become rad(k) e f and the unit vector rad(k) e,
+    where rad(k) is the product of the primes of k and
+    e = (1/k) sum_m c_k(m) x^m, with c_k the Ramanujan sums, is the
+    idempotent of Q[x]/(x^k - 1) that is 1 at the primitive roots and 0 at
+    the others.  So the conjugates all equal N exactly when the first vector
+    is N times the second, entry by entry; entry 0 of the second is
+    phi(rad(k)).  The cost is about 2 k omega(k) exact integer operations,
+    omega(k) the number of primes of k, whatever the counts are.  A sum that
+    is not rational, which no step-product integral gives, is reported as an
+    error.
     """
     if len(counts) != k:
         raise ValueError(f"expected {k} exponent counts, got {len(counts)}")
-    phi = cyclotomic_polynomial(k)
-    _, rem = _poly_divmod_exact(tuple(int(c) for c in counts), phi)
-    if len(rem) > 1:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    primitive = [int(c) for c in counts]
+    ramanujan = [1] + [0] * (k - 1)
+    for p in _prime_divisors(k):
+        d = k // p
+        primitive, ramanujan = [[p * a - b for a, b in zip(g, [sum(g[r::d]) for r in range(d)] * p)]
+                                for g in (primitive, ramanujan)]
+    value, rem = divmod(primitive[0], ramanujan[0])
+    if rem or primitive != [value * c for c in ramanujan]:
         raise ValueError("root-of-unity sum is not an integer")
-    return rem[0]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def _piece_sum(levels: Sequence[int], k: int, depth: int) -> int:
     for level, count in Counter(levels).items():
         exponents += count * ((m // k ** (depth - level)) % k)
     counts = np.bincount(exponents % k, minlength=k)
-    return reduce_root_of_unity_sum([int(c) for c in counts], k)
+    return reduce_root_of_unity_sum(counts, k)
 
 
 def integrate_product(levels: Sequence[int], k: int) -> int:
@@ -216,8 +203,8 @@ def integrate_product_bruteforce(levels: Sequence[int], k: int) -> int:
     """
     lv = _check_levels(levels, k)
     depth = max(lv)
-    value = Fraction(_piece_sum(lv, k, depth), k ** depth)
-    if value.denominator != 1:
+    value, rem = divmod(_piece_sum(lv, k, depth), k ** depth)
+    if rem:
         raise AssertionError("piecewise sum of a product integral must be an integer")
-    return int(value)
+    return value
 

@@ -640,16 +640,24 @@ def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
     (["oa-norm", "--k", "3", "--p", "5", "--coeffs=1,2", "--restarts", "14"],
      ("oadiag.oapoly.MAX_START_ENTRIES", 21),
      "ascent start budget exceeded: 22 entries asked for, cap is 21"),
+    # amounts past 30 digits are named by their power of ten; Python refuses
+    # str() on an int of more than 4300 digits
+    (["verify-rademacher", "--k", "60000", "--depth", "2"], None,
+     "case budget exceeded: about 10^18062 cases asked for, cap is 20000"),
+    (["pi-norm", "--k", "1000000", "--p", "3000000", "--coeffs=" + ",".join(["1"] * 800)], None,
+     "piece budget exceeded: about 10^4800 pieces asked for, cap is 1000000"),
+    (["verify-rademacher", "--k", "5000", "--depth", "7"], None,
+     "case budget exceeded: about 10^4225 cases asked for, cap is 20000"),
 ], ids=["pieces", "expansion_entries", "form_entries", "cases", "ascent_steps",
         "enclosure_boxes", "expansion_degree", "form_degree", "ascent_starts",
-        "norm_starts"])
+        "norm_starts", "huge_cases", "huge_pieces", "many_digit_cases"])
 def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, message,
                                                                     monkeypatch, capsys):
     if patch:
         monkeypatch.setattr(*patch)
     code, out, err = run(argv, capsys)
     assert code == 3 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message}\n" and len(err) < 200
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -686,6 +694,8 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # the largest degree whose dense arrays numpy can index
     (["sweep", "--k", "63", "--n", "1", "--trials", "1"], 0),
     (["additivity-test", "--k", "63", "--p", "80", "--n", "1", "--trials", "1"], 0),
+    # six distinct primes, each one pass of the root-of-unity reduction
+    (["verify-rademacher", "--k", "30030", "--depth", "1"], 0),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
     exit_code, out, err = run(argv, capsys)

@@ -8,7 +8,6 @@ from oadiag.numerics import BudgetError
 from oadiag.rademacher import (
     GeneralizedRademacher,
     _piece_sum,
-    cyclotomic_polynomial,
     integrate_product,
     integrate_product_bruteforce,
     reduce_root_of_unity_sum,
@@ -83,17 +82,8 @@ def test_level_and_order_validation():
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic reduction
+# Root-of-unity sums
 # ---------------------------------------------------------------------------
-
-def test_cyclotomic_polynomials_known_values():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
 
 def test_reduce_root_of_unity_sum():
     # uniform counts sum to zero
@@ -104,6 +94,62 @@ def test_reduce_root_of_unity_sum():
     assert reduce_root_of_unity_sum([5, 0, 0], 3) == 5
     with pytest.raises(ValueError):
         reduce_root_of_unity_sum([1, 1, 0], 3)  # 1 + omega is irrational
+    with pytest.raises(ValueError, match="expected 3 exponent counts, got 2"):
+        reduce_root_of_unity_sum([1, 2], 3)
+    with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
+        reduce_root_of_unity_sum([], 0)
+
+
+def ramanujan_sum(k, m):
+    """c_k(m) = sum of omega^(a m) over a prime to k, as an exact root-of-unity sum."""
+    counts = [0] * k
+    for a in range(1, k + 1):
+        if math.gcd(a, k) == 1:
+            counts[a * m % k] += 1
+    return reduce_root_of_unity_sum(counts, k)
+
+
+def primes_of(k):
+    return [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+
+
+def mobius(k):
+    primes = primes_of(k)
+    return 0 if any(k % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def test_known_ramanujan_sums():
+    assert [ramanujan_sum(12, m) for m in range(12)] == [4, 0, 2, 0, -2, 0, -4, 0, -2, 0, 2, 0]
+    for k in range(1, 31):
+        phi = sum(math.gcd(a, k) == 1 for a in range(1, k + 1))
+        assert ramanujan_sum(k, 0) == phi
+        assert ramanujan_sum(k, 1) == mobius(k)
+
+
+def test_vanishing_polygons_reduce_to_the_constant():
+    # a rotated regular p-gon of k-th roots, p a prime of k, sums to 0, so N
+    # plus integer multiples of them reduces to N; adding omega is irrational
+    rng = np.random.default_rng(25)
+    for k in range(1, 61):
+        primes = primes_of(k)
+        for _ in range(10):
+            n = int(rng.integers(-100, 101))
+            counts = [n] + [0] * (k - 1)
+            for p in primes:
+                for _ in range(int(rng.integers(0, 3))):
+                    start, times = int(rng.integers(k)), int(rng.integers(-5, 6))
+                    for j in range(p):
+                        counts[(start + j * k // p) % k] += times
+            assert reduce_root_of_unity_sum(counts, k) == n
+            if k >= 3:
+                counts[1] += 1
+                with pytest.raises(ValueError, match="root-of-unity sum is not an integer"):
+                    reduce_root_of_unity_sum(counts, k)
+
+
+def test_bruteforce_at_a_divisor_rich_order():
+    # k = 2 * 3 * 5 * 7 * 11 * 13: every one of its 64 divisors is squarefree
+    assert integrate_product_bruteforce([1] * 30030, 30030) == 1
 
 
 # ---------------------------------------------------------------------------
