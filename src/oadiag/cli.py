@@ -62,7 +62,8 @@ _COMMON_FLAGS = (
 def build_parser() -> argparse.ArgumentParser:
     """The oadiag parser, built on the first call and shared by every later
     one: parse_args keeps no state in it (each call fills a fresh namespace),
-    and help text is wrapped to the terminal width when it is printed."""
+    and help text is wrapped to the terminal width when it is printed.  Its
+    ``commands`` attribute maps each subcommand to that subcommand's parser."""
     parser = argparse.ArgumentParser(prog="oadiag", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(flag, **kwargs)
         for flag, kwargs in extra:
             cmd.add_argument(flag, **kwargs)
+    parser.commands = sub.choices
     return parser
 
 
@@ -183,7 +185,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--coeffs":
             argv[i - 1:i + 1] = [f"--coeffs={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, an unknown command or an option before the command
+        args = parser.parse_args(argv)
+    else:
+        # what the top parser does, without its pass over the arguments: the
+        # command's parser reads the rest, and the top parser reports leftovers
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         cfg = build_config(args)
         records, summary = run_command(cfg)
@@ -191,8 +203,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else results_to_csv(cfg, records, summary))
         if cfg.out:
             path = _resolve_out_path(cfg.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {path}: {exc}") from exc
         else:
             sys.stdout.write(text)
     except ConfigError as exc:

@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -527,6 +528,54 @@ def run_command(cfg: ExperimentConfig) -> Tuple[List[Record], Dict[str, object]]
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _json_scalar(value: object) -> Optional[str]:
+    """The text json.dumps(value, allow_nan=False) gives a str, None, bool, int
+    or float, with the types tested in json's order; None for any other type."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return None
+
+
+def _json_key(key: object) -> str:
+    """A dict key as json.dumps writes it: int, float, bool and None keys as strings."""
+    text = key if isinstance(key, str) else _json_scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _json_text(value: object, indent: str = "") -> str:
+    """A list, tuple or dict written `indent` deep, with the bytes (or the
+    exception type) of json.dumps(value, indent=2, allow_nan=False), whose
+    indenting encoder is pure Python.  Scalars are formatted in place; only
+    containers recurse."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        pieces = [_json_scalar(item) or _json_text(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        pieces = [_json_key(key) + ": " + (_json_scalar(item) or _json_text(item, inner))
+                  for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not pieces:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(pieces) + f"\n{indent}{brackets[1]}"
+
+
 def results_to_json(cfg: ExperimentConfig, records: Sequence[Record],
                     summary: Dict[str, object]) -> str:
     doc = {
@@ -534,7 +583,7 @@ def results_to_json(cfg: ExperimentConfig, records: Sequence[Record],
         "records": records,
         "summary": summary,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def results_to_csv(cfg: ExperimentConfig, records: Sequence[Record],

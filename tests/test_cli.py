@@ -3,17 +3,26 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oadiag
-from oadiag.cli import build_parser, main
-from oadiag.experiments import parse_scalar, format_scalar, ConfigError
+from oadiag.cli import build_config, build_parser, main
+from oadiag.experiments import (
+    ConfigError,
+    _json_text,
+    format_scalar,
+    parse_scalar,
+    results_to_json,
+    run_command,
+)
 
 
 def run(argv, capsys):
@@ -99,15 +108,15 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert indices == sorted(indices)
 
 
-def main_in_fresh_process(argv, runs=1, script=None, **env):
-    """Exit code and stdout of `oadiag argv` in a new interpreter, with the
-    environment variables env added; runs > 1 calls main that many times in
-    the one interpreter and returns the largest exit code.  A script, if
-    given, runs in place of `oadiag`, with argv as its arguments."""
+def main_in_fresh_process(argv, runs=1, script=None, module="oadiag.cli", **env):
+    """Exit code and stdout of `python -m module argv` in a new interpreter,
+    with the environment variables env added; runs > 1 calls main that many
+    times in the one interpreter and returns the largest exit code.  A
+    script, if given, runs in place of the module, with argv as its arguments."""
     src = str(Path(oadiag.__file__).resolve().parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    program = ["-m", "oadiag.cli"] if runs == 1 else [
+    program = ["-m", module] if runs == 1 else [
         "-c", "import sys; from oadiag.cli import main; "
               f"sys.exit(max(main(sys.argv[1:]) for _ in range({runs})))"]
     if script is not None:
@@ -182,6 +191,13 @@ def test_numpy_random_is_loaded_only_to_draw(argv, loaded):
     assert out.strip() == str(loaded)
 
 
+def test_python_dash_m_oadiag_runs_the_cli():
+    argv = ["pi-norm", "--k", "2", "--p", "4", "--coeffs", "1,1"]
+    package = main_in_fresh_process(argv, module="oadiag")
+    assert package[0] == 0 and json.loads(package[1])["summary"]["passed"]
+    assert package == main_in_fresh_process(argv)
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -231,6 +247,56 @@ def test_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
     narrow, wide, narrow_again = help_lines(60), help_lines(200), help_lines(60)
     assert max(map(len, narrow)) <= 60 < max(map(len, wide))
     assert narrow_again == narrow
+
+
+def outcome(argv, capsys):
+    """(exit code, or SystemExit's code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PI_NORM = ["pi-norm", "--k", "2", "--p", "4"]
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (PI_NORM + ["--coeffs", "1,1"], 80),
+    (PI_NORM + ["--coeffs", "1,1", "--bogus"], 80),
+    (PI_NORM + ["--coef=1"], 80),  # ambiguous: --coeffs or --coeffs-file
+    (PI_NORM + ["--coeffs-f", "missing.json"], 80),  # a unique abbreviation
+    (["pi-norm", "--k"], 80),
+    (["pi-norm", "--k", "x"], 80),
+    (["--help"], 80),
+    (["pi-norm", "--help"], 60),
+    (["pi-norm", "--help"], 200),
+    ([], 80),
+    (["pi-norm-x", "--k", "2"], 80),
+    (["--k", "2", "pi-norm"], 80),
+    (PI_NORM + ["--coeffs", "-3,4"], 80),
+], ids=["valid", "bogus-flag", "ambiguous", "abbreviation", "k-no-value", "k-not-int",
+        "top-help", "help-60", "help-200", "no-args", "unknown-command", "option-first",
+        "coeffs-rewrite"])
+def test_direct_dispatch_matches_the_top_parser(argv, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    direct = outcome(argv, capsys)
+    # with no subcommand parser to dispatch to, main parses with the top parser
+    monkeypatch.setattr(build_parser(), "commands", {})
+    assert outcome(argv, capsys) == direct
+
+
+def test_a_command_is_parsed_by_its_own_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top parser parsed a command line")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    assert outcome(PI_NORM + ["--coeffs", "1,1"], capsys)[0] == 0
+    code, out, err = outcome(PI_NORM + ["--coeffs", "1,1", "--bogus"], capsys)
+    assert (code, out) == ("SystemExit(2)", "")
+    assert err.endswith("oadiag: error: unrecognized arguments: --bogus\n")
 
 
 def test_sweep_regime_routing(tmp_path):
@@ -469,6 +535,46 @@ def test_timing_flag_breaks_byte_identity_only_when_used(command, tmp_path):
     assert timed == plain
 
 
+@pytest.mark.parametrize("timing", [[], ["--timing"]], ids=["untimed", "timed"])
+@pytest.mark.parametrize("command", sorted(SMALL_SHAPES))
+def test_json_document_is_what_json_dumps_writes(command, timing):
+    cfg = build_config(build_parser().parse_args([command] + SMALL_SHAPES[command] + timing))
+    records, summary = run_command(cfg)
+    doc = {"config": cfg.to_dict(), "records": records, "summary": summary}
+    assert results_to_json(cfg, records, summary) == json.dumps(doc, indent=2,
+                                                                allow_nan=False) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_a_crafted_tree():
+    tree = {
+        "empty": {}, "": [], "nested": [[1, [2.5, [], {}]], [[[]]]], "tuple": (1, ("a", None)),
+        "constants": [None, True, False],
+        "numbers": [-0.0, 5e-324, 1e308, 2 ** 70, -(2 ** 70), 0, np.float64(0.1)],
+        "strings": ['say "hi"', "back\\slash", "\x00\t\n\x1f\x7f", "caf\u00e9 \u2211 \U0001d11e"],
+        "keys \"quoted\" \u00fc": {"deeper": {"deepest": [{"a": 1}, {}]}},
+    }
+    assert _json_text(tree) == json.dumps(tree, indent=2, allow_nan=False)
+    # json's conversions of int, float, bool and None keys
+    keys = {1: "int", 2.5: "float", False: "bool", None: "none", -0.0: "negative zero"}
+    assert _json_text(keys) == json.dumps(keys, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (np.float64("nan"), ValueError), (np.int64(1), TypeError), (np.bool_(True), TypeError),
+    ({1}, TypeError),
+], ids=["nan", "inf", "-inf", "np-nan", "np-int64", "np-bool", "set"])
+def test_json_writer_rejects_what_json_dumps_rejects(bad, error):
+    trees = [{"value": bad}, {"list": [1, [bad]]}, {"tuple": ("a", bad)}]
+    if not isinstance(bad, set):  # a set cannot be a key
+        trees.append({bad: 1})
+    for tree in trees:
+        with pytest.raises(error):
+            json.dumps(tree, indent=2, allow_nan=False)
+        with pytest.raises(error):
+            _json_text(tree)
+
+
 def test_zalduendo_times_the_ascent_and_the_enclosure(capsys):
     argv = ["zalduendo-check"] + SMALL_SHAPES["zalduendo-check"] + ["--timing"]
     code, out, _ = run(argv, capsys)
@@ -696,11 +802,19 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     (["additivity-test", "--k", "63", "--p", "80", "--n", "1", "--trials", "1"], 0),
     # six distinct primes, each one pass of the root-of-unity reduction
     (["verify-rademacher", "--k", "30030", "--depth", "1"], 0),
+    # --out names a directory, or a path under a regular file
+    (["oa-norm", "--k", "2", "--p", "4", "--coeffs=1,2", "--out", "{tmp}"], 2),
+    (["oa-norm", "--k", "2", "--p", "4", "--coeffs=1,2", "--out", "{tmp}/file/x.json"], 2),
 ])
-def test_edge_inputs_keep_the_exit_code_contract(argv, code, capsys):
+def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     exit_code, out, err = run(argv, capsys)
     assert exit_code == code, err
     assert (out == "") == (code == 2)
+    if "--out" in argv:
+        assert err.startswith(f"error: cannot write output file {argv[-1]}: ")
+        assert err.count("\n") == 1
 
 
 def strict_json(text):
