@@ -209,7 +209,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write output file {path}: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:
+                # the unwritten bytes stay in the buffer, and the flush at
+                # interpreter exit would fail on them again and exit 120
+                try:
+                    fd = sys.stdout.fileno()
+                    null = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(null, fd)
+                    os.close(null)
+                except (AttributeError, OSError, ValueError):  # no descriptor to flush at exit
+                    pass
+                raise ConfigError(f"cannot write to standard output: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -182,21 +182,45 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
     vector at the first index of maximal |c_n|.  The witness is homogeneous
     of degree 0 in c, so it is formed from the ratios |c_i| / max|c|, whose
     powers never overflow.
+
+    For k < p the value is not |P| at the rounded witness, whose k-th powers
+    multiply the rounding of each entry by k.  The witness maximizes
+    R(x) = |P(x)| / ||x||_p^k over every x != 0, so a perturbation of x
+    moves R only at second order; R is formed from the moduli before their
+    normalization, r = |x| / max|x| = (|c_i| / max|c|)^(1/(p-k)):
+
+        R = max|c| * sum_i (|c_i| / max|c|) r_i^k / (sum_i r_i^p)^(k/p),
+
+    times the alignment |P(x)| / sum_i |c_i x_i^k|, which is 1 when every
+    c_i x_i^k is real and nonnegative and falls at second order in the
+    spread of their phases.  P is evaluated on the coefficients divided by a
+    power of two near max|c|, so no term underflows.
     """
     mags = np.abs(poly.coeffs)
     if poly.dim == 0 or not np.any(mags > 0):
         raise ValueError("the zero polynomial has no norm witness")
     p, k = poly.params.p, poly.params.k
-    if poly.params.k_less_than_p:
-        ratios = mags / np.max(mags)
-        radial = ratios ** (1.0 / (p - k))
-        denom = np.sum(ratios ** (p / (p - k))) ** (1.0 / p)
-        phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
-        witness = phases * (radial / denom)
-    else:
+    top = float(np.max(mags))
+    if not poly.params.k_less_than_p:
         witness = np.zeros(poly.dim, dtype=complex)
         witness[int(np.argmax(mags))] = 1.0
-    return witness, abs(evaluate(poly, witness))
+        return witness, top  # |P(e_i)| = |c_i|, exactly
+    ratios = mags / top
+    radial = ratios ** (1.0 / (p - k))
+    denom = np.sum(ratios ** (p / (p - k))) ** (1.0 / p)
+    phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
+    witness = phases * (radial / denom)
+    stationary = top * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p)
+    scaled = OrthAddPolynomial(poly.coeffs / _power_of_two_below(top), poly.params)
+    alignment = abs(evaluate(scaled, witness)) / np.abs(scaled.coeffs * witness ** k).sum()
+    return witness, float(stationary * alignment)
+
+
+def _power_of_two_below(scale: float) -> float:
+    """The power of two at or below scale > 0, at least 2^-1022.  numpy
+    divides a complex array by multiplying with the reciprocal, which stays
+    finite, and dividing by a power of two is exact away from underflow."""
+    return math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
 
 
 def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
@@ -226,14 +250,32 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
 
     for the fixed point t* on that support.  Both t_m and t* are unit l_p
     vectors, so neither dominates the other and min_i t_{m,i} / t*_i <= 1:
-    t_m >= e^{-d} t* componentwise, and f(t_m) >= e^{-k d} f(t*).  A
-    restart is done once 1 - exp(-k r/(1-r) delta_m) <= 1e-9
-    (ASCENT_CERTIFICATE_TARGET), where k r/(1-r) = k(k-1)/(p-k).  delta_m
-    is taken on the row's own support, and a row whose zero pattern changed
-    in the step is not done.  A row on a face (some t_i = 0) bounds only
-    that face's maximum; the uniform and random starts have full support,
-    whose fixed point is the global maximizer, so they certify the norm.  At
-    k = 1 (r = 0) the first step takes every start to the maximizer.
+    t_m >= e^{-d} t* componentwise, and f(t_m) >= e^{-k d} f(t*).  That
+    bound is first order in d; a second-order one follows from Hoelder
+    equality at t*.  There w_i t*_i^{k-1} is proportional to t*_i^{p-1}, so
+    with pi_i = t*_i^p (summing to 1) and s = log(t_m / t*) on the support,
+    w_i t*_i^k is proportional to pi_i and
+
+        f(t_m) / f(t*) = exp(phi(k)),  phi(lam) = log sum_i pi_i exp(lam s_i),
+
+    where phi(0) = 0 and phi(p) = log ||t_m||_p^p = 0.  phi is convex, and
+    phi'' is a variance of s under weights proportional to pi e^{lam s},
+    at most d^2 / 4 by Popoviciu's inequality on variances (1935), since
+    max s - min s is exactly d.  Linear interpolation of phi between 0 and
+    p, taken at k, is off by at most k (p-k) / 2 times max phi'', so
+
+        f(t_m) >= exp(-k (p-k) d^2 / 8) f(t*).
+
+    With d <= (k-1)/(p-k) delta_m (r/(1-r) = (k-1)/(p-k)), a restart is done
+    once 1 - exp(-k (p-k) d^2 / 8) <= 1e-9 (ASCENT_CERTIFICATE_TARGET) is
+    guaranteed, that is once delta_m <= sqrt(8 L (p-k) / (k (k-1)^2)), with
+    L = -log(1 - 1e-9).  (The first-order reach, L (p-k) / (k (k-1)), is
+    smaller by the factor sqrt(L (p-k) / (8 k)).)  delta_m is taken on the
+    row's own support, and a row whose zero pattern changed in the step is
+    not done.  A row on a face (some t_i = 0) bounds only that face's
+    maximum; the uniform and random starts have full support, whose fixed
+    point is the global maximizer, so they certify the norm.  At k = 1
+    (r = 0) the first step takes every start to the maximizer.
 
     Budget: in exact arithmetic delta_m = r delta_{m-1}, and float steps
     keep delta above a roundoff floor of at most _DELTA_FLOOR.  So a row at
@@ -296,9 +338,10 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
     sum w t^k of each row where it stopped, and the steps it took."""
     certified = k < p
     if certified:
-        # the delta at which 1 - exp(-k(k-1) delta / (p-k)) meets the target
-        reach = -math.log1p(-ASCENT_CERTIFICATE_TARGET) * (p - k) / (k * (k - 1)) \
-            if k > 1 else math.inf
+        # the delta at which 1 - exp(-k (k-1)^2 delta^2 / (8 (p-k))) meets
+        # the target
+        reach = math.sqrt(-8.0 * math.log1p(-ASCENT_CERTIFICATE_TARGET) * (p - k)
+                          / (k * (k - 1) ** 2)) if k > 1 else math.inf
         check = 1
     exponent = 1.0 / (p - 1.0) if p > 1.0 else 0.0
     values = np.zeros(T.shape[0])
@@ -326,8 +369,9 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
         else:
             # Off the support both entries are 0 and the ratio NaN, which
             # fmax and fmin skip.  Zeros never fill in at k >= 2, so a changed
-            # zero pattern shows as a zero ratio: an infinite distance.
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # zero pattern shows as a zero ratio: an infinite distance, as is
+            # a spread of ratios past the float range.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = new / T
                 delta = np.log(np.fmax.reduce(ratio, axis=1) / np.fmin.reduce(ratio, axis=1))
             done = delta <= reach
@@ -412,22 +456,17 @@ class AdditivityReport:
 def _disjoint_pairs(rng: np.random.Generator, n: int,
                     samples: int) -> Tuple[np.ndarray, np.ndarray]:
     """The behavioral check's (samples, n) pairs xs, ys with disjoint
-    supports, in is_orthogonally_additive's draw order.  Row r draws perm,
-    cut and 2n normals z; x takes z[j] + 1j * z[cut + j] at perm[j] for
-    j < cut and y takes z[cut + j] + 1j * z[n + j] at perm[j] for j >= cut:
-    the values of standard_normal calls of sizes cut, cut, n - cut and
-    n - cut, which draw in order from the same stream.  perm is
-    rng.shuffle of np.arange(n), as in rng.permutation(n).  The permutation
-    and the cut use buffered 32-bit draws, so they are drawn row by row; the
-    arrays are assembled in one pass."""
-    perms = np.tile(np.arange(n), (samples, 1))
-    z = np.empty((samples, 2 * n))
-    cuts = []
-    for perm, normals in zip(perms, z):
-        rng.shuffle(perm)
-        cuts.append(rng.integers(1, n))
-        rng.standard_normal(out=normals)
-    cuts = np.array(cuts, dtype=np.intp).reshape(-1, 1)
+    supports, in is_orthogonally_additive's draw order.  Three calls draw
+    every row at once, in this order: the permutations, each row of
+    np.arange(n) shuffled by rng.permuted(..., axis=1); the cuts,
+    rng.integers(1, n, size=(samples, 1)); and the normals z,
+    rng.standard_normal((samples, 2 * n)).  In row r, with perm, cut and z
+    its entries, x takes z[j] + 1j * z[cut + j] at perm[j] for j < cut and
+    y takes z[cut + j] + 1j * z[n + j] at perm[j] for j >= cut.  The arrays
+    are assembled in one pass."""
+    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    cuts = rng.integers(1, n, size=(samples, 1))
+    z = rng.standard_normal((samples, 2 * n))
     j = np.arange(n)
     in_x = j < cuts
     shifted = cuts + j
@@ -455,11 +494,11 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     and x + y together, validated once.  The two checks agree on any form
     that cleanly satisfies or violates additivity.
 
-    The pairs are drawn from np.random.default_rng(seed), one row at a time
-    and in this order per row: the permutation of the coordinates, the cut
-    (x on the first cut of them, y on the rest), then 2n standard normals,
-    the real and imaginary parts of x and then of y.  A change to that
-    order re-seeds the check and moves every seeded record.
+    The pairs are drawn from np.random.default_rng(seed), all rows at once
+    and in this order: the permutations of the coordinates, the cuts (x on
+    the first cut of them, y on the rest), then 2n standard normals per row,
+    the real and imaginary parts of x and then of y (_disjoint_pairs).  A
+    change to that order re-seeds the check and moves every seeded record.
 
     The behavioral check runs on P_s = P / s, s the power of two at or below
     the largest coefficient modulus (at least 2^-1022), and compares
@@ -492,9 +531,7 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     behavioral_ok = True
     worst_defect = 0.0
     if n >= 2 and scale > 0:
-        # numpy divides a complex array by multiplying with 1/unit, which
-        # must stay finite: unit is at least the least normal power of two
-        unit = math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
+        unit = _power_of_two_below(scale)
         xs, ys = _disjoint_pairs(np.random.default_rng(seed), n, samples)
         # P at every x, y and x + y: one matmul for the first slot, then one
         # batched contraction per further slot

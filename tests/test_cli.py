@@ -715,9 +715,38 @@ def test_oa_norm_at_p_at_most_k_starts_from_every_basis_vector(argv, capsys):
 
 
 def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
-    code, out, err = run(["oa-norm", "--k", "4", "--p", repr(4 + 1e-12), "--coeffs=1,0.5"], capsys)
+    # the second-order reach sqrt(8e-9 * 1e-3 / 10^18) lies below the floor
+    code, out, err = run(["oa-norm", "--k", "1000000", "--p", repr(10 ** 6 + 1e-3),
+                          "--coeffs=1,0.5"], capsys)
     assert code == 3
     assert out == "" and "roundoff floor" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oa_norm_holds_across_the_large_degree_regimes():
+    """oa-norm on a seeded grid, k from 10^2 to 10^6 and p - k in {0.5, 1,
+    k/2, 2k}, real and complex coefficients, n up to 30: each run passes, or
+    exits 3 on the step budget, where r = (k-1)/(p-1) lies within about 1e-4
+    of 1.  None fails a check, and none exits on the roundoff floor."""
+    rng = np.random.default_rng(27)
+    codes = []
+    for k in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
+        for gap in (0.5, 1.0, k / 2, 2.0 * k):
+            for real in (True, False):
+                n = int(rng.integers(2, 31))
+                c = rng.standard_normal(n) + (0 if real else 1j * rng.standard_normal(n))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["oa-norm", "--k", str(k), "--p", repr(k + gap),
+                                 "--coeffs=" + ",".join(format_scalar(z) for z in c)])
+                case = f"k={k} p-k={gap} n={n} real={real}: {err.getvalue()}"
+                if code == 3:
+                    assert err.getvalue().startswith(
+                        "error: certified norm ascent step budget exceeded: "), case
+                else:
+                    assert code == 0, case
+                codes.append(code)
+    assert codes.count(0) >= len(codes) // 2
 
 
 @pytest.mark.parametrize("argv, patch, message", [
@@ -729,8 +758,11 @@ def test_oa_norm_past_the_ascent_budget_exits_3(capsys):
      "dense form entry budget exceeded: 4000000 entries asked for, cap is 1000000"),
     (["sweep", "--trials", "20001"], None,
      "case budget exceeded: 240012 cases asked for, cap is 20000"),
-    (["oa-norm", "--k", "4", "--p", "4.0002", "--coeffs", "1,0.5"], None,
-     "certified norm ascent step budget exceeded: 462262 steps asked for, cap is 200000"),
+    # from the uniform start alone, 1 + ceil(log((reach - 64u) / delta_1) / log r)
+    # with delta_1 = log 2 / (p-1), r = (k-1)/(p-1) and the second-order reach
+    # sqrt(8 L (p-k) / (k (k-1)^2)), L = -log(1 - 1e-9)
+    (["oa-norm", "--k", "4", "--p", "4.0002", "--coeffs", "1,0.5", "--restarts", "3"], None,
+     "certified norm ascent step budget exceeded: 208615 steps asked for, cap is 200000"),
     (["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187", "--trials", "1",
       "--seed", "52202"], ("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50),
      "sup-norm enclosure box budget exceeded: 180 boxes asked for, cap is 50"),
@@ -805,6 +837,15 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # --out names a directory, or a path under a regular file
     (["oa-norm", "--k", "2", "--p", "4", "--coeffs=1,2", "--out", "{tmp}"], 2),
     (["oa-norm", "--k", "2", "--p", "4", "--coeffs=1,2", "--out", "{tmp}/file/x.json"], 2),
+    # at k = 1 the first step raises w to the power 1/(p-1), about 174, so
+    # the ratios new / T spread past the float range: an infinite distance
+    (["oa-norm", "--k", "1", "--p", "1.0057357804240359", "--coeffs=-0.4657974410208914,"
+      "-0.2295294234240296,-0.5508898683653337,0.37056283104006493,-0.8405743903054123,"
+      "0.9444625384149606,0.015331917608330376,-0.725449409051104", "--restarts", "15",
+      "--seed", "7"], 0),
+    # a subnormal max|c|: each c_i x_i^k of the witness rounds to 0, and the
+    # value comes from the ratios |c_i| / max|c|
+    (["oa-norm", "--k", "2", "--p", "4", "--coeffs=" + ",".join(["5e-324"] * 10)], 0),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -815,6 +856,49 @@ def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
     if "--out" in argv:
         assert err.startswith(f"error: cannot write output file {argv[-1]}: ")
         assert err.count("\n") == 1
+
+
+class FullStream(io.StringIO):
+    """A text stream on a full device: `write` or `flush`, as named, raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_failing_stdout_is_a_config_error(failing, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStream(failing))
+    code = main(["pi-norm", "--k", "2", "--p", "4", "--coeffs", "1,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write to standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_on_a_full_device_exits_2_without_a_traceback(unbuffered):
+    # buffered, the failed flush keeps its bytes and the flush at exit retries them
+    src = str(Path(oadiag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "oadiag", "pi-norm", "--k", "2", "--p", "4",
+                               "--coeffs", "1,1"], env=env, stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == [
+        "error: cannot write to standard output: [Errno 28] No space left on device"]
 
 
 def strict_json(text):

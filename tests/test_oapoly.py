@@ -241,14 +241,33 @@ def test_certified_ascent_is_honest(k, gap):
     assert np.all(values * np.max(np.abs(c)) <= closed * (1 + 1e-12))
 
 
+def second_order_reach(k, p):
+    """The step distance at which 1 - exp(-k (k-1)^2 delta^2 / (8 (p-k)))
+    meets the 1e-9 target."""
+    return math.sqrt(-8 * math.log1p(-1e-9) * (p - k) / (k * (k - 1) ** 2))
+
+
 def test_certificate_out_of_reach_is_a_budget_error():
-    # the target distance lies below the roundoff floor of a step
+    # the target distance lies below the roundoff floor of a step, 64u:
+    # sqrt(8e-9 * 1e-3 / 10^18) is about 2.8e-15
+    k, p = 10 ** 6, 10 ** 6 + 1e-3
+    assert second_order_reach(k, p) <= 64 * 2.0 ** -53
     with pytest.raises(BudgetError, match="roundoff floor"):
+        norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(p, k)))
+    # reachable, but the count derived at the first check exceeds the cap:
+    # from the uniform start alone (restarts=1) delta_1 = log 2 / (p-1), and
+    # delta_m shrinks by r per step to the reach less the floor
+    k, p = 4, 4 + 2e-4
+    r = (k - 1) / (p - 1)
+    reach = second_order_reach(k, p) - 64 * 2.0 ** -53
+    asked = 1 + math.ceil(math.log(reach / (math.log(2) / (p - 1))) / math.log(r))
+    assert asked > 200000
+    with pytest.raises(BudgetError, match=f"step budget exceeded: {asked} steps asked for, "
+                                          f"cap is 200000"):
+        norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(p, k)), restarts=1)
+    # past p - k = 1e-12 at k = 4 the count is far past the cap, not the floor
+    with pytest.raises(BudgetError, match=r"step budget exceeded: \d{14} steps asked for"):
         norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 1e-12, 4)))
-    # reachable, but the count derived at the first check exceeds the cap
-    with pytest.raises(BudgetError, match=r"step budget exceeded: \d+ steps asked for, "
-                                          r"cap is 200000"):
-        norm_numeric(OrthAddPolynomial([1.0, 0.5], LpParams(4 + 2e-4, 4)))
     # a single nonzero coefficient needs no contraction: every row is exact
     assert norm_numeric(OrthAddPolynomial([0.0, 2.0, 0.0], LpParams(4 + 1e-12, 4))) == 2.0
 
@@ -272,11 +291,11 @@ def test_every_basis_value_enters_exactly(k, p):
 def test_uniform_row_stops_where_the_contraction_predicts(k, p):
     # From the uniform start t_1 is w^(1/(p-1)) normalized, so
     # delta_m = r^(m-1) log(max w / min w) / (p-1); the row stops at the first
-    # m with 1 - exp(-k(k-1) delta_m / (p-k)) <= 1e-9.
+    # m with 1 - exp(-k (k-1)^2 delta_m^2 / (8 (p-k))) <= 1e-9.
     w = np.array([1.0, 0.3, 0.7, 0.05])
     r = (k - 1) / (p - 1)
     first = math.log(1 / 0.05) / (p - 1)
-    reach = -math.log1p(-1e-9) * (p - k) / (k * (k - 1))
+    reach = second_order_reach(k, p)
     expected = 1 + math.ceil(math.log(reach / first) / math.log(r))
     values, steps = _ascent(w, k, p, _ascent_starts(4, p, 1, 0), 500)
     assert steps[0] == expected
@@ -383,20 +402,26 @@ def test_additivity_symmetrizes_first():
         assert report == is_orthogonally_additive(form.symmetrize())
 
 
+def draw_pairs(seed, n, samples):
+    """The behavioral check's draws, in its order: the row permutations, the
+    cuts, then 2n standard normals per row."""
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    cuts = rng.integers(1, n, size=(samples, 1))
+    return perms, cuts[:, 0], rng.standard_normal((samples, 2 * n))
+
+
 def per_sample_behavioral(form, tol, samples, seed):
     """Worst defect, pass flag and largest |P| of the behavioral check, with
     one apply call per point and the same draws as is_orthogonally_additive."""
     sym = form.symmetrize()
     n, k = sym.dim, sym.degree
-    rng = np.random.default_rng(seed)
     worst, ok, size = 0.0, True, 0.0
-    for _ in range(samples):
-        perm = rng.permutation(n)
-        cut = int(rng.integers(1, n))
+    for perm, cut, z in zip(*draw_pairs(seed, n, samples)):
         x = np.zeros(n, dtype=complex)
         y = np.zeros(n, dtype=complex)
-        x[perm[:cut]] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
-        y[perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
+        x[perm[:cut]] = z[:cut] + 1j * z[cut:2 * cut]
+        y[perm[cut:]] = z[2 * cut:n + cut] + 1j * z[n + cut:]
         px, py, pxy = (sym.apply([v] * k) for v in (x, y, x + y))
         defect = abs(pxy - px - py)
         worst = max(worst, defect)
@@ -432,14 +457,13 @@ def test_batched_additivity_matches_per_sample_apply(samples):
 @pytest.mark.parametrize("samples", [0, 1, 32])
 def test_disjoint_pairs_match_the_per_row_loop(n, samples):
     for seed in range(24):
-        rng = np.random.default_rng(seed)
+        perms, cuts, normals = draw_pairs(seed, n, samples)
         xs = np.zeros((samples, n), dtype=complex)
         ys = np.zeros((samples, n), dtype=complex)
-        for row in range(samples):
-            perm = rng.permutation(n)
-            cut = int(rng.integers(1, n))
-            xs[row, perm[:cut]] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
-            ys[row, perm[cut:]] = rng.standard_normal(n - cut) + 1j * rng.standard_normal(n - cut)
+        for row, (perm, cut, z) in enumerate(zip(perms, cuts, normals)):
+            assert sorted(perm) == list(range(n)) and 1 <= cut < n
+            xs[row, perm[:cut]] = z[:cut] + 1j * z[cut:2 * cut]
+            ys[row, perm[cut:]] = z[2 * cut:n + cut] + 1j * z[n + cut:]
         got_xs, got_ys = _disjoint_pairs(np.random.default_rng(seed), n, samples)
         assert got_xs.shape == got_ys.shape == (samples, n)
         assert got_xs.tobytes() == xs.tobytes()
@@ -450,12 +474,12 @@ def test_disjoint_pairs_match_the_per_row_loop(n, samples):
 # (worst_behavioral_defect.hex(), behavioral_ok): a change to the draws of
 # the behavioral check moves these
 ADDITIVITY_PINS = {
-    "full_k2_n5": ("0x1.381f096594f93p+4", False),
-    "full_k3_n5": ("0x1.f6f128b8ff0e9p+6", False),
-    "full_k3_n8": ("0x1.1e5b64ad5cf9fp+8", False),
+    "full_k2_n5": ("0x1.0f2368db34301p+5", False),
+    "full_k3_n5": ("0x1.a6c8aecc1ab4fp+6", False),
+    "full_k3_n8": ("0x1.ba9ce3583b4ddp+7", False),
     "diagonal_k2_n5": ("0x1.07e0f66afed07p-49", True),
-    "diagonal_k3_n8": ("0x1.c12432fec032ap-47", True),
-    "diagonal_k4_n3": ("0x1.0000000000000p-47", True),
+    "diagonal_k3_n8": ("0x1.01fe03f61bad0p-47", True),
+    "diagonal_k4_n3": ("0x1.c557400c55c88p-47", True),
 }
 
 
