@@ -230,7 +230,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     if not summary["passed"]:
-        print(f"{summary['failures']} of {summary['total']} checks failed",
+        # the pass flags that failed in any record, in first-seen order
+        flags = dict.fromkeys(name for record in records
+                              for name, ok in record["passes"].items() if not ok)
+        print(f"{summary['failures']} of {summary['total']} records failed: {', '.join(flags)}",
               file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
 )
-from .numerics import MAX_CASES, LpParams, Scalar, check_budget
+from .numerics import MAX_CASES, BudgetError, LpParams, Scalar, check_budget
 from .oapoly import (
     AdditivityReport,
     MultilinearForm,
     OrthAddPolynomial,
+    _norms_numeric,
     diagonal_of_multilinear,
     extend_diagonal_functional,
     is_orthogonally_additive,
@@ -71,6 +72,9 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 SWEEP_DEFAULT_KS = (2, 3)
 SWEEP_DEFAULT_NS = (2, 4, 8)
+# Trials of one sweep group whose ascents run in one batch: the arrays stay
+# a few kB whatever the trial count.
+SWEEP_ASCENT_BATCH = 64
 
 
 class ConfigError(ValueError):
@@ -264,21 +268,29 @@ def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float
     return (*values, tol)
 
 
-def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, restarts: int, iters: int,
-                 seed: int) -> Tuple[float, float, float, Dict[str, float], Dict[str, bool]]:
+def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, ascent: Callable[[], float]
+                 ) -> Tuple[float, float, float, Dict[str, float], Dict[str, bool]]:
     """Closed form, ascent estimate and witness value of ||poly||, with the
     deviation of each estimate from the closed form and its pass flag, keyed
-    by tolerance name.  The zero polynomial has no witness; its value is 0.
-    A norm beyond the float range is a configuration error."""
+    by tolerance name; ascent() gives the estimate, after the closed form.
+    The zero polynomial has no witness; its value is 0.  A norm beyond the
+    float range is a configuration error."""
     closed = norm_closed_form(poly)
     if not math.isfinite(closed):
         raise ConfigError("the polynomial norm of these coefficients exceeds the float range")
-    numeric = norm_numeric(poly, restarts=restarts, iters=iters, seed=seed)
+    numeric = ascent()
     witness_value = norm_witness(poly)[1] if closed != 0.0 else 0.0
     deviations = {"isometry": _relative_deviation(numeric, closed),
                   "witness": _relative_deviation(witness_value, closed)}
     passes = {name: dev <= cfg.tol(name) for name, dev in deviations.items()}
     return closed, numeric, witness_value, deviations, passes
+
+
+def _value(result: Union[float, BudgetError]) -> float:
+    """A batched ascent's result: its value, or its BudgetError raised."""
+    if isinstance(result, BudgetError):
+        raise result
+    return result
 
 
 def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams,
@@ -359,7 +371,7 @@ def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
         poly = OrthAddPolynomial(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
         with stages("oa_isometry"):
             closed, numeric, witness_value, dev, ok = _oa_isometry(
-                cfg, poly, cfg.restarts, cfg.iters, cfg.seed)
+                cfg, poly, lambda: norm_numeric(poly, cfg.restarts, cfg.iters, cfg.seed))
         return ({"k": cfg.k, "p": cfg.p, "seed": cfg.seed,
                  "restarts": cfg.restarts, "iters": cfg.iters,
                  "coeffs": [format_scalar(z) for z in cfg.coeffs],
@@ -434,20 +446,37 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     Case indices run in order over k, then p, then n, then trial.  Cases
     run one after another; ``workers`` is accepted and echoed in the config
     but does not change how the sweep runs.
+
+    The trials of one (k, p, n) group are consecutive indices.  Their
+    norm_numeric ascents run together, up to SWEEP_ASCENT_BATCH trials in
+    one _norms_numeric call, made in the oa_isometry stage of the batch's
+    first case; each trial keeps its own starts, seed and certificate
+    schedule, so every record is what a call per trial gives.  A trial's
+    BudgetError is raised in its own case, as a call per trial raises it,
+    and the ascents of the later trials of its batch stop where it fails.
     """
     ks = [cfg.k] if cfg.k is not None else list(SWEEP_DEFAULT_KS)
     ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
     shape = (len(ks), 1 if cfg.p is not None else 2, len(ns), cfg.trials)
     rec_tol = cfg.tol("reconstruction")
     stages = _Stages(cfg.timing)
+    # the coefficients of the running batch's cases, and their ascents'
+    # results, by case index
+    batch: Dict[int, np.ndarray] = {}
+    ascents: Dict[int, Union[float, BudgetError]] = {}
 
     def case(index: int) -> Case:
         k_at, p_at, n_at, trial = _unravel(index, shape)
         k, n = ks[k_at], ns[n_at]
         p = float(cfg.p if cfg.p is not None else (k + 1.0, 2.0 * k)[p_at])
         params = LpParams(p, k)
-        rng = np.random.default_rng([cfg.seed, index])
-        a = _random_coeffs(rng, n, complex_values=trial % 2 == 1)
+        opens = trial % SWEEP_ASCENT_BATCH == 0
+        if opens:
+            batch.clear()
+            for i in range(index, index + min(SWEEP_ASCENT_BATCH, cfg.trials - trial)):
+                rng = np.random.default_rng([cfg.seed, i])
+                batch[i] = _random_coeffs(rng, n, complex_values=(trial + i - index) % 2 == 1)
+        a = batch[index]
 
         # rank-one reconstruction of the diagonal tensor
         u = DiagonalTensor(a, params)
@@ -464,9 +493,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
         sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
         # moderate optimizer budget; sweeps stay quick
         with stages("oa_isometry"):
+            if opens:
+                polys = [OrthAddPolynomial(c, params) for c in batch.values()]
+                ascents.update(zip(batch, _norms_numeric(
+                    polys, min(cfg.restarts, n + 4), min(cfg.iters, 250),
+                    [cfg.seed + i for i in batch])))
             oa_closed, numeric, witness_value, iso_dev, iso_ok = _oa_isometry(
-                cfg, OrthAddPolynomial(a, params), min(cfg.restarts, n + 4),
-                min(cfg.iters, 250), cfg.seed + index)
+                cfg, OrthAddPolynomial(a, params), lambda: _value(ascents.pop(index)))
         with stages("additivity"):
             report = _additivity(cfg, a, params, cfg.seed + index)
 

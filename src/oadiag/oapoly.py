@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -286,23 +286,71 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     it, as does a row still running at the cap.
 
     p <= k: the contraction does not apply.  A restart stops when a step
-    leaves it bitwise unchanged, or returns it bitwise to the iterate of two
-    steps back (a last-ulp 2-cycle): every later step then repeats with
-    period 2, so the state after `iters` steps is known by parity.  `iters`
-    caps the steps, and the result is that of running all `iters` steps.  At
-    p = 1 the update is the basis vector at the largest gradient entry.
+    returns it bitwise to the iterate of two steps back (a last-ulp 2-cycle;
+    a fixed point is one too, seen a step after it is reached): every later
+    step then repeats with period 2, so the state after `iters` steps is
+    known by parity.  `iters` caps the steps, and the result is that of
+    running all `iters` steps.  At p = 1 the update is the basis vector at
+    the largest gradient entry.
+
+    Batches.  This is the one-polynomial call of _norms_numeric, which runs
+    the ascents of many polynomials of one k, p and dimension through one
+    loop, each with its own starts and seed and each on its own certificate
+    schedule (see _ascent), so that every value keeps its bits.  sweep runs
+    the trials of each (k, p, n) group that way, up to
+    experiments.SWEEP_ASCENT_BATCH trials per call.
     """
+    value, = _norms_numeric([poly], restarts, iters, [seed])
+    if isinstance(value, BudgetError):
+        raise value
+    return value
+
+
+def _norms_numeric(polys: Sequence[OrthAddPolynomial], restarts: int, iters: int,
+                   seeds: Sequence[int]) -> List[Union[float, BudgetError]]:
+    """norm_numeric of each polynomial, each with its own seed, all of one
+    k, p and dimension, up to the first whose ascent is out of budget: the
+    list ends with that polynomial's BudgetError, as norm_numeric called on
+    each in turn would raise it first, and the ascents of the polynomials
+    after it stop where it fails.  The start rows of all the nonzero
+    polynomials run through one _ascent loop, each polynomial its owner, so
+    each value is bit for bit the one norm_numeric gives it alone: the
+    same steps on the same rows, stopped by the same schedule."""
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
-    w = np.abs(poly.coeffs)
-    n = poly.dim
-    if n == 0 or not np.any(w > 0):
-        return 0.0
-    top = float(np.max(w))
-    p, k = poly.params.p, poly.params.k
-    values, _ = _ascent(w / top, k, p, _ascent_starts(n, p, restarts, seed), iters)
-    # the basis starts' values are w / top, whose largest is exactly 1
-    return top * max(float(np.max(values)), 1.0)
+    if len(seeds) != len(polys):
+        raise ValueError("each polynomial needs one seed")
+    if any(poly.params != polys[0].params or poly.dim != polys[0].dim for poly in polys):
+        raise ValueError("the polynomials must share k, p and their dimension")
+    results: List[Union[float, BudgetError]] = []
+    owners, tops, weights, starts = [], [], [], []
+    for poly, seed in zip(polys, seeds):
+        w = np.abs(poly.coeffs)
+        if w.any():  # some coordinate, and not all of them 0
+            try:
+                starts.append(_ascent_starts(poly.dim, poly.params.p, restarts, seed))
+            except BudgetError as exc:
+                results.append(exc)
+                break
+            owners.append(len(results))
+            tops.append(float(w.max()))
+            weights.append(w / tops[-1])
+        results.append(0.0)
+    if not owners:
+        return results
+    counts = [len(rows) for rows in starts]
+    failed: Dict[int, BudgetError] = {}
+    values, _ = _ascent(np.array(weights), polys[0].params.k, polys[0].params.p,
+                        np.concatenate(starts), iters, counts, failed)
+    best = np.maximum.reduceat(values, list(itertools.accumulate(counts[:-1], initial=0)))
+    for label, i in enumerate(owners):
+        if label in failed:
+            results[i] = failed[label]
+            del results[i + 1:]
+            break
+        # the basis starts' values are w / top, whose largest is exactly 1
+        results[i] = tops[label] * max(float(best[label]), 1.0)
+    return results
 
 
 def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
@@ -332,17 +380,41 @@ def _ascent_starts(n: int, p: float, restarts: int, seed: int) -> np.ndarray:
 _DELTA_FLOOR = 64 * 2.0 ** -53
 
 
-def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
-            iters: int) -> Tuple[np.ndarray, np.ndarray]:
+def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
+            counts: Optional[Sequence[int]] = None,
+            failed: Optional[Dict[int, BudgetError]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """norm_numeric's ascent from the unit start rows of T: the objective
-    sum w t^k of each row where it stopped, and the steps it took."""
+    sum w t^k of each row where it stopped, and the steps it took.
+
+    The rows of T belong to owners, each a polynomial: owner i owns the
+    counts[i] >= 1 rows after those of owners 0 to i-1, and counts None puts
+    every row under one owner.  w holds the weights of each owner,
+    (owners, n), or 1-D for one.  Every row's arithmetic is its own
+    (elementwise, or reduced along its own row), and each owner keeps the
+    certificate schedule it has alone: its next check comes from the
+    smallest pending delta of its own rows, and the budget is checked on
+    its own largest.  So each row stops at the step, and with the value,
+    that it has in a call of its owner's rows alone, while the numpy calls
+    of a step serve every owner at once.  An owner whose certificate is out
+    of budget stops there, and so do the owners after it: its BudgetError
+    goes to failed[i] when failed is given, and is raised otherwise, and
+    the values of the stopped rows mean nothing.
+
+    Each step normalizes: between checks the iterate is not needed, but the
+    unnormalized powers underflow on a face at large k."""
     certified = k < p
+    # per owner with live rows, in row order: its index, its live row count
+    # and (k < p) its next check step; w gets one row per row of T
+    lengths = [T.shape[0]] if counts is None else list(counts)
+    labels = list(range(len(lengths)))
+    w = w.reshape(-1, T.shape[1]).repeat(lengths, axis=0)
     if certified:
         # the delta at which 1 - exp(-k (k-1)^2 delta^2 / (8 (p-k))) meets
         # the target
         reach = math.sqrt(-8.0 * math.log1p(-ASCENT_CERTIFICATE_TARGET) * (p - k)
                           / (k * (k - 1) ** 2)) if k > 1 else math.inf
-        check = 1
+        check = [1] * len(labels)
+        next_check = 1
     exponent = 1.0 / (p - 1.0) if p > 1.0 else 0.0
     values = np.zeros(T.shape[0])
     steps = np.zeros(T.shape[0], dtype=int)
@@ -359,11 +431,12 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
             norms = (candidate ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
             new = np.divide(candidate, norms, out=T.copy(), where=norms > 0)
         if not certified:
-            # from a fixed point or a 2-cycle on, the iterates repeat with
+            # From a fixed point or a 2-cycle on, the iterates repeat with
             # period 2, so the row's state after `iters` steps is new when
-            # iters - step is even and T when it is odd
-            done = (new == T).all(axis=1) | (new == before).all(axis=1)
-        elif step < check:
+            # iters - step is even and T when it is odd.  A fixed point is a
+            # 2-cycle too, seen one step later, with the same state.
+            done = (new == before).all(axis=1)
+        elif step < next_check:
             T = new
             continue
         else:
@@ -375,24 +448,49 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray,
                 ratio = new / T
                 delta = np.log(np.fmax.reduce(ratio, axis=1) / np.fmin.reduce(ratio, axis=1))
             done = delta <= reach
-            check = step + 1
-            pending = delta[~done]
-            if pending.size and pending.max() < math.inf:
-                _check_ascent_budget(step, float(pending.max()), reach, k, p)
-                # in exact arithmetic delta shrinks by r per step, so no
-                # row can be done sooner
-                check = step + _steps_to_shrink(float(pending.min()), reach, k, p)
+            firsts = list(itertools.accumulate(lengths, initial=0))
+            for run, at in enumerate(check):
+                rows = slice(firsts[run], firsts[run + 1])
+                if at != step:  # only the runs due now may finish rows
+                    done[rows] = False
+                    continue
+                check[run] = step + 1
+                pending = delta[rows][~done[rows]]
+                if pending.size and pending.max() < math.inf:
+                    try:
+                        _check_ascent_budget(step, float(pending.max()), reach, k, p)
+                    except BudgetError as exc:
+                        if failed is None:
+                            raise
+                        failed[labels[run]] = exc
+                        done[rows.start:] = True
+                        break
+                    # in exact arithmetic delta shrinks by r per step, so no
+                    # row of the run can be done sooner
+                    check[run] = step + _steps_to_shrink(float(pending.min()), reach, k, p)
         final = new if certified or (iters - step) % 2 == 0 else T
         T, before = new, T
         if done.any():
-            values[live[done]] = (w * final[done] ** k).sum(axis=1)
+            values[live[done]] = (w[done] * final[done] ** k).sum(axis=1)
             steps[live[done]] = step
-            T, before, live = T[~done], before[~done], live[~done]
+            keep = ~done
+            T, before, live, w = T[keep], before[keep], live[keep], w[keep]
             if not live.size:
                 return values, steps
+            if certified:
+                # rows drop only at checks, where firsts was formed
+                kept = np.add.reduceat(keep, firsts[:-1]).tolist()
+                runs = [run for run in zip(kept, labels, check) if run[0]]
+                lengths, labels, check = map(list, zip(*runs))
+        if certified:
+            next_check = min(check)
     if certified:
-        raise BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
-                          "steps", MAX_ASCENT_STEPS)
+        error = BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
+                            "steps", MAX_ASCENT_STEPS)
+        if failed is None:
+            raise error
+        failed[labels[0]] = error
+        return values, steps
     values[live] = (w * T ** k).sum(axis=1)
     steps[live] = iters
     return values, steps

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oadiag
+from oadiag import experiments
 from oadiag.cli import build_config, build_parser, main
 from oadiag.experiments import (
     ConfigError,
@@ -106,6 +107,86 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
     assert doc_a["records"] == doc_c["records"]
     indices = [r["case_index"] for r in doc_c["records"]]
     assert indices == sorted(indices)
+
+
+@pytest.mark.parametrize("p", ["2.2", "5.3"])
+def test_sweep_records_do_not_depend_on_the_trial_count(p, capsys):
+    # a case's record depends on its index alone, however many trials share
+    # its ascent batch
+    records = {}
+    for trials in (2, 5):
+        code, out, _ = run(["sweep", "--k", "3", "--n", "8", "--p", p, "--trials", str(trials)],
+                           capsys)
+        assert code == 0
+        records[trials] = [_json_text(record) for record in json.loads(out)["records"]]
+    assert records[5][:2] == records[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k", "3", "--n", "4", "--p", "2.2", "--trials", "5", "--seed", "9"],
+    ["sweep", "--k", "3", "--n", "4", "--p", "5.3", "--trials", "5", "--seed", "9"],
+    ["sweep", "--k", "2", "--n", "3", "--trials", "5", "--seed", "9"],
+    # every trial out of the ascent's step budget: the first trial's error
+    ["sweep", "--k", "3", "--n", "4", "--p", "3.0001", "--trials", "5"],
+], ids=["sup", "certified", "two-groups", "budget"])
+def test_sweep_ascent_batches_split_at_the_cap_without_moving_a_byte(argv, monkeypatch, capsys):
+    batches = []
+
+    def recording(polys, *args):
+        batches.append(len(polys))
+        return norms_numeric(polys, *args)
+
+    norms_numeric = experiments._norms_numeric
+    monkeypatch.setattr("oadiag.experiments._norms_numeric", recording)
+    whole = run(argv, capsys)
+    # the budget error ends the sweep in the first batch's first case
+    budget = "3.0001" in argv
+    groups = 2 if "--p" not in argv else 1
+    assert whole[0] == (3 if budget else 0)
+    assert batches == [5] * groups
+    for cap, sizes in ((2, [2, 2, 1]), (1, [1] * 5)):
+        batches.clear()
+        monkeypatch.setattr("oadiag.experiments.SWEEP_ASCENT_BATCH", cap)
+        assert run(argv, capsys) == whole
+        assert batches == (sizes[:1] if budget else sizes * groups)
+
+
+def test_a_group_out_of_budget_midway_fails_as_a_call_per_trial(monkeypatch, capsys):
+    # under a cap of 500 ascent steps, trial 0 of this group is certified and
+    # trial 1 is not: the batch ends there, and the sweep exits 3 with trial
+    # 1's error, as with one ascent call per trial
+    monkeypatch.setattr("oadiag.oapoly.MAX_ASCENT_STEPS", 500)
+    results = []
+
+    def recording(*args):
+        batch = norms_numeric(*args)
+        results.append([type(result).__name__ for result in batch])
+        return batch
+
+    norms_numeric = experiments._norms_numeric
+    monkeypatch.setattr("oadiag.experiments._norms_numeric", recording)
+    argv = ["sweep", "--k", "3", "--n", "8", "--p", "3.05", "--trials", "6"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert results == [["float", "BudgetError"]]
+    results.clear()
+    monkeypatch.setattr("oadiag.experiments.SWEEP_ASCENT_BATCH", 1)
+    assert run(argv, capsys) == (code, out, err)
+    assert results == [["float"], ["BudgetError"]]
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--inject-failure"], "1 of 2 records failed: injected_failure"),
+    (["--tol", "isometry=0"], "2 of 2 records failed: isometry"),
+    (["--tol", "isometry=0", "--inject-failure"],
+     "2 of 2 records failed: isometry, injected_failure"),
+])
+def test_exit_1_counts_the_failed_records_and_names_their_flags(flags, line, capsys):
+    code, out, err = run(["sweep", "--k", "3", "--n", "8", "--p", "5", "--trials", "2"] + flags,
+                         capsys)
+    assert code == 1
+    assert json.loads(out)["summary"]["passed"] is False
+    assert err == line + "\n"
 
 
 def main_in_fresh_process(argv, runs=1, script=None, module="oadiag.cli", **env):
@@ -617,6 +698,22 @@ def test_commands_time_their_stages(command, capsys):
     assert all("timings_ms" not in record for record in json.loads(out)["records"])
     code, out, _ = run(argv[:-1] + ["--format", "csv"], capsys)
     assert "timing_" not in out
+
+
+# runs oadiag.cli.main on its arguments and prints whether numpy.ma is loaded
+REPORT_NUMPY_MA = REPORT_NUMPY_RANDOM.replace("'numpy.random'", "'numpy.ma'")
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_SHAPES))
+def test_no_command_imports_numpy_ma(command):
+    # numpy.ma (np.unique imports it, for one) adds about 1 MB to a process
+    if main_in_fresh_process([], script="import sys, numpy; print('numpy.ma' in sys.modules)",
+                             OPENBLAS_NUM_THREADS="1")[1].strip() == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy")
+    code, out = main_in_fresh_process([command] + SMALL_SHAPES[command], script=REPORT_NUMPY_MA,
+                                      OPENBLAS_NUM_THREADS="1")
+    assert code == 0
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["verify-rademacher", "additivity-test",

@@ -22,6 +22,7 @@ from oadiag.oapoly import (
     _CORNERS,
     _ascent,
     _ascent_starts,
+    _norms_numeric,
     _disjoint_pairs,
     _distinct,
     _tuple_bounds,
@@ -299,6 +300,91 @@ def test_uniform_row_stops_where_the_contraction_predicts(k, p):
     expected = 1 + math.ceil(math.log(reach / first) / math.log(r))
     values, steps = _ascent(w, k, p, _ascent_starts(4, p, 1, 0), 500)
     assert steps[0] == expected
+
+
+# (k, p) in both regimes: k < p near and far from p = k, p <= k at p = 1, in
+# between and at p = k
+BATCH_REGIMES = [(3, 5.3), (2, 2.05), (4, 4.3), (3, 2.2), (3, 1.0), (2, 2.0)]
+
+
+def batch_polys(k, p, count, n=6, seed=0):
+    """count seeded polynomials of dimension n, real and complex in turn."""
+    rng = np.random.default_rng([seed, k])
+    return [OrthAddPolynomial(rng.standard_normal(n) + 1j * (t % 2) * rng.standard_normal(n),
+                              LpParams(p, k)) for t in range(count)]
+
+
+@pytest.mark.parametrize("k, p", BATCH_REGIMES)
+def test_batched_norms_match_a_call_per_polynomial_bitwise(k, p):
+    polys = batch_polys(k, p, 7)
+    polys[3] = OrthAddPolynomial(np.zeros(6), LpParams(p, k))
+    seeds = [11 + t for t in range(7)]
+    for restarts, iters in ((10, 250), (20, 500), (3, 7)):
+        got = _norms_numeric(polys, restarts, iters, seeds)
+        expected = [norm_numeric(poly, restarts, iters, seed) for poly, seed in zip(polys, seeds)]
+        assert [value.hex() for value in got] == [value.hex() for value in expected]
+    assert _norms_numeric(polys[:1], 10, 250, seeds[:1]) == [norm_numeric(polys[0], 10, 250, 11)]
+    with pytest.raises(ValueError, match="one seed"):
+        _norms_numeric(polys[:2], 10, 250, seeds)
+
+
+@pytest.mark.parametrize("k, p", [(3, 5.3), (2, 2.05), (4, 4.3), (3, 2.2), (3, 1.5)])
+def test_each_owner_stops_where_it_stops_alone(k, p):
+    # the rows of every polynomial, alone and as owners in one call: the
+    # same value and step count on every row
+    polys = batch_polys(k, p, 6, n=5, seed=1)
+    weights, starts = [], []
+    for t, poly in enumerate(polys):
+        w = np.abs(poly.coeffs)
+        weights.append(w / np.max(w))
+        starts.append(_ascent_starts(5, p, 5 + 2 * t, t))
+    alone = [_ascent(w, k, p, rows, 250) for w, rows in zip(weights, starts)]
+    counts = [len(rows) for rows in starts]
+    values, steps = _ascent(np.stack(weights), k, p, np.concatenate(starts), 250, counts)
+    assert np.array_equal(values, np.concatenate([v for v, _ in alone]))
+    assert np.array_equal(steps, np.concatenate([s for _, s in alone]))
+    # the owners stop at different steps, so the schedules did not coincide
+    assert len({int(s.max()) for _, s in alone}) > 1
+
+
+def test_a_batch_ends_at_its_first_polynomial_out_of_budget():
+    # at p - k = 1e-12 the rows of a polynomial with two nonzero coefficients
+    # need far more steps than the cap, while a lone nonzero coefficient is
+    # exact from the first check
+    params = LpParams(4 + 1e-12, 4)
+    polys = [OrthAddPolynomial(c, params) for c in
+             ([0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.5, 0.25], [0.0, 0.0, 3.0])]
+    got = _norms_numeric(polys, 20, 500, [0, 1, 2, 3, 4])
+    assert got[:2] == [norm_numeric(polys[0], 20, 500, 0), 0.0]
+    with pytest.raises(BudgetError) as alone:
+        norm_numeric(polys[2], 20, 500, 2)
+    assert len(got) == 3 and str(got[2]) == str(alone.value)
+    with pytest.raises(ValueError, match="share"):
+        _norms_numeric([polys[0], OrthAddPolynomial([1.0, 2.0, 3.0], LpParams(5.0, 4))],
+                       20, 500, [0, 1])
+
+
+def test_an_owner_out_of_budget_stops_the_owners_after_it(monkeypatch):
+    # under a cap of 500 steps the first and last owners are certified in 489
+    # and 464 steps, while the middle one asks for more than 500 at its first
+    # check: the owner before it runs to its own end, the one after it stops
+    monkeypatch.setattr("oadiag.oapoly.MAX_ASCENT_STEPS", 500)
+    k, p = 3, 3.05
+    rng = np.random.default_rng([0, k])
+    drawn = [np.abs(rng.standard_normal(5) * np.exp(2 * rng.standard_normal(5))) for _ in range(4)]
+    weights = [drawn[t] / np.max(drawn[t]) for t in (1, 0, 3)]
+    starts = [_ascent_starts(5, p, 4, seed) for seed in (1, 0, 3)]
+    alone = [_ascent(weights[t], k, p, starts[t], 250)[1] for t in (0, 2)]
+    assert [int(steps.max()) for steps in alone] == [489, 464]
+    with pytest.raises(BudgetError) as over:
+        _ascent(weights[1], k, p, starts[1], 250)
+    counts = [len(rows) for rows in starts]
+    failed = {}
+    _, steps = _ascent(np.stack(weights), k, p, np.concatenate(starts), 250, counts, failed)
+    assert list(failed) == [1] and str(failed[1]) == str(over.value)
+    first, middle, last = np.split(steps, np.cumsum(counts)[:-1])
+    assert np.array_equal(first, alone[0])
+    assert set(middle.tolist()) == set(last.tolist()) == {1}
 
 
 def test_linearity_and_norm_homogeneity():
