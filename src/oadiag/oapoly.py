@@ -14,17 +14,17 @@ ascent with exact Hoelder slot updates gives a lower bound; at tiny dimension
 (n, k in {2, 3}) a branch and bound over cones encloses the sup norm between
 a lower and a proven upper bound, against which the ascent is judged.
 
-The ascent runs all its restarts as one (restarts, k, n) array, the l_p power
-method / HOPM iteration on many starts at once, with one einsum per slot
-update and a per-restart stall counter that drops converged restarts; its
-loop calls no checked method.  The enclosure bounds all its open box tuples
-a round at a time, closing the last slot by Hoelder and bounding the others
-over pyramids that touch the unit sphere to second order.  Tuples are arrays
-of ids into one table of boxes that the slots share, each chunk of tuples
-bounds its distinct boxes once, and a value the ascent attained, passed as
-the incumbent, starts the best lower bound.  When the coefficients are
-symmetric in the two box slots, only one tuple of each mirror pair is
-searched.
+The ascent runs all its restarts together, one (restarts, n) array per slot,
+the l_p power method / HOPM iteration on many starts at once, with one einsum
+per slot update and a per-restart stall counter that drops converged
+restarts; its loop calls no checked method.  The enclosure bounds all its
+open box tuples a round at a time, closing the last slot by Hoelder and
+bounding the others over pyramids that touch the unit sphere to second
+order.  Tuples are arrays of ids into one table of boxes that the slots
+share, each chunk of tuples bounds its distinct boxes once, and a value the
+ascent attained, passed as the incumbent, starts the best lower bound.  When
+the coefficients are symmetric in the two box slots, only one tuple of each
+mirror pair is searched.
 """
 
 from __future__ import annotations
@@ -676,19 +676,20 @@ def _lq_columns(v: np.ndarray, q: float, mags: Optional[np.ndarray] = None) -> n
     own = mags is None
     if own:
         mags = np.abs(v)
-    top = mags.max(axis=0)
+    top = np.maximum.reduce(mags, axis=0)
     if q == math.inf:
         return top
     ratios = np.divide(mags, np.where(top > 0, top, 1.0), out=mags if own else None)
     ratios **= q
-    return top * ratios.sum(axis=0) ** (1.0 / q)
+    return top * np.add.reduce(ratios, axis=0) ** (1.0 / q)
 
 
-def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
+def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, positive: np.ndarray,
+                         p: float) -> np.ndarray:
     """Unit-l_p maximizers x of Re <g, x>, one per nonzero row g of grad,
-    mags = np.abs(grad); each attains ||g||_{p'}.  At p = 1 it is the basis
-    vector at the first index of largest |g_i|, with the phase that makes
-    <g, x> real."""
+    mags = np.abs(grad) and positive = mags > 0; each attains ||g||_{p'}.
+    At p = 1 it is the basis vector at the first index of largest |g_i|,
+    with the phase that makes <g, x> real."""
     if p == 1.0:
         rows = np.arange(grad.shape[0])
         top = np.argmax(mags, axis=1)
@@ -698,7 +699,7 @@ def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, p: float) -> np.nda
         return x
     q = holder_conjugate(p)
     total = _lq_columns(grad.T, q, mags.T)[:, None]
-    unit_phases = np.where(mags > 0, np.conj(grad) / np.where(mags > 0, mags, 1.0), 0.0)
+    unit_phases = np.where(positive, np.conj(grad) / np.where(positive, mags, 1.0), 0.0)
     return unit_phases * (mags / total) ** (q - 1.0)
 
 
@@ -712,13 +713,15 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     Real forms are optimized over real vectors.  The first restart starts at
     the all-ones vectors, the others at seeded Gaussian vectors.
 
-    The restarts run together as one (restarts, k, n) array, the l_p power
-    method / HOPM iteration run on many starts at once: each slot update is
-    one einsum over the live restarts, whose modulus, taken once, tells
-    which restarts move and forms their update; a restart whose gradient
-    vanishes keeps that slot.  A restart leaves the live set once its value
-    has gained at most 1e-14 relative in three sweeps running.  The form was
-    validated when it was built, so the loop calls no checked method.
+    The restarts run together, the l_p power method / HOPM iteration run on
+    many starts at once: slot j of every live restart is one C-contiguous
+    (restarts, n) array, each slot update is one einsum over the other
+    slots' arrays, and the gradient's modulus, taken once and tested once
+    for zeros, tells which restarts move and forms their update; a restart
+    whose gradient vanishes keeps that slot.  A restart leaves the live set
+    once its value has gained at most 1e-14 relative in three sweeps
+    running.  The form was validated when it was built, so the loop calls
+    no checked method.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -733,6 +736,8 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     draws = rng.standard_normal((restarts - 1, k, 1 if real_form else 2, n))
     xs[1:] = draws[:, :, 0] if real_form else draws[:, :, 0] + 1j * draws[:, :, 1]
     xs /= _lq_columns(np.moveaxis(xs, -1, 0), p)[..., None]
+    # slot j of every restart, C-contiguous (restarts, n)
+    slots = [np.ascontiguousarray(xs[:, j]) for j in range(k)]
 
     letters = "abcdefghijklmnopqrstuvwxy"[:k]
     slot_specs = [",".join([letters] + ["z" + letters[i] for i in range(k) if i != j])
@@ -743,21 +748,24 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     best = 0.0
     for _ in range(iters):
         for j in range(k):
-            grad = np.einsum(slot_specs[j], coeffs, *(xs[:, i] for i in range(k) if i != j))
+            grad = np.einsum(slot_specs[j], coeffs, *(slots[:j] + slots[j + 1:]))
             mags = np.abs(grad)
-            moving = (mags > 0).any(axis=1)
-            if moving.all():
-                xs[:, j] = _holder_slot_witness(grad, mags, p)
+            positive = mags > 0
+            if np.logical_and.reduce(positive, axis=None):
+                slots[j] = _holder_slot_witness(grad, mags, positive, p)
             else:
-                xs[moving, j] = _holder_slot_witness(grad[moving], mags[moving], p)
-        value = np.abs(np.einsum(value_spec, coeffs, *(xs[:, i] for i in range(k))))
+                moving = np.logical_or.reduce(positive, axis=1)
+                slots[j][moving] = _holder_slot_witness(grad[moving], mags[moving],
+                                                        positive[moving], p)
+        value = np.abs(np.einsum(value_spec, coeffs, *slots))
         stalled = np.where(value - previous <= 1e-14 * np.maximum(1.0, value), stalled + 1, 0)
         previous = value
         live = stalled < 3
-        if not live.all():
-            best = max(best, float(value[~live].max()))
-            xs, previous, stalled = xs[live], previous[live], stalled[live]
-            if not xs.shape[0]:
+        if not np.logical_and.reduce(live):
+            best = max(best, float(np.maximum.reduce(value[~live])))
+            slots = [x[live] for x in slots]
+            previous, stalled = previous[live], stalled[live]
+            if not previous.size:
                 break
     return max(best, float(np.max(previous, initial=0.0)))
 
@@ -839,14 +847,14 @@ def _distinct(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     sort: a mask over [ids.min(), ids.max()] marks the ids present, and the
     running count of the marks ranks them.  Returns the sorted distinct ids
     and each id's index among them, in the shape of ids."""
-    top = ids.max(initial=-1)
-    base = ids.min(initial=top)
+    top = np.maximum.reduce(ids, axis=None, initial=-1)
+    base = np.minimum.reduce(ids, axis=None, initial=top)
     offsets = ids - base
     present = np.zeros(top - base + 1, dtype=bool)
     present[offsets] = True
-    rank = np.cumsum(present)
+    rank = np.add.accumulate(present, dtype=np.intp)
     rank -= 1
-    return np.flatnonzero(present) + base, rank[offsets]
+    return present.nonzero()[0] + base, rank[offsets]
 
 
 def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -857,7 +865,14 @@ def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.n
     tuple column of slot s (the tuple of centres last), the l_p norm of the
     box's point and its <g, u_a>, g the dual functional of the box centre;
     valid is whether every <g, u_a> is positive.  Returns (points,
-    contraction, scale, dots, valid)."""
+    contraction, scale, dots, valid).
+
+    The contraction is one broadcast product summed over its first axis
+    by np.add.reduce, term a = 0 first, then 1, ...: the order of the sum
+    of Python's sum, except that Python's starts at the integer 0.  That
+    can change only the sign of an all-zero sum; the pairing's products
+    and sums carry the sign of a zero only into zeros, and the l_q norms
+    take moduli."""
     n = lo.shape[0]
     # C-contiguous, as are all that follow: np.take along the box axis of
     # any other layout copies the whole array
@@ -867,10 +882,11 @@ def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.n
     centre = points[:, -1]
     g = np.sign(centre) * np.abs(centre) ** (p - 1.0)
     g /= _lq_columns(g, q)
-    dots = (points[:, :-1] * g[:, None]).sum(axis=0)
-    contraction = sum(coeffs[a][..., None, None] * points[a] for a in range(n))
+    dots = np.add.reduce(points[:, :-1] * g[:, None], axis=0)
+    spread = (n,) + (1,) * (coeffs.ndim - 1) + points.shape[1:]
+    contraction = np.add.reduce(coeffs[..., None, None] * points.reshape(spread), axis=0)
     return (points, contraction, _lq_columns(points, p)[tuples], dots[tuples[:, :-1]],
-            (dots > 0).all(axis=0))
+            np.logical_and.reduce(dots > 0, axis=0))
 
 
 def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np.ndarray,
@@ -892,8 +908,9 @@ def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np
     for s, box in enumerate(ids):
         lower = lower / scale[s].take(box, axis=-1)
         upper = upper / dots[s].take(box, axis=-1)
-    upper = upper.max(axis=0) * (1.0 + _ENCLOSURE_MARGIN)
-    return lower.max(axis=0), np.where(valid[ids].all(axis=0), upper, math.inf)
+    upper = np.maximum.reduce(upper, axis=0) * (1.0 + _ENCLOSURE_MARGIN)
+    return (np.maximum.reduce(lower, axis=0),
+            np.where(np.logical_and.reduce(valid[ids], axis=0), upper, math.inf))
 
 
 def _pair_slots(values: np.ndarray, points: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -1075,8 +1092,8 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
             part = slice(start, start + _ENCLOSURE_CHUNK)
             lower[part], bound[part] = _tuple_bounds(coeffs, boxes, ids[:, part], tuples, p, q,
                                                      work)
-        best = max(best, float(lower.max()))
+        best = max(best, float(np.maximum.reduce(lower)))
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
-        upper = max(upper, float(bound[done].max(initial=0.0)))
+        upper = max(upper, float(np.maximum.reduce(bound[done], initial=0.0)))
         ids = ids[:, ~done]
     return max(best, incumbent), upper

@@ -528,6 +528,41 @@ def test_zalduendo_judges_the_ascent_by_the_enclosure(p, seed, code, capsys):
     assert record["passes"] == {"oracle_agreement": code == 0, "diagonal_bound": True}
 
 
+# zalduendo-check's (ascent_estimate, grid_estimate, sup_upper) per record,
+# as float.hex: on the first six (p, seed) pairs of the zalduendo benchmark
+# pool at k = n = 3, then on the five trials of --k 2 --p 3 --n 2
+ZALDUENDO_PINS = [
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "6.021", "--seed", "300965"],
+     [("0x1.f32ad92332135p+1", "0x1.f32ad92332135p+1", "0x1.f32c1f501f869p+1")]),
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "6.234", "--seed", "198490"],
+     [("0x1.f7b5aad1734cdp+1", "0x1.f7b5aad1734cdp+1", "0x1.f7b6efea4ae4fp+1")]),
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "6.792", "--seed", "745557"],
+     [("0x1.35a9f334d26b6p+3", "0x1.35a9f334d26b6p+3", "0x1.35aab841f6968p+3")]),
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "5.221", "--seed", "189804"],
+     [("0x1.6873a2099dde6p+2", "0x1.6873a2099dde6p+2", "0x1.68748e2314c8ap+2")]),
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "5.773", "--seed", "589095"],
+     [("0x1.dba5570d21d20p+1", "0x1.dba5570d21d20p+1", "0x1.dba688e5aff05p+1")]),
+    (["--k", "3", "--n", "3", "--trials", "1", "--p", "4.823", "--seed", "305058"],
+     [("0x1.1c1dbcf7d6045p+2", "0x1.1c1dbcf7d6045p+2", "0x1.1c1e713d4d8b5p+2")]),
+    (["--k", "2", "--p", "3", "--n", "2", "--trials", "5"],
+     [("0x1.dcd6f9410c63ap-2", "0x1.dcd6f9410c63ap-2", "0x1.dcd713ec71973p-2"),
+      ("0x1.d6447f7a1c84ap+0", "0x1.d6447f7a1c84ap+0", "0x1.d645064113959p+0"),
+      ("0x1.27cf562370de9p+0", "0x1.27cf562370de9p+0", "0x1.27cf970177e55p+0"),
+      ("0x1.0fd3242f7b08cp+0", "0x1.0fd3242f7b08cp+0", "0x1.0fd349784c1d8p+0"),
+      ("0x1.5169e5eb284dcp-1", "0x1.5169e5eb284dcp-1", "0x1.516a09e5dd72bp-1")]),
+]
+
+
+@pytest.mark.parametrize("argv, pins", ZALDUENDO_PINS)
+def test_zalduendo_check_is_bitwise_pinned(argv, pins, capsys):
+    code, out, err = run(["zalduendo-check"] + argv, capsys)
+    assert code == 0, err
+    got = [tuple(record["values"][name].hex()
+                 for name in ("ascent_estimate", "grid_estimate", "sup_upper"))
+           for record in json.loads(out)["records"]]
+    assert got == pins
+
+
 def test_zalduendo_box_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50)
     code, out, err = run(["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -22,6 +23,7 @@ from oadiag.oapoly import (
     _CORNERS,
     _ascent,
     _ascent_starts,
+    _box_geometry,
     _norms_numeric,
     _disjoint_pairs,
     _distinct,
@@ -345,6 +347,25 @@ def test_each_owner_stops_where_it_stops_alone(k, p):
     assert np.array_equal(steps, np.concatenate([s for _, s in alone]))
     # the owners stop at different steps, so the schedules did not coincide
     assert len({int(s.max()) for _, s in alone}) > 1
+
+
+# _ascent's per-row stop steps and best value as float.hex on k < p rows from
+# _ascent_starts(n, p, n + 8, 7), weights |N(0, 1)| from default_rng(5) over
+# the max.  Each check comes from the smallest pending delta: scheduled from
+# the largest, the rows of the first case all stop at step 16.
+ASCENT_STEP_PINS = {
+    (3, 5.3, 12): ([14, 16, 16, 16, 16, 16, 15, 15], "0x1.ac210a8c6a892p+0"),
+    (2, 2.6, 19): ([24, 25, 25, 25, 24, 25, 25, 25], "0x1.4f52b9f561b30p+0"),
+    (4, 4.5, 9): ([77, 80, 77, 79, 79, 77, 77, 76], "0x1.09e26a9b9067cp+0"),
+}
+
+
+def test_certified_rows_stop_at_pinned_steps():
+    rng = np.random.default_rng(5)
+    for (k, p, n), pin in ASCENT_STEP_PINS.items():
+        w = np.abs(rng.standard_normal(n))
+        values, steps = _ascent(w / np.max(w), k, p, _ascent_starts(n, p, n + 8, 7), 500)
+        assert (steps.tolist(), float(np.max(values)).hex()) == pin, (k, p, n)
 
 
 def test_a_batch_ends_at_its_first_polynomial_out_of_budget():
@@ -868,6 +889,32 @@ def test_enclosure_splits_the_faces_before_bounding(monkeypatch):
     assert whole and max(whole) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 7.3])
+def test_box_contraction_matches_python_sum(n, p):
+    # _box_geometry sums the slot-0 terms with one np.add.reduce in Python
+    # sum's order: checked on random dyadic boxes of every face, split mostly
+    # from the newest boxes so that many are deep
+    rng = np.random.default_rng([30, n])
+    boxes = _Boxes(n)
+    for _ in range(20):
+        boxes.split(np.unique(rng.integers(max(boxes.size - 40, 0), boxes.size, size=12)))
+    face, lo, hi = boxes.face[:boxes.size], boxes.lo[:, :boxes.size], boxes.hi[:, :boxes.size]
+    assert set(face.tolist()) == set(range(n)) and boxes.width[:boxes.size].min() < 2.0 ** -8
+    vertices = 2 ** (n - 1)
+    # the vertex tuples and the tuple of centres of multilinear_norm_grid at k = 3
+    tuples = np.array(list(itertools.product(range(vertices), repeat=2))
+                      + [(vertices, vertices)]).T
+    coeffs = rng.standard_normal((n, n, n))
+    coeffs[:, 0] = 0.0  # all-zero terms, so some contraction sums are zeros
+    points, contraction, _, _, _ = _box_geometry(coeffs, face, lo, hi, tuples, p,
+                                                 holder_conjugate(p))
+    # equal, and bitwise equal in modulus (the sign of an all-zero sum may differ)
+    summed = sum(coeffs[a][..., None, None] * points[a] for a in range(n))
+    assert np.array_equal(contraction, summed) and np.any(contraction == 0.0)
+    assert np.abs(contraction).tobytes() == np.abs(summed).tobytes()
+
+
 @pytest.mark.parametrize("ids", [
     np.zeros(0, dtype=np.int64),
     np.zeros((2, 0), dtype=np.int64),
@@ -1051,6 +1098,7 @@ ASCENT_PINS = {
     "one_restart": "0x1.e019495372e72p+0",
     "real_two_sweeps": "0x1.9af7f02d6d608p+1",
     "complex_two_sweeps": "0x1.36804d25d219ap+2",
+    "wide": "0x1.22718030e55d5p+4",
 }
 
 
@@ -1068,6 +1116,9 @@ def test_batched_ascent_matches_per_restart_loop():
         # two sweeps end far from convergence, so the value depends on the starts
         "real_two_sweeps": (real, LpParams(4.0, 3), 8, 2),
         "complex_two_sweeps": (real + 1j * real[::-1], LpParams(4.0, 3), 8, 2),
+        # n = 9: numpy sums 8 or more entries along the contiguous axis
+        # pairwise, so a row reduction moved to or from that axis moves bits
+        "wide": (rng.standard_normal((9, 9, 9)), LpParams(4.0, 3), 6, 60),
     }
     seen_steps = set()
     for name, (coeffs, params, restarts, iters) in cases.items():
