@@ -31,7 +31,6 @@ from .diagonal import (
 )
 from .numerics import MAX_CASES, BudgetError, LpParams, Scalar, check_budget
 from .oapoly import (
-    AdditivityReport,
     MultilinearForm,
     OrthAddPolynomial,
     _norms_numeric,
@@ -189,7 +188,10 @@ def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-Case = Tuple[Dict[str, object], Dict[str, float], Dict[str, float], Dict[str, bool]]
+# One judged check: its deviations and their pass flags, each flag under the
+# name of the tolerance that judges it.
+Check = Tuple[Dict[str, float], Dict[str, bool]]
+Case = Tuple[Dict[str, object], Dict[str, float], Sequence[Check]]
 # command, case_index, parameters, values, deviations, passes, passed,
 # wall_time_ms, and timings_ms under --timing where the case times its stages
 Record = Dict[str, object]
@@ -211,28 +213,28 @@ class _Stages:
             self.ms[name] = (time.perf_counter() - start) * 1e3
 
 
-def _run_cases(cfg: ExperimentConfig, count: int, case: Callable[[int], Case],
-               stages: Optional[_Stages] = None) -> List[Record]:
+def _run_cases(cfg: ExperimentConfig, count: int,
+               case: Callable[[int, _Stages], Case]) -> List[Record]:
     """One record per case index, in index order, as the dict that JSON
-    and CSV write.
-
-    case(index) returns (parameters, values, deviations, passes); a record
-    passes when all its pass flags do.  Wall time is measured only under
+    and CSV write.  case(index, stages) returns (parameters, values, checks);
+    the record carries the checks' deviations and pass flags in order, and
+    passes when all its flags do.  Wall time is measured only under
     cfg.timing, so untimed output stays byte-reproducible; then the stages
-    that case timed through `stages` go to timings_ms.
-    """
+    that case timed through `stages` go to timings_ms."""
     check_budget("case", count, "cases", MAX_CASES)
+    stages = _Stages(cfg.timing)
     records = []
     for index in range(count):
         start = time.perf_counter() if cfg.timing else None
-        if stages is not None:
-            stages.ms = {}
-        parameters, values, deviations, passes = case(index)
+        stages.ms = {}
+        parameters, values, checks = case(index, stages)
         wall_time_ms = None if start is None else (time.perf_counter() - start) * 1e3
+        deviations = {name: dev for devs, _ in checks for name, dev in devs.items()}
+        passes = {name: ok for _, oks in checks for name, ok in oks.items()}
         record = {"command": cfg.command, "case_index": index, "parameters": parameters,
                   "values": values, "deviations": deviations, "passes": passes,
                   "passed": all(passes.values()), "wall_time_ms": wall_time_ms}
-        if stages is not None and stages.ms:
+        if stages.ms:
             record["timings_ms"] = stages.ms
         records.append(record)
     return records
@@ -251,13 +253,13 @@ def _unravel(index: int, shape: Sequence[int]) -> List[int]:
 # One check per identity, shared by the commands and sweep
 # ---------------------------------------------------------------------------
 
-def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float, float, float]:
+def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float, float, Check]:
     """Closed form, decomposition upper bound and dual lower bound of ||u||_pi,
-    and the tolerance of their sandwich (exact l_1 lower bound when p <= k).
-
-    A norm beyond the float range is a configuration error: math.fsum raises
-    OverflowError on an l_1 sum past it, and a scaled l_{p/k} norm reads inf.
-    """
+    and their sandwich check: the larger relative deviation of the bounds from
+    the closed form, judged by `sandwich` (by `sandwich_l1`, the exact l_1
+    lower bound's, when p <= k).  A norm beyond the float range is a
+    configuration error: math.fsum raises OverflowError on an l_1 sum past
+    it, and a scaled l_{p/k} norm reads inf."""
     tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
     try:
         values = pi_norm_closed_form(u), pi_upper_bound(u), pi_lower_bound(u)
@@ -265,16 +267,18 @@ def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float
         values = (math.inf,)
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("the projective norm of these coefficients exceeds the float range")
-    return (*values, tol)
+    closed, upper, lower = values
+    sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
+    return closed, upper, lower, ({"sandwich": sandwich}, {"sandwich": sandwich <= tol})
 
 
 def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, ascent: Callable[[], float]
-                 ) -> Tuple[float, float, float, Dict[str, float], Dict[str, bool]]:
-    """Closed form, ascent estimate and witness value of ||poly||, with the
-    deviation of each estimate from the closed form and its pass flag, keyed
-    by tolerance name; ascent() gives the estimate, after the closed form.
-    The zero polynomial has no witness; its value is 0.  A norm beyond the
-    float range is a configuration error."""
+                 ) -> Tuple[float, float, float, Check]:
+    """Closed form, ascent estimate and witness value of ||poly||, and their
+    isometry check: the deviation of each estimate from the closed form,
+    judged by the tolerance of its name; ascent() gives the estimate, after
+    the closed form.  The zero polynomial has no witness; its value is 0.  A
+    norm beyond the float range is a configuration error."""
     closed = norm_closed_form(poly)
     if not math.isfinite(closed):
         raise ConfigError("the polynomial norm of these coefficients exceeds the float range")
@@ -283,7 +287,7 @@ def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, ascent: Callabl
     deviations = {"isometry": _relative_deviation(numeric, closed),
                   "witness": _relative_deviation(witness_value, closed)}
     passes = {name: dev <= cfg.tol(name) for name, dev in deviations.items()}
-    return closed, numeric, witness_value, deviations, passes
+    return closed, numeric, witness_value, (deviations, passes)
 
 
 def _value(result: Union[float, BudgetError]) -> float:
@@ -293,10 +297,10 @@ def _value(result: Union[float, BudgetError]) -> float:
     return result
 
 
-def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams,
-                seed: int) -> AdditivityReport:
-    """Structural and behavioral additivity of the diagonal extension of c.
-    A behavioral defect beyond the float range is a configuration error."""
+def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams, seed: int) -> Check:
+    """Structural and behavioral additivity of the diagonal extension of c,
+    and whether the two verdicts agree.  A behavioral defect beyond the
+    float range is a configuration error."""
     report = is_orthogonally_additive(
         extend_diagonal_functional(c, params),
         tol_structural=cfg.tol("additivity_structural"),
@@ -305,7 +309,11 @@ def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams,
     )
     if not math.isfinite(report.worst_behavioral_defect):
         raise ConfigError("the additivity defect of these coefficients exceeds the float range")
-    return report
+    return ({"additivity_offdiagonal": report.worst_offdiagonal_ratio,
+             "additivity_behavioral": report.worst_behavioral_defect},
+            {"additivity_structural": report.structural_ok,
+             "additivity_behavioral": report.behavioral_ok,
+             "additivity_agreement": report.checks_agree})
 
 
 def _random_coeffs(rng: np.random.Generator, n: int, complex_values: bool) -> np.ndarray:
@@ -324,7 +332,7 @@ def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[Record]:
     k = cfg.k
     tol = cfg.tol("rademacher")
 
-    def case(index: int) -> Case:
+    def case(index: int, stages: _Stages) -> Case:
         levels = [1 + digit for digit in _unravel(index, (cfg.depth,) * k)]
         rule = integrate_product(levels, k)
         brute = integrate_product_bruteforce(levels, k)
@@ -335,42 +343,32 @@ def cmd_verify_rademacher(cfg: ExperimentConfig) -> List[Record]:
         }
         return ({"k": k, "levels": levels},
                 {"rule": float(rule), "bruteforce": float(brute), "expected": float(expected)},
-                deviations,
-                {name: dev <= tol for name, dev in deviations.items()})
+                [(deviations, {name: dev <= tol for name, dev in deviations.items()})])
 
     return _run_cases(cfg, cfg.depth ** k, case)
 
 
 def cmd_pi_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, decomposition upper bound and dual lower bound for one tensor."""
-    stages = _Stages(cfg.timing)
 
-    def case(index: int) -> Case:
+    def case(index: int, stages: _Stages) -> Case:
         u = DiagonalTensor(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
         with stages("pi_sandwich"):
-            closed, upper, lower, tol = _pi_sandwich(cfg, u)
-        deviations = {
-            "lower_vs_closed": _relative_deviation(lower, closed),
-            "upper_vs_closed": _relative_deviation(upper, closed),
-            "sandwich_violation": max(lower - closed, closed - upper, 0.0)
-            / max(closed, 1e-300),
-        }
+            closed, upper, lower, sandwich = _pi_sandwich(cfg, u)
         return ({"k": cfg.k, "p": cfg.p, "coeffs": [format_scalar(z) for z in cfg.coeffs]},
                 {"closed_form": closed, "upper_bound": upper, "lower_bound": lower},
-                deviations,
-                {name: dev <= tol for name, dev in deviations.items()})
+                [sandwich])
 
-    return _run_cases(cfg, 1, case, stages)
+    return _run_cases(cfg, 1, case)
 
 
 def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
     """Closed form, witness value and ascent estimate for one polynomial."""
-    stages = _Stages(cfg.timing)
 
-    def case(index: int) -> Case:
+    def case(index: int, stages: _Stages) -> Case:
         poly = OrthAddPolynomial(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
         with stages("oa_isometry"):
-            closed, numeric, witness_value, dev, ok = _oa_isometry(
+            closed, numeric, witness_value, isometry = _oa_isometry(
                 cfg, poly, lambda: norm_numeric(poly, cfg.restarts, cfg.iters, cfg.seed))
         return ({"k": cfg.k, "p": cfg.p, "seed": cfg.seed,
                  "restarts": cfg.restarts, "iters": cfg.iters,
@@ -378,35 +376,31 @@ def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
                  "witness_defined": closed != 0.0},
                 {"closed_form": closed, "witness_value": witness_value,
                  "numeric_estimate": numeric},
-                {"witness_vs_closed": dev["witness"], "numeric_vs_closed": dev["isometry"]},
-                {"witness_vs_closed": ok["witness"], "numeric_vs_closed": ok["isometry"]})
+                [isometry])
 
-    return _run_cases(cfg, 1, case, stages)
+    return _run_cases(cfg, 1, case)
 
 
 def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
     """Structural and behavioral additivity checks on diagonal extensions."""
     params = LpParams(cfg.p, cfg.k)
-    stages = _Stages(cfg.timing)
 
-    def case(trial: int) -> Case:
+    def case(trial: int, stages: _Stages) -> Case:
         if cfg.coeffs is not None:
             c = np.array(cfg.coeffs, dtype=complex)
         else:
             rng = np.random.default_rng([cfg.seed, trial])
             c = _random_coeffs(rng, cfg.n, complex_values=trial % 2 == 1)
         with stages("additivity"):
-            report = _additivity(cfg, c, params, cfg.seed + trial)
-        values = {"offdiagonal_ratio": report.worst_offdiagonal_ratio,
-                  "behavioral_defect": report.worst_behavioral_defect}
+            additivity = _additivity(cfg, c, params, cfg.seed + trial)
+        deviations = additivity[0]
         return ({"k": cfg.k, "p": cfg.p, "n": int(c.shape[0]), "seed": cfg.seed,
                  "trial": trial, "coeffs": [format_scalar(z) for z in c]},
-                values,
-                dict(values),
-                {"structural": report.structural_ok, "behavioral": report.behavioral_ok,
-                 "checks_agree": report.checks_agree})
+                {"offdiagonal_ratio": deviations["additivity_offdiagonal"],
+                 "behavioral_defect": deviations["additivity_behavioral"]},
+                [additivity])
 
-    return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case, stages)
+    return _run_cases(cfg, cfg.trials if cfg.coeffs is None else 1, case)
 
 
 def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
@@ -415,9 +409,8 @@ def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
     ascent's value is the enclosure's incumbent, so grid_estimate, the
     enclosure's lower bound, is at least ascent_estimate."""
     params = LpParams(cfg.p, cfg.k)
-    stages = _Stages(cfg.timing)
 
-    def case(trial: int) -> Case:
+    def case(trial: int, stages: _Stages) -> Case:
         rng = np.random.default_rng([cfg.seed, trial])
         raw = rng.standard_normal((cfg.n,) * cfg.k)
         form = MultilinearForm(raw.astype(complex), params).symmetrize()
@@ -433,11 +426,11 @@ def cmd_zalduendo(cfg: ExperimentConfig) -> List[Record]:
                 {"ascent_estimate": ascent, "grid_estimate": lower, "sup_upper": upper,
                  "diagonal_norm": diag_norm,
                  "observed_ratio": diag_norm / lower if lower > 0 else 0.0},
-                {"oracle_agreement": agreement, "diagonal_excess": excess},
-                {"oracle_agreement": agreement <= cfg.tol("grid_agreement"),
-                 "diagonal_bound": excess <= cfg.tol("zalduendo")})
+                [({"oracle_agreement": agreement, "diagonal_excess": excess},
+                  {"oracle_agreement": agreement <= cfg.tol("grid_agreement"),
+                   "diagonal_bound": excess <= cfg.tol("zalduendo")})])
 
-    return _run_cases(cfg, cfg.trials, case, stages)
+    return _run_cases(cfg, cfg.trials, case)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
@@ -459,13 +452,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
     shape = (len(ks), 1 if cfg.p is not None else 2, len(ns), cfg.trials)
     rec_tol = cfg.tol("reconstruction")
-    stages = _Stages(cfg.timing)
     # the coefficients of the running batch's cases, and their ascents'
     # results, by case index
     batch: Dict[int, np.ndarray] = {}
     ascents: Dict[int, Union[float, BudgetError]] = {}
 
-    def case(index: int) -> Case:
+    def case(index: int, stages: _Stages) -> Case:
         k_at, p_at, n_at, trial = _unravel(index, shape)
         k, n = ks[k_at], ns[n_at]
         p = float(cfg.p if cfg.p is not None else (k + 1.0, 2.0 * k)[p_at])
@@ -487,10 +479,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
             tensor[tuple([idx] * k)] = 0.0
             off_dev = float(np.max(np.abs(tensor))) / max(float(np.sum(np.abs(a))), 1e-300)
             diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
+        residues = {"reconstruction_offdiagonal": off_dev, "reconstruction_diagonal": diag_dev}
+        reconstruction = (residues, {name: dev <= rec_tol for name, dev in residues.items()})
 
         with stages("pi_sandwich"):
-            closed, upper, lower, sandwich_tol = _pi_sandwich(cfg, u)
-        sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
+            closed, upper, lower, sandwich = _pi_sandwich(cfg, u)
         # moderate optimizer budget; sweeps stay quick
         with stages("oa_isometry"):
             if opens:
@@ -498,41 +491,23 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
                 ascents.update(zip(batch, _norms_numeric(
                     polys, min(cfg.restarts, n + 4), min(cfg.iters, 250),
                     [cfg.seed + i for i in batch])))
-            oa_closed, numeric, witness_value, iso_dev, iso_ok = _oa_isometry(
+            oa_closed, numeric, witness_value, isometry = _oa_isometry(
                 cfg, OrthAddPolynomial(a, params), lambda: _value(ascents.pop(index)))
         with stages("additivity"):
-            report = _additivity(cfg, a, params, cfg.seed + index)
+            additivity = _additivity(cfg, a, params, cfg.seed + index)
 
-        deviations = {
-            "reconstruction_offdiagonal": off_dev,
-            "reconstruction_diagonal": diag_dev,
-            "sandwich": sandwich,
-            **iso_dev,
-            "additivity_offdiagonal": report.worst_offdiagonal_ratio,
-            "additivity_behavioral": report.worst_behavioral_defect,
-        }
-        passes = {
-            "reconstruction_offdiagonal": off_dev <= rec_tol,
-            "reconstruction_diagonal": diag_dev <= rec_tol,
-            "sandwich": sandwich <= sandwich_tol,
-            **iso_ok,
-            "additivity_structural": report.structural_ok,
-            "additivity_behavioral": report.behavioral_ok,
-            "additivity_agreement": report.checks_agree,
-        }
+        checks = [reconstruction, sandwich, isometry, additivity]
         if cfg.inject_failure and index == 0:
             # fixture for exercising the exit-code contract
-            deviations["injected_failure"] = 1.0
-            passes["injected_failure"] = False
+            checks.append(({"injected_failure": 1.0}, {"injected_failure": False}))
         return ({"k": k, "p": p, "n": n, "trial": trial, "seed": cfg.seed,
                  "coeffs": [format_scalar(z) for z in a]},
                 {"pi_closed_form": closed, "pi_upper_bound": upper, "pi_lower_bound": lower,
                  "oa_closed_form": oa_closed, "oa_numeric": numeric,
                  "oa_witness_value": witness_value},
-                deviations,
-                passes)
+                checks)
 
-    return _run_cases(cfg, math.prod(shape), case, stages)
+    return _run_cases(cfg, math.prod(shape), case)
 
 
 COMMANDS: Dict[str, Callable[[ExperimentConfig], List[Record]]] = {

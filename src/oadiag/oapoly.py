@@ -727,6 +727,8 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
         raise ValueError("restarts and iters must be >= 1")
     n, k, p = form.dim, form.degree, form.params.p
     coeffs = form.coeffs
+    if k == 1:  # a linear functional: its sup is the Hoelder value ||c||_{p'}
+        return lq_norm(coeffs, form.params.dual_exponent)
     if n == 0 or not np.any(np.abs(coeffs) > 0):
         return 0.0
     real_form = bool(np.all(coeffs.imag == 0))

@@ -397,7 +397,7 @@ def test_csv_projection(tmp_path):
     assert len(lines) == 2
     header = lines[0].split(",")
     assert "value_closed_form" in header
-    assert "pass_sandwich_violation" in header
+    assert "pass_sandwich" in header
 
 
 def test_csv_rows_match_the_json_records(capsys):
@@ -577,7 +577,7 @@ def test_additivity_command(tmp_path):
                  "--trials", "4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["total"] == 4
-    assert all(r["passes"]["checks_agree"] for r in doc["records"])
+    assert all(r["passes"]["additivity_agreement"] for r in doc["records"])
 
 
 def test_additivity_at_the_float_range(capsys):
@@ -735,6 +735,106 @@ def test_commands_time_their_stages(command, capsys):
     assert "timing_" not in out
 
 
+SANDWICH = (["sandwich"], ["sandwich"])
+ISOMETRY = (["isometry", "witness"], ["isometry", "witness"])
+ADDITIVITY = (["additivity_offdiagonal", "additivity_behavioral"],
+              ["additivity_structural", "additivity_behavioral", "additivity_agreement"])
+RECONSTRUCTION = (["reconstruction_offdiagonal", "reconstruction_diagonal"],) * 2
+SWEEP_VOCABULARY = tuple(sum(group, []) for group in
+                         zip(RECONSTRUCTION, SANDWICH, ISOMETRY, ADDITIVITY))
+# (deviation keys, pass keys) of a record, in order, per command and regime
+VOCABULARY = [
+    (["verify-rademacher", "--k", "3", "--depth", "2"],
+     (["rule_vs_expected", "bruteforce_vs_rule"],) * 2),
+    (["pi-norm", "--k", "2", "--p", "4", "--coeffs", "1,2-1i"], SANDWICH),
+    (["pi-norm", "--k", "3", "--p", "2", "--coeffs", "1,2-1i"], SANDWICH),
+    (["oa-norm", "--k", "2", "--p", "4", "--coeffs", "1,2-1i"], ISOMETRY),
+    (["oa-norm", "--k", "3", "--p", "2", "--coeffs", "1,2-1i"], ISOMETRY),
+    (["additivity-test", "--k", "2", "--p", "4", "--n", "3", "--trials", "2"], ADDITIVITY),
+    (["additivity-test", "--k", "3", "--p", "2", "--coeffs", "1,2-1i"], ADDITIVITY),
+    (["zalduendo-check", "--k", "2", "--p", "3", "--n", "2", "--trials", "2"],
+     (["oracle_agreement", "diagonal_excess"], ["oracle_agreement", "diagonal_bound"])),
+    (["sweep", "--k", "2", "--p", "4", "--n", "2", "--trials", "2"], SWEEP_VOCABULARY),
+    (["sweep", "--k", "3", "--p", "2", "--n", "2", "--trials", "2"], SWEEP_VOCABULARY),
+    (["sweep", "--k", "2", "--p", "4", "--n", "2", "--trials", "1", "--inject-failure"],
+     tuple(keys + ["injected_failure"] for keys in SWEEP_VOCABULARY)),
+]
+# pass flags of the four identity commands that no tolerance names
+UNTOLERATED_FLAGS = {"reconstruction_offdiagonal", "reconstruction_diagonal",
+                     "additivity_agreement", "injected_failure"}
+
+
+def _regime(argv):
+    """The regime a command line asks for: k_below_p or p_below_k, or none
+    for a command that takes no p."""
+    if "--p" not in argv:
+        return argv[0]
+    k, p = int(argv[argv.index("--k") + 1]), float(argv[argv.index("--p") + 1])
+    injected = "-injected_failure" if "--inject-failure" in argv else ""
+    return f"{argv[0]}-{'k_below_p' if k < p else 'p_below_k'}{injected}"
+
+
+@pytest.mark.parametrize("argv, vocabulary", VOCABULARY,
+                         ids=[_regime(argv) for argv, _ in VOCABULARY])
+def test_record_vocabulary(argv, vocabulary, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == (1 if "--inject-failure" in argv else 0), err
+    for record in json.loads(out)["records"]:
+        assert (list(record["deviations"]), list(record["passes"])) == tuple(vocabulary)
+        if argv[0] not in ("verify-rademacher", "zalduendo-check"):
+            assert set(record["passes"]) <= set(experiments.DEFAULT_TOLERANCES) | UNTOLERATED_FLAGS
+
+
+# runs sweep on its arguments, then pi-norm, oa-norm and additivity-test on
+# each sweep record's inputs as sweep derives them, and prints every document
+REPLAY_SWEEP = """import contextlib, io, json, sys
+from oadiag.cli import main
+
+def document(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return json.loads(out.getvalue())
+
+sweep = document(sys.argv[1:])
+config, replays = sweep["config"], []
+for record in sweep["records"]:
+    params = record["parameters"]
+    inputs = ["--k", str(params["k"]), "--p", repr(params["p"]),
+              "--coeffs=" + ",".join(params["coeffs"])]
+    seed = str(config["seed"] + record["case_index"])
+    restarts = str(min(config["restarts"], params["n"] + 4))
+    iters = str(min(config["iters"], 250))
+    replays.append([document(["pi-norm"] + inputs),
+                    document(["oa-norm"] + inputs + ["--restarts", restarts, "--iters", iters,
+                                                     "--seed", seed]),
+                    document(["additivity-test"] + inputs + ["--seed", seed])])
+print(json.dumps([sweep, replays]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k", "3", "--n", "4", "--p", "5", "--trials", "3", "--seed", "2"],
+    ["sweep", "--k", "2", "--n", "8", "--p", "1.5", "--trials", "3", "--seed", "4"],
+    ["sweep", "--seed", "7", "--trials", "2"],
+], ids=["k_below_p", "p_below_k", "default"])
+def test_single_identity_commands_judge_as_sweep_does(argv):
+    # The in-process replay runs in a fresh interpreter with one BLAS thread,
+    # as this process may run another thread count than its environment names.
+    code, out = main_in_fresh_process(argv, script=REPLAY_SWEEP, OPENBLAS_NUM_THREADS="1")
+    assert code == 0
+    sweep, replays = json.loads(out)
+    for record, documents in zip(sweep["records"], replays, strict=True):
+        names = set()
+        for doc in documents:
+            (single,) = doc["records"]
+            for field in ("deviations", "passes"):
+                assert {name: repr(value) for name, value in single[field].items()} == \
+                    {name: repr(record[field][name]) for name in single[field]}
+            names.update(single["deviations"], single["passes"])
+        assert names | set(RECONSTRUCTION[0]) == set(record["deviations"]) | set(record["passes"])
+
+
 # runs oadiag.cli.main on its arguments and prints whether numpy.ma is loaded
 REPORT_NUMPY_MA = REPORT_NUMPY_RANDOM.replace("'numpy.random'", "'numpy.ma'")
 
@@ -809,7 +909,7 @@ def oa_norm_cases(draw):
 def test_oa_norm_is_scale_safe(case):
     k, p, mantissas, scale = case
     code, record = oa_norm_record(k, p, [scale * m for m in mantissas])
-    assert record["passes"]["witness_vs_closed"]
+    assert record["passes"]["witness"]
     assert code == 0
 
 

@@ -727,6 +727,15 @@ def test_ascent_known_bilinear_norm():
         pytest.approx(3.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("p, expected", [(2.0, 5.0), (1.0, 4.0),
+                                         (3.0, (3 ** 1.5 + 4 ** 1.5) ** (2 / 3))])
+def test_ascent_of_a_linear_form_is_its_holder_value(p, expected):
+    # a degree-1 form is the functional c: its sup over the unit l_p ball is ||c||_{p'}
+    form = MultilinearForm(np.array([3.0, 4.0], dtype=complex), LpParams(p, 1))
+    assert multilinear_norm_ascent(form, restarts=4, iters=40, seed=0) == \
+        pytest.approx(expected, rel=1e-15)
+
+
 def test_grid_rejects_unsupported_inputs():
     with pytest.raises(ValueError, match="n, k in"):
         multilinear_norm_grid(MultilinearForm(np.zeros((4, 4), dtype=complex), P42))
