@@ -43,9 +43,12 @@ _COMMON_FLAGS = (
     ("--seed", dict(type=int, help="base random seed (default 0)")),
     ("--trials", dict(type=int, help="number of seeded trials")),
     ("--restarts", dict(type=int, help="optimizer starts (oa-norm / sweep also take "
-                                       "every basis vector, past this count)")),
+                                       "every basis vector, past this count; sweep "
+                                       "uses min(restarts, n + 4), zalduendo-check "
+                                       "max(restarts, 12))")),
     ("--iters", dict(type=int, help="oa-norm / sweep ascent step cap at p <= k "
-                                    "(k < p stops on a certificate)")),
+                                    "(k < p stops on a certificate; sweep uses "
+                                    "min(iters, 250); zalduendo-check ignores it)")),
     ("--coeffs", dict(type=str, help="comma-separated reals or re+imi literals")),
     ("--coeffs-file", dict(type=str, help="JSON file with a coefficient array")),
     ("--tol", dict(action="append", metavar="NAME=VALUE", help="tolerance override")),

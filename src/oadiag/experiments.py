@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
 )
-from .numerics import MAX_CASES, BudgetError, LpParams, Scalar, check_budget
+from .numerics import MAX_CASES, LpParams, Scalar, check_budget
 from .oapoly import (
     MultilinearForm,
     OrthAddPolynomial,
@@ -259,10 +259,14 @@ def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float
     the closed form, judged by `sandwich` (by `sandwich_l1`, the exact l_1
     lower bound's, when p <= k).  A norm beyond the float range is a
     configuration error: math.fsum raises OverflowError on an l_1 sum past
-    it, and a scaled l_{p/k} norm reads inf."""
+    it, and a scaled l_{p/k} norm reads inf.  The bounds are formed only
+    under a finite closed form: a modulus past the float range has no dual
+    polynomial."""
     tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
     try:
-        values = pi_norm_closed_form(u), pi_upper_bound(u), pi_lower_bound(u)
+        values = (pi_norm_closed_form(u),)
+        if math.isfinite(values[0]):
+            values += pi_upper_bound(u), pi_lower_bound(u)
     except OverflowError:
         values = (math.inf,)
     if not all(math.isfinite(v) for v in values):
@@ -278,23 +282,17 @@ def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, ascent: Callabl
     isometry check: the deviation of each estimate from the closed form,
     judged by the tolerance of its name; ascent() gives the estimate, after
     the closed form.  The zero polynomial has no witness; its value is 0.  A
-    norm beyond the float range is a configuration error."""
+    norm beyond the float range, or an estimate rounded past it, is a
+    configuration error."""
     closed = norm_closed_form(poly)
-    if not math.isfinite(closed):
+    numeric = ascent() if math.isfinite(closed) else closed
+    if not math.isfinite(numeric):
         raise ConfigError("the polynomial norm of these coefficients exceeds the float range")
-    numeric = ascent()
     witness_value = norm_witness(poly)[1] if closed != 0.0 else 0.0
     deviations = {"isometry": _relative_deviation(numeric, closed),
                   "witness": _relative_deviation(witness_value, closed)}
     passes = {name: dev <= cfg.tol(name) for name, dev in deviations.items()}
     return closed, numeric, witness_value, (deviations, passes)
-
-
-def _value(result: Union[float, BudgetError]) -> float:
-    """A batched ascent's result: its value, or its BudgetError raised."""
-    if isinstance(result, BudgetError):
-        raise result
-    return result
 
 
 def _additivity(cfg: ExperimentConfig, c: np.ndarray, params: LpParams, seed: int) -> Check:
@@ -444,9 +442,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     norm_numeric ascents run together, up to SWEEP_ASCENT_BATCH trials in
     one _norms_numeric call, made in the oa_isometry stage of the batch's
     first case; each trial keeps its own starts, seed and certificate
-    schedule, so every record is what a call per trial gives.  A trial's
-    BudgetError is raised in its own case, as a call per trial raises it,
-    and the ascents of the later trials of its batch stop where it fails.
+    schedule, so every record is what a call per trial gives.  A batch out
+    of budget raises its first failing trial's BudgetError, in the batch's
+    first case, where a call per trial raises it in that trial's own case.
+    Either way no record is written (exit 3), and the error is the same: a
+    case's other budgets depend only on k and n, and the first case's
+    reconstruction checks stricter ones than its additivity stage would.
     """
     ks = [cfg.k] if cfg.k is not None else list(SWEEP_DEFAULT_KS)
     ns = [cfg.n] if cfg.n is not None else list(SWEEP_DEFAULT_NS)
@@ -455,7 +456,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
     # the coefficients of the running batch's cases, and their ascents'
     # results, by case index
     batch: Dict[int, np.ndarray] = {}
-    ascents: Dict[int, Union[float, BudgetError]] = {}
+    ascents: Dict[int, float] = {}
 
     def case(index: int, stages: _Stages) -> Case:
         k_at, p_at, n_at, trial = _unravel(index, shape)
@@ -492,7 +493,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
                     polys, min(cfg.restarts, n + 4), min(cfg.iters, 250),
                     [cfg.seed + i for i in batch])))
             oa_closed, numeric, witness_value, isometry = _oa_isometry(
-                cfg, OrthAddPolynomial(a, params), lambda: _value(ascents.pop(index)))
+                cfg, OrthAddPolynomial(a, params), lambda: ascents.pop(index))
         with stages("additivity"):
             additivity = _additivity(cfg, a, params, cfg.seed + index)
 

@@ -161,8 +161,8 @@ def lq_norm(v, q: float) -> float:
     if not (isinstance(q, (int, float)) and q >= 1.0):
         raise ValueError(f"q must be >= 1 or inf, got {q!r}")
     top = float(np.max(mags))
-    if top == 0.0:
-        return 0.0
+    if top == 0.0 or top == math.inf:  # a complex modulus can overflow
+        return top
     # scale by the max so powers never overflow and the top coordinate is exact
     ratios = mags.reshape(-1) / top
     return top * math.fsum(ratios ** float(q)) ** (1.0 / float(q))

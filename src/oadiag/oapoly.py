@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,7 +210,10 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
     denom = np.sum(ratios ** (p / (p - k))) ** (1.0 / p)
     phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
     witness = phases * (radial / denom)
-    stationary = top * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p)
+    # top times the sum can overflow, or lose bits below the normal range,
+    # where the quotient does neither: top's power of two goes on last
+    m, e = math.frexp(top)
+    stationary = math.ldexp(m * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p), e)
     scaled = OrthAddPolynomial(poly.coeffs / _power_of_two_below(top), poly.params)
     alignment = abs(evaluate(scaled, witness)) / np.abs(scaled.coeffs * witness ** k).sum()
     return witness, float(stationary * alignment)
@@ -296,60 +299,48 @@ def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
     Batches.  This is the one-polynomial call of _norms_numeric, which runs
     the ascents of many polynomials of one k, p and dimension through one
     loop, each with its own starts and seed and each on its own certificate
-    schedule (see _ascent), so that every value keeps its bits.  sweep runs
-    the trials of each (k, p, n) group that way, up to
+    schedule (see _ascent), so that every value keeps its bits.  A batch out
+    of budget raises the BudgetError of its first polynomial out of budget,
+    which calls of norm_numeric on each polynomial in turn would raise
+    first.  sweep runs the trials of each (k, p, n) group that way, up to
     experiments.SWEEP_ASCENT_BATCH trials per call.
     """
-    value, = _norms_numeric([poly], restarts, iters, [seed])
-    if isinstance(value, BudgetError):
-        raise value
-    return value
+    return _norms_numeric([poly], restarts, iters, [seed])[0]
 
 
 def _norms_numeric(polys: Sequence[OrthAddPolynomial], restarts: int, iters: int,
-                   seeds: Sequence[int]) -> List[Union[float, BudgetError]]:
+                   seeds: Sequence[int]) -> List[float]:
     """norm_numeric of each polynomial, each with its own seed, all of one
-    k, p and dimension, up to the first whose ascent is out of budget: the
-    list ends with that polynomial's BudgetError, as norm_numeric called on
-    each in turn would raise it first, and the ascents of the polynomials
-    after it stop where it fails.  The start rows of all the nonzero
-    polynomials run through one _ascent loop, each polynomial its owner, so
-    each value is bit for bit the one norm_numeric gives it alone: the
-    same steps on the same rows, stopped by the same schedule."""
+    k, p and dimension.  The start rows of all the nonzero polynomials run
+    through one _ascent loop, each polynomial its owner, so each value is bit
+    for bit the one norm_numeric gives it alone: the same steps on the same
+    rows, stopped by the same schedule.  Out of budget, it raises the first
+    failing polynomial's BudgetError (the start budget depends only on the
+    dimension and restarts, so the first nonzero polynomial fails it first)."""
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     if len(seeds) != len(polys):
         raise ValueError("each polynomial needs one seed")
     if any(poly.params != polys[0].params or poly.dim != polys[0].dim for poly in polys):
         raise ValueError("the polynomials must share k, p and their dimension")
-    results: List[Union[float, BudgetError]] = []
+    results = [0.0] * len(polys)
     owners, tops, weights, starts = [], [], [], []
-    for poly, seed in zip(polys, seeds):
+    for i, (poly, seed) in enumerate(zip(polys, seeds)):
         w = np.abs(poly.coeffs)
         if w.any():  # some coordinate, and not all of them 0
-            try:
-                starts.append(_ascent_starts(poly.dim, poly.params.p, restarts, seed))
-            except BudgetError as exc:
-                results.append(exc)
-                break
-            owners.append(len(results))
+            starts.append(_ascent_starts(poly.dim, poly.params.p, restarts, seed))
+            owners.append(i)
             tops.append(float(w.max()))
             weights.append(w / tops[-1])
-        results.append(0.0)
     if not owners:
         return results
     counts = [len(rows) for rows in starts]
-    failed: Dict[int, BudgetError] = {}
     values, _ = _ascent(np.array(weights), polys[0].params.k, polys[0].params.p,
-                        np.concatenate(starts), iters, counts, failed)
+                        np.concatenate(starts), iters, counts)
     best = np.maximum.reduceat(values, list(itertools.accumulate(counts[:-1], initial=0)))
-    for label, i in enumerate(owners):
-        if label in failed:
-            results[i] = failed[label]
-            del results[i + 1:]
-            break
+    for i, top, value in zip(owners, tops, best.tolist()):
         # the basis starts' values are w / top, whose largest is exactly 1
-        results[i] = tops[label] * max(float(best[label]), 1.0)
+        results[i] = top * max(value, 1.0)
     return results
 
 
@@ -381,8 +372,7 @@ _DELTA_FLOOR = 64 * 2.0 ** -53
 
 
 def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
-            counts: Optional[Sequence[int]] = None,
-            failed: Optional[Dict[int, BudgetError]] = None) -> Tuple[np.ndarray, np.ndarray]:
+            counts: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """norm_numeric's ascent from the unit start rows of T: the objective
     sum w t^k of each row where it stopped, and the steps it took.
 
@@ -396,24 +386,25 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
     its own largest.  So each row stops at the step, and with the value,
     that it has in a call of its owner's rows alone, while the numpy calls
     of a step serve every owner at once.  An owner whose certificate is out
-    of budget stops there, and so do the owners after it: its BudgetError
-    goes to failed[i] when failed is given, and is raised otherwise, and
-    the values of the stopped rows mean nothing.
+    of budget stops there, and so do the owners after it, while the owners
+    before it run on.  Once no row runs, the last BudgetError recorded is
+    raised: that of the first owner out of budget, since every owner after
+    a failed one had stopped.
 
     Each step normalizes: between checks the iterate is not needed, but the
     unnormalized powers underflow on a face at large k."""
     certified = k < p
-    # per owner with live rows, in row order: its index, its live row count
-    # and (k < p) its next check step; w gets one row per row of T
+    # per owner with live rows, in row order: its live row count and (k < p)
+    # its next check step; w gets one row per row of T
     lengths = [T.shape[0]] if counts is None else list(counts)
-    labels = list(range(len(lengths)))
     w = w.reshape(-1, T.shape[1]).repeat(lengths, axis=0)
+    error = None
     if certified:
         # the delta at which 1 - exp(-k (k-1)^2 delta^2 / (8 (p-k))) meets
         # the target
         reach = math.sqrt(-8.0 * math.log1p(-ASCENT_CERTIFICATE_TARGET) * (p - k)
                           / (k * (k - 1) ** 2)) if k > 1 else math.inf
-        check = [1] * len(labels)
+        check = [1] * len(lengths)
         next_check = 1
     exponent = 1.0 / (p - 1.0) if p > 1.0 else 0.0
     values = np.zeros(T.shape[0])
@@ -460,9 +451,7 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
                     try:
                         _check_ascent_budget(step, float(pending.max()), reach, k, p)
                     except BudgetError as exc:
-                        if failed is None:
-                            raise
-                        failed[labels[run]] = exc
+                        error = exc
                         done[rows.start:] = True
                         break
                     # in exact arithmetic delta shrinks by r per step, so no
@@ -476,21 +465,19 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
             keep = ~done
             T, before, live, w = T[keep], before[keep], live[keep], w[keep]
             if not live.size:
+                if error is not None:
+                    raise error
                 return values, steps
             if certified:
                 # rows drop only at checks, where firsts was formed
                 kept = np.add.reduceat(keep, firsts[:-1]).tolist()
-                runs = [run for run in zip(kept, labels, check) if run[0]]
-                lengths, labels, check = map(list, zip(*runs))
+                runs = [run for run in zip(kept, check) if run[0]]
+                lengths, check = map(list, zip(*runs))
         if certified:
             next_check = min(check)
     if certified:
-        error = BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
-                            "steps", MAX_ASCENT_STEPS)
-        if failed is None:
-            raise error
-        failed[labels[0]] = error
-        return values, steps
+        raise BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
+                          "steps", MAX_ASCENT_STEPS)
     values[live] = (w * T ** k).sum(axis=1)
     steps[live] = iters
     return values, steps
@@ -628,7 +615,9 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
 
     behavioral_ok = True
     worst_defect = 0.0
-    if n >= 2 and scale > 0:
+    if n >= 2 and scale == math.inf:  # a complex modulus past the float range
+        behavioral_ok, worst_defect = False, math.inf
+    elif n >= 2 and scale > 0:
         unit = _power_of_two_below(scale)
         xs, ys = _disjoint_pairs(np.random.default_rng(seed), n, samples)
         # P at every x, y and x + y: one matmul for the first slot, then one

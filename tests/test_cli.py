@@ -24,6 +24,7 @@ from oadiag.experiments import (
     results_to_json,
     run_command,
 )
+from oadiag.numerics import BudgetError
 
 
 def run(argv, capsys):
@@ -153,14 +154,18 @@ def test_sweep_ascent_batches_split_at_the_cap_without_moving_a_byte(argv, monke
 
 def test_a_group_out_of_budget_midway_fails_as_a_call_per_trial(monkeypatch, capsys):
     # under a cap of 500 ascent steps, trial 0 of this group is certified and
-    # trial 1 is not: the batch ends there, and the sweep exits 3 with trial
-    # 1's error, as with one ascent call per trial
+    # trial 1 is not: the batch raises trial 1's error, and the sweep exits 3
+    # with it, as with one ascent call per trial
     monkeypatch.setattr("oadiag.oapoly.MAX_ASCENT_STEPS", 500)
-    results = []
+    calls = []  # each call's batch size and the error it raised, if any
 
-    def recording(*args):
-        batch = norms_numeric(*args)
-        results.append([type(result).__name__ for result in batch])
+    def recording(polys, *args):
+        try:
+            batch = norms_numeric(polys, *args)
+        except BudgetError as exc:
+            calls.append((len(polys), str(exc)))
+            raise
+        calls.append((len(polys), None))
         return batch
 
     norms_numeric = experiments._norms_numeric
@@ -168,11 +173,12 @@ def test_a_group_out_of_budget_midway_fails_as_a_call_per_trial(monkeypatch, cap
     argv = ["sweep", "--k", "3", "--n", "8", "--p", "3.05", "--trials", "6"]
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
-    assert results == [["float", "BudgetError"]]
-    results.clear()
+    error = err.removeprefix("error: ").rstrip("\n")
+    assert calls == [(6, error)]
+    calls.clear()
     monkeypatch.setattr("oadiag.experiments.SWEEP_ASCENT_BATCH", 1)
     assert run(argv, capsys) == (code, out, err)
-    assert results == [["float"], ["BudgetError"]]
+    assert calls == [(1, None), (1, error)]
 
 
 @pytest.mark.parametrize("flags, line", [
@@ -1078,6 +1084,18 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # a subnormal max|c|: each c_i x_i^k of the witness rounds to 0, and the
     # value comes from the ratios |c_i| / max|c|
     (["oa-norm", "--k", "2", "--p", "4", "--coeffs=" + ",".join(["5e-324"] * 10)], 0),
+    # a finite norm near the float maximum, whose witness value overflowed
+    # when max|c| multiplied its power sum before the division, and a
+    # subnormal max|c|, where that product lost bits
+    *[(["oa-norm", "--k", k, "--p", p, f"--coeffs={c},{c}"], 0)
+      for k, p, c in (("2", "4", "1e308"), ("3", "5", "1e308"), ("4", "4.004637015270084", "1e308"),
+                      ("4", "4.004637015270084", "1.7e308"))],
+    (["oa-norm", "--k", "40", "--p", "121", "--coeffs=1e-320,7.307e-321"], 0),
+    # a modulus past the float range, which has no dual polynomial
+    (["pi-norm", "--k", "2", "--p", "4", "--coeffs=1.7e308+1.7e308i"], 2),
+    # an ascent row 10 ulps above its exact bound 1, times max|c|
+    (["oa-norm", "--k", "40", "--p", "40", "--coeffs=1.7976931348623157e308,"
+      "6.582873183140682e307,1.7976931348623157e308,1.7976931348623157e308"], 2),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -1088,6 +1106,38 @@ def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
     if "--out" in argv:
         assert err.startswith(f"error: cannot write output file {argv[-1]}: ")
         assert err.count("\n") == 1
+    if code == 2 and "e308" in argv[-1]:
+        side = "projective" if argv[0] == "pi-norm" else "polynomial"
+        assert err == f"error: the {side} norm of these coefficients exceeds the float range\n"
+
+
+def near_float_max_argvs(count, seed=0):
+    """Seeded pi-norm, oa-norm and additivity-test argument lists whose
+    coefficients are near the float maximum, in both regimes and near p = k."""
+    rng = np.random.default_rng(seed)
+    argvs = []
+    for i in range(count):
+        k = int(rng.choice([2, 3, 4, 5, 40]))
+        p = float(k * rng.choice([0.5, 1.0, 1.5, 2.0, 1.0011596]))
+        top = rng.choice([1e308, 1.7e308, 1.7976931348623157e308])
+        mags = top * rng.choice([1.0, 0.37], size=int(rng.integers(1, 5)))
+        coeffs = [repr(float(m)) for m in mags * rng.choice([-1.0, 1.0], size=len(mags))]
+        if rng.random() < 0.3:
+            coeffs = [f"{c}+{c.lstrip('-')}i" for c in coeffs]
+        command = ("pi-norm", "oa-norm", "additivity-test")[i % 3]
+        argvs.append([command, "--k", str(k), "--p", repr(p), "--coeffs=" + ",".join(coeffs)])
+    return argvs
+
+
+def test_near_float_max_inputs_end_in_a_contract_exit_code(capsys):
+    # no check may fail on these and none may raise: each exits 0, or 2 when
+    # a norm is past the float range, or 3 out of budget
+    wrong = []
+    for argv in near_float_max_argvs(150):
+        code, _, err = run(argv, capsys)
+        if code not in (0, 2, 3):
+            wrong.append((argv, code, err))
+    assert not wrong
 
 
 class FullStream(io.StringIO):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from oadiag import oapoly
 from oadiag.numerics import BudgetError, LpParams, holder_conjugate, lq_norm, phase
 from oadiag.oapoly import (
     MultilinearForm,
@@ -375,37 +376,59 @@ def test_a_batch_ends_at_its_first_polynomial_out_of_budget():
     params = LpParams(4 + 1e-12, 4)
     polys = [OrthAddPolynomial(c, params) for c in
              ([0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.5, 0.25], [0.0, 0.0, 3.0])]
-    got = _norms_numeric(polys, 20, 500, [0, 1, 2, 3, 4])
-    assert got[:2] == [norm_numeric(polys[0], 20, 500, 0), 0.0]
+    assert _norms_numeric(polys[:2], 20, 500, [0, 1]) == [norm_numeric(polys[0], 20, 500, 0), 0.0]
     with pytest.raises(BudgetError) as alone:
         norm_numeric(polys[2], 20, 500, 2)
-    assert len(got) == 3 and str(got[2]) == str(alone.value)
+    with pytest.raises(BudgetError) as batch:
+        _norms_numeric(polys, 20, 500, [0, 1, 2, 3, 4])
+    assert str(batch.value) == str(alone.value)
     with pytest.raises(ValueError, match="share"):
         _norms_numeric([polys[0], OrthAddPolynomial([1.0, 2.0, 3.0], LpParams(5.0, 4))],
                        20, 500, [0, 1])
 
 
+def test_the_first_owner_out_of_budget_raises_though_a_later_one_fails_sooner():
+    # a's certificate asks for 296069 steps at its check of step 2, b's for
+    # 301200 at step 1: the batch raises a's error, as calls in turn would
+    params = LpParams(3.0001, 3)
+    a = OrthAddPolynomial([1, 0, 2, 0.5], params)
+    b = OrthAddPolynomial([1, 3, 2, 0.5], params)
+    with pytest.raises(BudgetError, match="301200 steps asked for"):
+        _norms_numeric([b], 8, 500, [0])
+    with pytest.raises(BudgetError, match="296069 steps asked for"):
+        _norms_numeric([a, b], 8, 500, [0, 0])
+
+
 def test_an_owner_out_of_budget_stops_the_owners_after_it(monkeypatch):
-    # under a cap of 500 steps the first and last owners are certified in 489
-    # and 464 steps, while the middle one asks for more than 500 at its first
-    # check: the owner before it runs to its own end, the one after it stops
-    monkeypatch.setattr("oadiag.oapoly.MAX_ASCENT_STEPS", 500)
-    k, p = 3, 3.05
-    rng = np.random.default_rng([0, k])
-    drawn = [np.abs(rng.standard_normal(5) * np.exp(2 * rng.standard_normal(5))) for _ in range(4)]
-    weights = [drawn[t] / np.max(drawn[t]) for t in (1, 0, 3)]
-    starts = [_ascent_starts(5, p, 4, seed) for seed in (1, 0, 3)]
-    alone = [_ascent(weights[t], k, p, starts[t], 250)[1] for t in (0, 2)]
-    assert [int(steps.max()) for steps in alone] == [489, 464]
-    with pytest.raises(BudgetError) as over:
-        _ascent(weights[1], k, p, starts[1], 250)
-    counts = [len(rows) for rows in starts]
-    failed = {}
-    _, steps = _ascent(np.stack(weights), k, p, np.concatenate(starts), 250, counts, failed)
-    assert list(failed) == [1] and str(failed[1]) == str(over.value)
-    first, middle, last = np.split(steps, np.cumsum(counts)[:-1])
-    assert np.array_equal(first, alone[0])
-    assert set(middle.tolist()) == set(last.tolist()) == {1}
+    # at p - k = 1e-4 the weights a of [1, 0, 2, 0.5] fail their budget
+    # check at step 2 and the weights b of [1, 3, 2, 0.5] theirs at step 1.
+    # Owners a, b, a in one call: the first a runs on past b's failure to its
+    # own, the second a stops before its check, and the first a's error is
+    # raised once no row runs
+    checks = []
+    check_ascent_budget = oapoly._check_ascent_budget
+
+    def recording(step, delta, *args):
+        checks.append((step, delta))
+        check_ascent_budget(step, delta, *args)
+
+    monkeypatch.setattr("oadiag.oapoly._check_ascent_budget", recording)
+    k, p = 3, 3.0001
+    a, b = np.array([1, 0, 2, 0.5]) / 2, np.array([1, 3, 2, 0.5]) / 3
+    starts = _ascent_starts(4, p, 8, 0)
+    alone = []  # each owner's error and checks in a call of its own
+    for w in (a, b):
+        checks.clear()
+        with pytest.raises(BudgetError) as over:
+            _ascent(w, k, p, starts, 500)
+        alone.append((str(over.value), list(checks)))
+    (a_error, a_checks), (b_error, b_checks) = alone
+    assert [step for step, _ in a_checks + b_checks] == [2, 1]
+    checks.clear()
+    with pytest.raises(BudgetError) as batch:
+        _ascent(np.stack([a, b, a]), k, p, np.concatenate([starts] * 3), 500, [len(starts)] * 3)
+    assert str(batch.value) == a_error != b_error
+    assert sorted(checks) == sorted(a_checks + b_checks)
 
 
 def test_linearity_and_norm_homogeneity():

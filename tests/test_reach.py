@@ -23,7 +23,7 @@ KEPT = {
     "rademacher.GeneralizedRademacher.eval",
     "rademacher.GeneralizedRademacher.eval_recursive",
     "rademacher._as_fraction",
-    # the dual form of a diagonal tensor, on its own (ROADMAP item 3)
+    # the dual form of a diagonal tensor, on its own (ROADMAP item 4)
     "diagonal.build_dual_form",
     # the averaging decomposition as one array of k^n pieces (the north star)
     "diagonal.averaging_decomposition",
