@@ -36,7 +36,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .numerics import (MAX_DENSE_DEGREE, MAX_EXPANSION_ENTRIES, MAX_PIECES, CoefficientVector,
-                       LpParams, Scalar, check_budget, lq_norm, phase)
+                       LpParams, Scalar, _power_of_two_below, check_budget, lq_norm, phase)
 from .oapoly import OrthAddPolynomial, norm_closed_form
 
 __all__ = [
@@ -237,16 +237,14 @@ def pi_norm_closed_form(u: DiagonalTensor) -> float:
 
 
 def _scaled_to_unit(u: DiagonalTensor) -> Tuple[float, DiagonalTensor]:
-    """(max|a|, u / max|a|), or (0.0, u) for a zero u.  numpy divides complex
-    values by a real scalar through its reciprocal, which overflows for a
-    subnormal max|a|: both are then first multiplied by 2^54, exactly."""
+    """(max|a|, u / max|a|), or (0.0, u) for a zero u.  Both are first divided
+    by the power of two s at or below max|a|, exactly: numpy divides by the
+    reciprocal, which overflows for a subnormal max|a| but not for max|a| / s."""
     top = float(np.max(np.abs(u.coeffs), initial=0.0))
     if top == 0.0:
         return top, u
-    coeffs, divisor = u.coeffs, top
-    if top < np.finfo(float).tiny:
-        coeffs, divisor = coeffs * 2.0 ** 54, top * 2.0 ** 54
-    return top, DiagonalTensor(coeffs / divisor, u.params)
+    s = _power_of_two_below(top)
+    return top, DiagonalTensor(u.coeffs / s / (top / s), u.params)
 
 
 def pi_upper_bound(u: DiagonalTensor) -> float:

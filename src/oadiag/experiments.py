@@ -29,7 +29,7 @@ from .diagonal import (
     pi_norm_closed_form,
     pi_upper_bound,
 )
-from .numerics import MAX_CASES, LpParams, Scalar, check_budget
+from .numerics import MAX_CASES, LpParams, Scalar, _power_of_two_below, check_budget
 from .oapoly import (
     MultilinearForm,
     OrthAddPolynomial,
@@ -257,23 +257,27 @@ def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float
     """Closed form, decomposition upper bound and dual lower bound of ||u||_pi,
     and their sandwich check: the larger relative deviation of the bounds from
     the closed form, judged by `sandwich` (by `sandwich_l1`, the exact l_1
-    lower bound's, when p <= k).  A norm beyond the float range is a
-    configuration error: math.fsum raises OverflowError on an l_1 sum past
-    it, and a scaled l_{p/k} norm reads inf.  The bounds are formed only
-    under a finite closed form: a modulus past the float range has no dual
-    polynomial."""
+    lower bound's, when p <= k).  All three are positively homogeneous, so
+    they are formed and judged for u / s, s the power of two at or below
+    max|a|, and returned times s: exact in the normal range, and below it no
+    modulus is rounded to the subnormal grid first.  A modulus or a norm
+    beyond the float range is a configuration error, raised before the
+    bounds that follow it are formed."""
     tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
-    try:
-        values = (pi_norm_closed_form(u),)
-        if math.isfinite(values[0]):
-            values += pi_upper_bound(u), pi_lower_bound(u)
-    except OverflowError:
-        values = (math.inf,)
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("the projective norm of these coefficients exceeds the float range")
-    closed, upper, lower = values
+    beyond = "the projective norm of these coefficients exceeds the float range"
+    top = float(np.max(np.abs(u.coeffs), initial=0.0))
+    if top == math.inf:
+        raise ConfigError(beyond)
+    s = _power_of_two_below(top)
+    unit = DiagonalTensor(u.coeffs / s, u.params)
+    scaled = []
+    for norm in (pi_norm_closed_form, pi_upper_bound, pi_lower_bound):
+        scaled.append(norm(unit))
+        if not math.isfinite(scaled[-1] * s):
+            raise ConfigError(beyond)
+    closed, upper, lower = scaled
     sandwich = max(_relative_deviation(lower, closed), _relative_deviation(upper, closed))
-    return closed, upper, lower, ({"sandwich": sandwich}, {"sandwich": sandwich <= tol})
+    return closed * s, upper * s, lower * s, ({"sandwich": sandwich}, {"sandwich": sandwich <= tol})
 
 
 def _oa_isometry(cfg: ExperimentConfig, poly: OrthAddPolynomial, ascent: Callable[[], float]

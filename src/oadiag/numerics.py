@@ -168,6 +168,13 @@ def lq_norm(v, q: float) -> float:
     return top * math.fsum(ratios ** float(q)) ** (1.0 / float(q))
 
 
+def _power_of_two_below(scale: float) -> float:
+    """The power of two at or below scale > 0, at least 2^-1022.  numpy
+    divides a complex array by multiplying with the reciprocal, which stays
+    finite, and dividing by a power of two is exact away from underflow."""
+    return math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
+
+
 def phase(a: Scalar) -> Scalar:
     """a/|a|, with phase(0) = 1 so decompositions of zero coefficients stay defined."""
     z = complex(a)

@@ -47,6 +47,7 @@ from .numerics import (
     CoefficientVector,
     LpParams,
     Scalar,
+    _power_of_two_below,
     check_budget,
     ensure_finite,
     holder_conjugate,
@@ -193,8 +194,8 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
 
     times the alignment |P(x)| / sum_i |c_i x_i^k|, which is 1 when every
     c_i x_i^k is real and nonnegative and falls at second order in the
-    spread of their phases.  P is evaluated on the coefficients divided by a
-    power of two near max|c|, so no term underflows.
+    spread of their phases.  R and P are formed at the scale of the power of
+    two at or below max|c|, so no term overflows or underflows.
     """
     mags = np.abs(poly.coeffs)
     if poly.dim == 0 or not np.any(mags > 0):
@@ -211,19 +212,12 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
     phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
     witness = phases * (radial / denom)
     # top times the sum can overflow, or lose bits below the normal range,
-    # where the quotient does neither: top's power of two goes on last
-    m, e = math.frexp(top)
-    stationary = math.ldexp(m * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p), e)
-    scaled = OrthAddPolynomial(poly.coeffs / _power_of_two_below(top), poly.params)
+    # where top / unit does neither: unit goes on last
+    unit = _power_of_two_below(top)
+    stationary = top / unit * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p) * unit
+    scaled = OrthAddPolynomial(poly.coeffs / unit, poly.params)
     alignment = abs(evaluate(scaled, witness)) / np.abs(scaled.coeffs * witness ** k).sum()
     return witness, float(stationary * alignment)
-
-
-def _power_of_two_below(scale: float) -> float:
-    """The power of two at or below scale > 0, at least 2^-1022.  numpy
-    divides a complex array by multiplying with the reciprocal, which stays
-    finite, and dividing by a power of two is exact away from underflow."""
-    return math.ldexp(1.0, max(math.frexp(scale)[1] - 1, -1022))
 
 
 def norm_numeric(poly: OrthAddPolynomial, restarts: int = 20, iters: int = 500,
@@ -773,10 +767,10 @@ _ENCLOSURE_MARGIN = 2.0 ** -40
 # multilinear_norm_grid).
 _MIRROR_ASYMMETRY = 8 * np.finfo(float).eps / 2
 # box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction is
-# about 0.37 MB; the round's (n, 17, chunk) pairing buffer and its term
-# buffer, allocated once per round, and the modulus copy the pairing's l_q
-# norms work in are 0.42 MB each; and the geometry of the chunk's distinct
-# boxes is at most 2 MB (on random forms a few dozen boxes)
+# about 0.37 MB; the chunk's (n, 17, chunk) pairing array, its term array
+# and the modulus copy the pairing's l_q norms work in are 0.42 MB each; and
+# the geometry of the chunk's distinct boxes is at most 2 MB (on random forms
+# a few dozen boxes)
 _ENCLOSURE_CHUNK = 2 ** 10
 
 
@@ -881,19 +875,16 @@ def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.n
 
 
 def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np.ndarray,
-                  p: float, q: float,
-                  work: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+                  p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper bound of N (see multilinear_norm_grid) over each
     tuple of slot boxes; ids is (slots, tuples) of box ids.  Each distinct
-    box is bounded once, then gathered by id.  With two box slots, work is
-    a flat float buffer of at least 2 n tuples.shape[1] ids.shape[1]
-    entries, which the pairing of the slots overwrites."""
+    box is bounded once, then gathered by id."""
     live, ids = _distinct(ids)
     points, contraction, scale, dots, valid = _box_geometry(
         coeffs, boxes.face[live], boxes.lo[:, live], boxes.hi[:, live], tuples, p, q)
     values = contraction.take(ids[0], axis=-1)
     if len(ids) == 2:
-        values = _pair_slots(values, points.take(ids[1], axis=-1), work)
+        values = _pair_slots(values, points.take(ids[1], axis=-1))
     values = _lq_columns(values, q)
     lower, upper = values, values[:-1]
     for s, box in enumerate(ids):
@@ -904,18 +895,17 @@ def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np
             np.where(np.logical_and.reduce(valid[ids], axis=0), upper, math.inf))
 
 
-def _pair_slots(values: np.ndarray, points: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _pair_slots(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """phi(u, v, .) for the vertex pairs (u, v) of each tuple, slot 0 most
     significant, then for its pair of centres: values[b, :, a] is
     phi(u_a, e_b, .), points[b, a] coordinate b of the slot-1 point a, both
     with the tuple axis last.  The sum over b is formed term by term, in
-    order, in an (n, vertices^2 + 1, tuples) array cut from work, with a
-    second array of that size for each term.  The sum starts at its first
-    term rather than at 0, which can change only the sign of a zero, and
-    the l_q norms that follow take moduli."""
+    order, in an (n, vertices^2 + 1, tuples) array, with a second array of
+    that size for each term.  The sum starts at its first term rather than
+    at 0, which can change only the sign of a zero, and the l_q norms that
+    follow take moduli."""
     n, vertices, count = len(points), points.shape[1] - 1, points.shape[-1]
-    size = n * (vertices ** 2 + 1) * count
-    out, term = (work[i * size:(i + 1) * size].reshape(n, -1, count) for i in range(2))
+    out, term = (np.empty((n, vertices ** 2 + 1, count)) for _ in range(2))
     for b in range(n):
         dest = term if b else out
         np.multiply(values[b][:, :-1, None], points[b][:-1],
@@ -1003,13 +993,13 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     l_p norms, <g, u_a> and the slot-0 contraction with the form.  The
     pass over the tuples gathers these by id and forms only the pairing of
     the slots, the l_q norms and the quotients.  At k = 3 the pairing is
-    summed term by term into one buffer that the round allocates and every
-    chunk reuses, and each chunk writes its bounds into the round's lower
-    and upper arrays.  A round splits each chosen box once, whichever
-    tuples chose it, and the other slots keep their ids.  Every element is
-    formed by the same operations, in the same order, as when each tuple
-    is bounded from its own boxes' coordinates, so neither the table, the
-    buffers nor the chunk size changes a bit of the result.
+    summed term by term into one array per chunk, and each chunk writes
+    its bounds into the round's lower and upper arrays.  A round splits
+    each chosen box once, whichever tuples chose it, and the other slots
+    keep their ids.  Every element is formed by the same operations, in
+    the same order, as when each tuple is bounded from its own boxes'
+    coordinates, so neither the table nor the chunk size changes a bit of
+    the result.
 
     Incumbent.  incumbent must be a value |phi| attains at unit vectors,
     such as the ascent's; it starts the best lower bound, and the result
@@ -1077,12 +1067,9 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
         ids = _split_widest(boxes, ids, twin)
         count = ids.shape[1]
         lower, bound = np.empty(count), np.empty(count)
-        # the pairing of the two box slots, reused by every chunk of the round
-        work = np.empty(2 * n * tuples.shape[1] * min(count, _ENCLOSURE_CHUNK)) if k == 3 else None
         for start in range(0, count, _ENCLOSURE_CHUNK):
             part = slice(start, start + _ENCLOSURE_CHUNK)
-            lower[part], bound[part] = _tuple_bounds(coeffs, boxes, ids[:, part], tuples, p, q,
-                                                     work)
+            lower[part], bound[part] = _tuple_bounds(coeffs, boxes, ids[:, part], tuples, p, q)
         best = max(best, float(np.maximum.reduce(lower)))
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(np.maximum.reduce(bound[done], initial=0.0)))

@@ -569,6 +569,47 @@ def test_zalduendo_check_is_bitwise_pinned(argv, pins, capsys):
     assert got == pins
 
 
+# pi-norm's closed form, upper bound, lower bound and sandwich deviation as
+# float.hex: real and complex, both regimes, scales 1e-300 to 1e300, k to 10^6
+PI_SANDWICH_PINS = [
+    (["--k", "2", "--p", "4", "--coeffs=3,-4"],
+     ("0x1.4000000000000p+2", "0x1.4000000000000p+2", "0x1.4000000000000p+2", "0x0.0p+0")),
+    (["--k", "3", "--p", "7.3", "--coeffs=0.8-1.1i,-0.35+0.2i,1.7i,-0.9,0.05+0.6i"],
+     ("0x1.1b873df3e4743p+1", "0x1.1b873df3e4744p+1", "0x1.1b873df3e4743p+1",
+      "0x1.ce49f9c5697d4p-53")),
+    (["--k", "3", "--p", "2", "--coeffs=1,2-1i,3i"],
+     ("0x1.8f1bbcdcbfa54p+2", "0x1.8f1bbcdcbfa54p+2", "0x1.8f1bbcdcbfa54p+2", "0x0.0p+0")),
+    (["--k", "2", "--p", "4.5", "--coeffs=1e300,-2.5e299,7e299"],
+     ("0x1.c8b726e14f750p+996", "0x1.c8b726e14f750p+996", "0x1.c8b726e14f750p+996", "0x0.0p+0")),
+    (["--k", "2", "--p", "2", "--coeffs=1e300,-3e299i"],
+     ("0x1.f0f1b7d9a327ep+996", "0x1.f0f1b7d9a327ep+996", "0x1.f0f1b7d9a327ep+996", "0x0.0p+0")),
+    (["--k", "3", "--p", "5", "--coeffs=1e-300+2e-300i,-3e-301,4e-300i"],
+     ("0x1.a24580b4c0078p-995", "0x1.a24580b4c0077p-995", "0x1.a24580b4c0075p-995",
+      "0x1.d60c7be7cc111p-52")),
+    (["--k", "4", "--p", "3", "--coeffs=1e-300,-2e-300+1e-301i"],
+     ("0x1.016050d9a09bep-995", "0x1.016050d9a09bep-995", "0x1.016050d9a09bep-995", "0x0.0p+0")),
+    (["--k", "2", "--p", "1e20", "--coeffs=1+2i,0.5-1i,3i"],
+     ("0x1.8000000000000p+1", "0x1.8000000000000p+1", "0x1.8000000000000p+1", "0x0.0p+0")),
+    (["--k", "1000000", "--p", "2000000", "--coeffs=1"],
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
+    (["--k", "1000000", "--p", "3000000.5", "--coeffs=0.3-0.4i"],
+     ("0x1.0000000000000p-1", "0x1.ffffffff8fb47p-2", "0x1.0000000000000p-1",
+      "0x1.c12e400000000p-35")),
+    (["--k", "1000000", "--p", "2", "--coeffs=1,-2,3i"],
+     ("0x1.8000000000000p+2", "0x1.8000000000000p+2", "0x1.8000000000000p+2", "0x0.0p+0")),
+]
+
+
+@pytest.mark.parametrize("argv, pins", PI_SANDWICH_PINS)
+def test_pi_sandwich_is_bitwise_pinned(argv, pins, capsys):
+    code, out, err = run(["pi-norm"] + argv, capsys)
+    assert code == 0, err
+    record = json.loads(out)["records"][0]
+    got = tuple(record["values"][name].hex()
+                for name in ("closed_form", "upper_bound", "lower_bound"))
+    assert got + (record["deviations"]["sandwich"].hex(),) == pins
+
+
 def test_zalduendo_box_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50)
     code, out, err = run(["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187",
@@ -1096,6 +1137,13 @@ def test_every_budget_exit_names_the_budget_the_amount_and_the_cap(argv, patch, 
     # an ascent row 10 ulps above its exact bound 1, times max|c|
     (["oa-norm", "--k", "40", "--p", "40", "--coeffs=1.7976931348623157e308,"
       "6.582873183140682e307,1.7976931348623157e308,1.7976931348623157e308"], 2),
+    # subnormal complex coefficients, whose moduli and phases were rounded
+    # to the subnormal grid before the sandwich was judged
+    (["pi-norm", "--k", "4", "--p", "1", "--coeffs=3.97e-321+3.656e-321i"], 0),
+    (["pi-norm", "--k", "3", "--p", "3", "--coeffs=1.482e-323+1.482e-323i,9.881e-323+8.893e-323i"],
+     0),
+    (["pi-norm", "--k", "3", "--p", "4.5", "--coeffs=2.124e-322+1.927e-322i,1.186e-322+1.087e-322i,"
+      "7.905e-323+6.917e-323i,3.953e-323+3.458e-323i"], 0),
 ])
 def test_edge_inputs_keep_the_exit_code_contract(argv, code, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -1129,15 +1177,39 @@ def near_float_max_argvs(count, seed=0):
     return argvs
 
 
+def outside_the_contract(argvs, capsys):
+    """The runs that neither exit 0, nor 2 for a norm past the float range,
+    nor 3 out of budget; a run that raises fails the calling test."""
+    runs = [(argv, *run(argv, capsys)) for argv in argvs]
+    return [(argv, code, err) for argv, code, _, err in runs if code not in (0, 2, 3)]
+
+
 def test_near_float_max_inputs_end_in_a_contract_exit_code(capsys):
-    # no check may fail on these and none may raise: each exits 0, or 2 when
-    # a norm is past the float range, or 3 out of budget
-    wrong = []
-    for argv in near_float_max_argvs(150):
-        code, _, err = run(argv, capsys)
-        if code not in (0, 2, 3):
-            wrong.append((argv, code, err))
-    assert not wrong
+    assert not outside_the_contract(near_float_max_argvs(150), capsys)
+
+
+def subnormal_argvs(count, seed=0):
+    """Seeded pi-norm, oa-norm and additivity-test argument lists whose
+    coefficients lie between 5e-324 and 1e-300, real or complex, in both
+    regimes and near p = k."""
+    rng = np.random.default_rng(seed)
+    argvs = []
+    for i in range(count):
+        k = int(rng.choice([2, 3, 4, 5, 40]))
+        p = max(1.0, float(k * rng.choice([0.25, 0.5, 1.0, 1.5, 2.0, 1.0011596])))
+        mags = 10.0 ** rng.uniform(-323.5, -300.0, size=int(rng.integers(1, 5)))
+        re, im = mags * rng.uniform(-1.0, 1.0, size=(2, len(mags)))
+        coeffs = [repr(float(x)) for x in re]
+        if rng.random() < 0.6:
+            coeffs = [f"{c}{float(y):+}i" for c, y in zip(coeffs, im)]
+        command = ("pi-norm", "oa-norm", "additivity-test")[i % 3]
+        argvs.append([command, "--k", str(k), "--p", repr(p), "--coeffs=" + ",".join(coeffs)])
+    return argvs
+
+
+def test_subnormal_inputs_end_in_a_contract_exit_code(capsys):
+    # float error alone may fail no check
+    assert not outside_the_contract(subnormal_argvs(400), capsys)
 
 
 class FullStream(io.StringIO):
