@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -79,13 +79,13 @@ class DiagonalTensor(CoefficientVector):
 # Averaging decomposition
 # ---------------------------------------------------------------------------
 
-def _slot_coefficients(u: DiagonalTensor) -> np.ndarray:
-    """The slot row c, shape (n,), that every slot of every piece carries:
-    c[i] is the principal k-th root of a_i, the modulus root times the k-th
-    root of its phase, with phase 1 for a zero coefficient."""
-    a = u.coeffs
-    angle = np.arctan2(a.imag, a.real, out=np.zeros(u.dim), where=a != 0) / u.params.k
-    return (np.cos(angle) + 1j * np.sin(angle)) * np.abs(a) ** (1.0 / u.params.k)
+def _slot_coefficients(a: np.ndarray, k: int) -> np.ndarray:
+    """The slot row c, shape (n,), that every slot of every piece of the
+    degree-k tensor with coefficients a carries: c[i] is the principal k-th
+    root of a_i, the modulus root times the k-th root of its phase, with
+    phase 1 for a zero coefficient."""
+    angle = np.arctan2(a.imag, a.real, out=np.zeros(len(a)), where=a != 0) / k
+    return (np.cos(angle) + 1j * np.sin(angle)) * np.abs(a) ** (1.0 / k)
 
 
 def _step_values(k: int, dtype=np.complex128) -> np.ndarray:
@@ -120,7 +120,7 @@ def averaging_decomposition(u: DiagonalTensor) -> np.ndarray:
     """
     k, n = u.params.k, u.dim
     check_budget("piece", k ** n, "pieces", MAX_PIECES)
-    return _pieces(_slot_coefficients(u), k, 0, k ** n)
+    return _pieces(_slot_coefficients(u.coeffs, k), k, 0, k ** n)
 
 
 def dense_expansion(u: DiagonalTensor) -> np.ndarray:
@@ -140,7 +140,7 @@ def dense_expansion(u: DiagonalTensor) -> np.ndarray:
     k, n = u.params.k, u.dim
     _check_expansion_budgets(k, n)
     count = k ** n
-    row = _slot_coefficients(u)
+    row = _slot_coefficients(u.coeffs, k)
     block = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(n ** (k - 1), 1)))
     partials = (_expand_block(_pieces(row, k, start, min(start + block, count)), k)
                 for start in range(0, count, block))
@@ -191,7 +191,7 @@ def factored_expansion(u: DiagonalTensor) -> np.ndarray:
     k, n = u.params.k, u.dim
     _check_expansion_budgets(k, n)
     phases = _phase_expansion(k, n)
-    row = _slot_coefficients(u)
+    row = _slot_coefficients(u.coeffs, k)
     outer = row
     for _ in range(k - 1):
         outer = np.multiply.outer(outer, row)
@@ -236,15 +236,16 @@ def pi_norm_closed_form(u: DiagonalTensor) -> float:
     return math.fsum(np.abs(u.coeffs))
 
 
-def _scaled_to_unit(u: DiagonalTensor) -> Tuple[float, DiagonalTensor]:
-    """(max|a|, u / max|a|), or (0.0, u) for a zero u.  Both are first divided
+def _scaled_to_unit(a: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(max|a|, a / max|a|), or (0.0, a) for a zero a.  Both are first divided
     by the power of two s at or below max|a|, exactly: numpy divides by the
-    reciprocal, which overflows for a subnormal max|a| but not for max|a| / s."""
-    top = float(np.max(np.abs(u.coeffs), initial=0.0))
+    reciprocal, which overflows for a subnormal max|a| but not for max|a| / s.
+    a was validated with the tensor it came from, so the quotient is not."""
+    top = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
     if top == 0.0:
-        return top, u
+        return top, a
     s = _power_of_two_below(top)
-    return top, DiagonalTensor(u.coeffs / s / (top / s), u.params)
+    return top, a / s / (top / s)
 
 
 def pi_upper_bound(u: DiagonalTensor) -> float:
@@ -297,11 +298,11 @@ def pi_upper_bound(u: DiagonalTensor) -> float:
         return math.fsum(np.abs(u.coeffs) * basis_norm)
 
     check_budget("piece", k ** n, "pieces", MAX_PIECES)
-    top, unit = _scaled_to_unit(u)
+    top, a = _scaled_to_unit(u.coeffs)
     if top == 0.0:
         return 0.0
-    moduli = np.abs(_slot_coefficients(unit)[:, None] * _step_values(k, np.clongdouble))
-    scale = moduli.max()
+    moduli = np.abs(_slot_coefficients(a, k)[:, None] * _step_values(k, np.clongdouble))
+    scale = np.maximum.reduce(moduli, axis=None)
     table = ((moduli / scale) ** p).astype(float)
     low_levels = 0
     while low_levels < n and k ** (low_levels + 1) <= _CHUNK:
@@ -313,7 +314,8 @@ def pi_upper_bound(u: DiagonalTensor) -> float:
     best = 0.0
     for start in range(0, len(high), block):
         prefix = high[start:start + block, None]
-        best = max(best, float(np.add(prefix, low, out=sums[:len(prefix)]).max()))
+        best = max(best, float(np.maximum.reduce(np.add(prefix, low, out=sums[:len(prefix)]),
+                                                 axis=None)))
     return float(top * scale ** k * best ** (k / p))
 
 
@@ -334,15 +336,18 @@ def build_dual_form(u: DiagonalTensor) -> OrthAddPolynomial:
     The phase of each coefficient is conjugated so the pairing comes out
     real and nonnegative; for k < p the modulus is raised to p/k - 1.
     """
-    return _dual_form(u, np.abs(u.coeffs))
+    return _dual_form(u.coeffs, np.abs(u.coeffs), u.params)
 
 
-def _dual_form(u: DiagonalTensor, moduli: np.ndarray) -> OrthAddPolynomial:
-    """build_dual_form with the moduli of u's coefficients given."""
-    b = np.array([phase(z) for z in u.coeffs], dtype=complex).conj()
-    if u.params.k_less_than_p:
-        b = b * moduli ** (u.params.p / u.params.k - 1.0)
-    return OrthAddPolynomial(b, u.params)
+def _dual_form(a: np.ndarray, moduli: Optional[np.ndarray],
+               params: LpParams) -> OrthAddPolynomial:
+    """build_dual_form of the tensor with coefficients a, from their moduli
+    or a positive multiple of them, read only when k < p: the polynomial is
+    then a positive multiple of the one the moduli give, and norms as well."""
+    b = np.array([phase(z) for z in a], dtype=complex).conj()
+    if params.k_less_than_p:
+        b = b * moduli ** (params.p / params.k - 1.0)
+    return OrthAddPolynomial(b, params)
 
 
 def pair(u: DiagonalTensor, poly: OrthAddPolynomial) -> Scalar:
@@ -358,7 +363,12 @@ def pair(u: DiagonalTensor, poly: OrthAddPolynomial) -> Scalar:
     if u.params.k != poly.params.k:
         raise ValueError(f"degree mismatch: tensor has k = {u.params.k}, "
                          f"polynomial has k = {poly.params.k}")
-    products = u.coeffs * poly.coeffs
+    return _pairing(u.coeffs, poly.coeffs)
+
+
+def _pairing(a: np.ndarray, c: np.ndarray) -> Scalar:
+    """sum_i a_i c_i, each component summed with math.fsum."""
+    products = a * c
     return complex(math.fsum(products.real), math.fsum(products.imag))
 
 
@@ -376,18 +386,27 @@ def pi_lower_bound(u: DiagonalTensor) -> float:
     their largest value, all in [0, 1] with an exact 1 at the top.  For
     p <= k the dual coefficients are the unimodular phases, so the pairing
     is the l_1 sum itself and the norm their largest modulus, 1 up to a
-    rounding; u is used as it is, and for real a every phase is exactly +-1
-    and the bound exactly the l_1 closed form.
+    rounding.  It is computed for a / s, s the power of two at or below the
+    largest real or imaginary part of a, and scaled back: exact in the
+    normal range, and below it no modulus is rounded to the subnormal grid.
+    For real a every phase is exactly +-1 and the bound exactly the l_1
+    closed form.
     """
-    top, moduli = 1.0, np.abs(u.coeffs)
     if u.params.k_less_than_p:
-        top, u = _scaled_to_unit(u)
+        top, a = _scaled_to_unit(u.coeffs)
         if top == 0.0:
             return 0.0
-        moduli = np.abs(u.coeffs)
-        moduli /= moduli.max()
-    dual = _dual_form(u, moduli)
-    pairing = abs(pair(u, dual))
+        moduli = np.abs(a)
+        moduli /= np.maximum.reduce(moduli, axis=None)
+    else:
+        # the largest real or imaginary part: finite where a modulus is not
+        top = float(np.maximum.reduce(np.abs(u.coeffs.view(float)), initial=0.0))
+        if top == 0.0:
+            return 0.0
+        top = _power_of_two_below(top)
+        a, moduli = u.coeffs / top, None
+    dual = _dual_form(a, moduli, u.params)
+    pairing = abs(_pairing(a, dual.coeffs))
     bound = norm_closed_form(dual)
     if bound == 0.0:
         return 0.0

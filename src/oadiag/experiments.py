@@ -265,7 +265,7 @@ def _pi_sandwich(cfg: ExperimentConfig, u: DiagonalTensor) -> Tuple[float, float
     bounds that follow it are formed."""
     tol = cfg.tol("sandwich") if u.params.k_less_than_p else cfg.tol("sandwich_l1")
     beyond = "the projective norm of these coefficients exceeds the float range"
-    top = float(np.max(np.abs(u.coeffs), initial=0.0))
+    top = float(np.maximum.reduce(np.abs(u.coeffs), axis=None, initial=0.0))
     if top == math.inf:
         raise ConfigError(beyond)
     s = _power_of_two_below(top)
@@ -482,8 +482,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> List[Record]:
             idx = np.arange(n)
             diag = tensor[tuple([idx] * k)].copy()
             tensor[tuple([idx] * k)] = 0.0
-            off_dev = float(np.max(np.abs(tensor))) / max(float(np.sum(np.abs(a))), 1e-300)
-            diag_dev = float(np.max(np.abs(diag - a))) / max(float(np.max(np.abs(a))), 1e-300)
+            moduli = np.abs(a)
+            off_dev = (float(np.maximum.reduce(np.abs(tensor), axis=None))
+                       / max(float(np.add.reduce(moduli, axis=None)), 1e-300))
+            diag_dev = (float(np.maximum.reduce(np.abs(diag - a), axis=None))
+                        / max(float(np.maximum.reduce(moduli, axis=None)), 1e-300))
         residues = {"reconstruction_offdiagonal": off_dev, "reconstruction_diagonal": diag_dev}
         reconstruction = (residues, {name: dev <= rec_tol for name, dev in residues.items()})
 

@@ -77,9 +77,13 @@ ASCENT_CERTIFICATE_TARGET = 1e-9
 
 
 def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.ndarray:
-    """Return the input as an array, rejecting NaN/Inf components."""
-    arr = np.atleast_1d(np.asarray(values))
-    if arr.size and not np.all(np.isfinite(arr)):
+    """Return the input as an array, at least 1-D, rejecting NaN/Inf
+    components.  Called on every array a checked operation takes in, so the
+    reduction is numpy's ufunc method itself, without its Python wrappers."""
+    arr = np.asarray(values)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("non-finite entry (NaN or Inf) is not admitted")
     return arr
 
@@ -156,11 +160,11 @@ def lq_norm(v, q: float) -> float:
         return 0.0
     ensure_finite(arr)
     mags = np.abs(arr)
+    top = float(np.maximum.reduce(mags, axis=None))
     if q == math.inf:
-        return float(np.max(mags))
+        return top
     if not (isinstance(q, (int, float)) and q >= 1.0):
         raise ValueError(f"q must be >= 1 or inf, got {q!r}")
-    top = float(np.max(mags))
     if top == 0.0 or top == math.inf:  # a complex modulus can overflow
         return top
     # scale by the max so powers never overflow and the top coordinate is exact
@@ -176,13 +180,19 @@ def _power_of_two_below(scale: float) -> float:
 
 
 def phase(a: Scalar) -> Scalar:
-    """a/|a|, with phase(0) = 1 so decompositions of zero coefficients stay defined."""
+    """a/|a|, with phase(0) = 1 so decompositions of zero coefficients stay defined.
+
+    a is first divided by the power of two s at or below its larger
+    component: exact, and it leaves the modulus in [1, 2^1.5) or, for a
+    subnormal a, in the normal range, where abs does not round it to the
+    subnormal grid (nor past the float range).  abs(a / s) is abs(a) / s
+    exactly in the normal range, so there the phase is that of a / abs(a)."""
     z = complex(a)
     _ensure_finite_scalar(z)
-    m = abs(z)
-    if m == 0.0:
+    if z == 0:
         return complex(1.0)
-    return z / m
+    z /= _power_of_two_below(max(abs(z.real), abs(z.imag)))
+    return z / abs(z)
 
 
 def phase_root(a: Scalar, k: int) -> Scalar:

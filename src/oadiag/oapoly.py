@@ -148,8 +148,11 @@ class MultilinearForm:
         unchanged.  The swap of slots 0 and 1 and the cyclic shift generate
         all k! orders, so those two are checked."""
         c = self.coeffs
-        return c.ndim < 2 or (np.array_equal(c, c.swapaxes(0, 1))
-                              and np.array_equal(c, np.moveaxis(c, 0, -1)))
+        if c.ndim < 2:
+            return True
+        shifted = c.transpose(tuple(range(1, c.ndim)) + (0,))
+        return bool(np.logical_and.reduce(c == c.swapaxes(0, 1), axis=None)
+                    and np.logical_and.reduce(c == shifted, axis=None))
 
     def diagonal(self) -> np.ndarray:
         """The sequence phi(e_n, ..., e_n)."""
@@ -167,7 +170,7 @@ def evaluate(poly: OrthAddPolynomial, x) -> Scalar:
     if vec.shape != (poly.dim,):
         raise ValueError(f"dimension mismatch: polynomial has {poly.dim}, x has {vec.shape}")
     ensure_finite(vec)
-    return complex(np.sum(poly.coeffs * vec ** poly.params.k))
+    return complex(np.add.reduce(poly.coeffs * vec ** poly.params.k, axis=None))
 
 
 def norm_closed_form(poly: OrthAddPolynomial) -> float:
@@ -198,25 +201,27 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
     two at or below max|c|, so no term overflows or underflows.
     """
     mags = np.abs(poly.coeffs)
-    if poly.dim == 0 or not np.any(mags > 0):
+    if not np.logical_or.reduce(mags > 0, axis=None):
         raise ValueError("the zero polynomial has no norm witness")
     p, k = poly.params.p, poly.params.k
-    top = float(np.max(mags))
+    top = float(np.maximum.reduce(mags, axis=None))
     if not poly.params.k_less_than_p:
         witness = np.zeros(poly.dim, dtype=complex)
         witness[int(np.argmax(mags))] = 1.0
         return witness, top  # |P(e_i)| = |c_i|, exactly
     ratios = mags / top
     radial = ratios ** (1.0 / (p - k))
-    denom = np.sum(ratios ** (p / (p - k))) ** (1.0 / p)
+    denom = np.add.reduce(ratios ** (p / (p - k)), axis=None) ** (1.0 / p)
     phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
     witness = phases * (radial / denom)
     # top times the sum can overflow, or lose bits below the normal range,
     # where top / unit does neither: unit goes on last
     unit = _power_of_two_below(top)
-    stationary = top / unit * (ratios * radial ** k).sum() / (radial ** p).sum() ** (k / p) * unit
+    stationary = (top / unit * np.add.reduce(ratios * radial ** k, axis=None)
+                  / np.add.reduce(radial ** p, axis=None) ** (k / p) * unit)
     scaled = OrthAddPolynomial(poly.coeffs / unit, poly.params)
-    alignment = abs(evaluate(scaled, witness)) / np.abs(scaled.coeffs * witness ** k).sum()
+    alignment = (abs(evaluate(scaled, witness))
+                 / np.add.reduce(np.abs(scaled.coeffs * witness ** k), axis=None))
     return witness, float(stationary * alignment)
 
 
@@ -321,10 +326,10 @@ def _norms_numeric(polys: Sequence[OrthAddPolynomial], restarts: int, iters: int
     owners, tops, weights, starts = [], [], [], []
     for i, (poly, seed) in enumerate(zip(polys, seeds)):
         w = np.abs(poly.coeffs)
-        if w.any():  # some coordinate, and not all of them 0
+        if np.logical_or.reduce(w, axis=None):  # some coordinate, and not all of them 0
             starts.append(_ascent_starts(poly.dim, poly.params.p, restarts, seed))
             owners.append(i)
-            tops.append(float(w.max()))
+            tops.append(float(np.maximum.reduce(w, axis=None)))
             weights.append(w / tops[-1])
     if not owners:
         return results
@@ -413,14 +418,14 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
             new[np.arange(T.shape[0]), np.argmax(grad, axis=1)] = 1.0
         else:
             candidate = grad ** exponent
-            norms = (candidate ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
+            norms = np.add.reduce(candidate ** p, axis=1, keepdims=True) ** (1.0 / p)
             new = np.divide(candidate, norms, out=T.copy(), where=norms > 0)
         if not certified:
             # From a fixed point or a 2-cycle on, the iterates repeat with
             # period 2, so the row's state after `iters` steps is new when
             # iters - step is even and T when it is odd.  A fixed point is a
             # 2-cycle too, seen one step later, with the same state.
-            done = (new == before).all(axis=1)
+            done = np.logical_and.reduce(new == before, axis=1)
         elif step < next_check:
             T = new
             continue
@@ -441,20 +446,22 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
                     continue
                 check[run] = step + 1
                 pending = delta[rows][~done[rows]]
-                if pending.size and pending.max() < math.inf:
+                slowest = float(np.maximum.reduce(pending)) if pending.size else math.inf
+                if slowest < math.inf:
                     try:
-                        _check_ascent_budget(step, float(pending.max()), reach, k, p)
+                        _check_ascent_budget(step, slowest, reach, k, p)
                     except BudgetError as exc:
                         error = exc
                         done[rows.start:] = True
                         break
                     # in exact arithmetic delta shrinks by r per step, so no
                     # row of the run can be done sooner
-                    check[run] = step + _steps_to_shrink(float(pending.min()), reach, k, p)
+                    check[run] = step + _steps_to_shrink(float(np.minimum.reduce(pending)),
+                                                         reach, k, p)
         final = new if certified or (iters - step) % 2 == 0 else T
         T, before = new, T
-        if done.any():
-            values[live[done]] = (w[done] * final[done] ** k).sum(axis=1)
+        if np.logical_or.reduce(done):
+            values[live[done]] = np.add.reduce(w[done] * final[done] ** k, axis=1)
             steps[live[done]] = step
             keep = ~done
             T, before, live, w = T[keep], before[keep], live[keep], w[keep]
@@ -472,7 +479,7 @@ def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
     if certified:
         raise BudgetError("certified norm ascent step", f"more than {MAX_ASCENT_STEPS}",
                           "steps", MAX_ASCENT_STEPS)
-    values[live] = (w * T ** k).sum(axis=1)
+    values[live] = np.add.reduce(w * T ** k, axis=1)
     steps[live] = iters
     return values, steps
 
@@ -549,10 +556,8 @@ def _disjoint_pairs(rng: np.random.Generator, n: int,
     j = np.arange(n)
     in_x = j < cuts
     shifted = cuts + j
-    re = np.take_along_axis(z, np.where(in_x, j, shifted), axis=1)
-    im = np.take_along_axis(z, np.where(in_x, shifted, n + j), axis=1)
-    values = re + 1j * im
     rows = np.arange(samples)[:, None]
+    values = z[rows, np.where(in_x, j, shifted)] + 1j * z[rows, np.where(in_x, shifted, n + j)]
     xs = np.zeros((samples, n), dtype=complex)
     ys = np.zeros((samples, n), dtype=complex)
     xs[rows, perms] = np.where(in_x, values, 0.0)
@@ -593,7 +598,7 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
     n = sym.dim
     k = sym.degree
 
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    scale = float(np.maximum.reduce(np.abs(coeffs), axis=None)) if coeffs.size else 0.0
     worst_index: Optional[Tuple[int, ...]] = None
     worst_ratio = 0.0
     if coeffs.size and n > 1:
@@ -624,8 +629,8 @@ def is_orthogonally_additive(form: MultilinearForm, tol_structural: float = 1e-1
         px, py, pxy = values.reshape(3, samples)
         defects = np.abs(pxy - px - py)
         allowance = tol_behavioral * (np.abs(px) + np.abs(py) + 1.0 / unit)
-        worst_defect = unit * float(np.max(defects, initial=0.0))
-        behavioral_ok = not bool(np.any(defects > allowance))
+        worst_defect = unit * float(np.maximum.reduce(defects, axis=None, initial=0.0))
+        behavioral_ok = not np.logical_or.reduce(defects > allowance, axis=None)
     return AdditivityReport(
         structural_ok=structural_ok,
         behavioral_ok=behavioral_ok,
@@ -712,9 +717,9 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     coeffs = form.coeffs
     if k == 1:  # a linear functional: its sup is the Hoelder value ||c||_{p'}
         return lq_norm(coeffs, form.params.dual_exponent)
-    if n == 0 or not np.any(np.abs(coeffs) > 0):
+    if not np.logical_or.reduce(np.abs(coeffs) > 0, axis=None):
         return 0.0
-    real_form = bool(np.all(coeffs.imag == 0))
+    real_form = bool(np.logical_and.reduce(coeffs.imag == 0, axis=None))
     check_budget("ascent start", restarts * k * n, "entries", MAX_START_ENTRIES)
     rng = np.random.default_rng(seed)
     xs = np.ones((restarts, k, n), dtype=complex)
@@ -752,7 +757,7 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
             previous, stalled = previous[live], stalled[live]
             if not previous.size:
                 break
-    return max(best, float(np.max(previous, initial=0.0)))
+    return max(best, float(np.maximum.reduce(previous, axis=None, initial=0.0)))
 
 
 # Relative gap at which the enclosure closes: a tenth of the 1e-4
@@ -931,7 +936,7 @@ def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarra
     out[:] = ids[:, None, single]
     out[widest[single], :, np.arange(out.shape[-1])] = children[:, single].T
     out = out.reshape(len(ids), -1)
-    if not twin.any():
+    if not np.logical_or.reduce(twin):
         return out
     i, j = _TWIN_PAIRS[boxes.lo.shape[0]]
     halves = children[:, twin]
@@ -1037,20 +1042,21 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     n, k, p = form.dim, form.degree, form.params.p
     if n not in (2, 3) or k not in (2, 3):
         raise ValueError("the sup-norm enclosure supports n, k in {2, 3} only")
-    if np.any(form.coeffs.imag != 0):
+    if np.logical_or.reduce(form.coeffs.imag != 0, axis=None):
         raise ValueError("the sup-norm enclosure supports real forms only")
     if not 0.0 <= incumbent < math.inf:
         raise ValueError(f"incumbent must be a finite value >= 0, got {incumbent}")
     coeffs = form.coeffs.real
-    if not np.any(coeffs):
+    if not np.logical_or.reduce(coeffs, axis=None):
         return 0.0, 0.0
     q = holder_conjugate(p)
     vertices = 2 ** (n - 1)
     # the vertex tuples, slot 0 most significant, then the tuple of centres
     tuples = np.array(list(itertools.product(range(vertices), repeat=k - 1))
                       + [(vertices,) * (k - 1)]).T
-    asymmetry = np.max(np.abs(coeffs - coeffs.swapaxes(0, 1)))
-    mirror = k == 3 and bool(asymmetry <= _MIRROR_ASYMMETRY * np.max(np.abs(coeffs)))
+    asymmetry = np.maximum.reduce(np.abs(coeffs - coeffs.swapaxes(0, 1)), axis=None)
+    mirror = k == 3 and bool(asymmetry <= _MIRROR_ASYMMETRY
+                             * np.maximum.reduce(np.abs(coeffs), axis=None))
     boxes = _Boxes(n)
     # box f is the whole face f
     ids = np.array([f for f in itertools.product(range(n), repeat=k - 1)

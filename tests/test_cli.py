@@ -24,7 +24,8 @@ from oadiag.experiments import (
     results_to_json,
     run_command,
 )
-from oadiag.numerics import BudgetError
+from oadiag.diagonal import DiagonalTensor
+from oadiag.numerics import BudgetError, LpParams
 
 
 def run(argv, capsys):
@@ -608,6 +609,22 @@ def test_pi_sandwich_is_bitwise_pinned(argv, pins, capsys):
     got = tuple(record["values"][name].hex()
                 for name in ("closed_form", "upper_bound", "lower_bound"))
     assert got + (record["deviations"]["sandwich"].hex(),) == pins
+
+
+def test_pi_sandwich_validates_one_tensor(monkeypatch):
+    # the sandwich validates its unit-scale tensor once; both bounds scale
+    # its coefficient array without building another
+    u = DiagonalTensor([3.0, -1.5 + 2j, 0.25, 1e-3j], LpParams(5.0, 2))
+    validated = []
+    validate = DiagonalTensor.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(DiagonalTensor, "__post_init__", counting)
+    experiments._pi_sandwich(experiments.ExperimentConfig("pi-norm"), u)
+    assert len(validated) == 1
 
 
 def test_zalduendo_box_budget_exits_3(monkeypatch, capsys):

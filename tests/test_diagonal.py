@@ -23,7 +23,7 @@ from oadiag.diagonal import (
     _pairwise_sum,
     _slot_coefficients,
 )
-from oadiag.numerics import BudgetError, LpParams, lq_norm
+from oadiag.numerics import BudgetError, LpParams, lq_norm, phase
 from oadiag.oapoly import OrthAddPolynomial, extend_diagonal_functional, norm_closed_form
 from oadiag.rademacher import GeneralizedRademacher
 
@@ -125,7 +125,7 @@ def test_decomposition_equals_complex_powers_bitwise(k, complex_coeffs):
     rng = np.random.default_rng([83, k])
     n = 1 if k > 7 else 4
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
-    c = _slot_coefficients(u)
+    c = _slot_coefficients(u.coeffs, k)
     assert c.shape == (n,)
     m = np.arange(k ** n, dtype=np.int64)[:, None]
     divisors = np.array([k ** (n - i) for i in range(1, n + 1)], dtype=np.int64)
@@ -144,7 +144,7 @@ def test_pieces_are_the_rademacher_average(k, n):
                            for i in range(n)] for m in range(k ** n)])
     # one array product, as numpy's vectorised complex product may round a
     # last bit otherwise than its scalar one
-    expected = _slot_coefficients(u) * _step_values(k)[exponents]
+    expected = _slot_coefficients(u.coeffs, k) * _step_values(k)[exponents]
     assert np.array_equal(averaging_decomposition(u), expected)
 
 
@@ -250,7 +250,7 @@ def test_factored_expansion_matches_streamed_expansion(k, n, complex_coeffs):
     rng = np.random.default_rng([94, k, n])
     u = DiagonalTensor(draw_coefficients(rng, n, complex_coeffs), LpParams(k + 1.0, k))
     # every piece has the moduli |c|, so the expansion of the moduli is |c|^(x)k
-    scale = outer_power(np.abs(_slot_coefficients(u)), k)
+    scale = outer_power(np.abs(_slot_coefficients(u.coeffs, k)), k)
     factored = factored_expansion(u)
     assert factored.shape == (n,) * k
     assert np.max(np.abs(factored - dense_expansion(u)) / scale) <= 1e-14
@@ -450,6 +450,20 @@ def test_lower_bound_keeps_its_top_dual_coefficient_at_huge_p(p):
     u = DiagonalTensor([1e-300, 3e-301j], LpParams(p, 2))
     closed = pi_norm_closed_form(u)
     assert abs(pi_lower_bound(u) - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("coeffs, p, k", [
+    ([1.482e-323 + 1.482e-323j, 9.881e-323 + 8.893e-323j], 3.0, 3),
+    ([3.97e-321 + 3.656e-321j], 1.0, 4),
+])
+def test_lower_bound_at_subnormal_moduli(coeffs, p, k):
+    # p <= k: the pairing with the phases is the l_1 sum of the moduli, which
+    # abs rounds to the subnormal grid unless the coefficients are scaled
+    # first; the exact sum is formed at scale 2^600, in the normal range
+    for z in coeffs:
+        assert abs(abs(phase(z)) - 1.0) <= 4e-16
+    exact = math.fsum(abs(z * 2.0 ** 600) for z in coeffs) * 2.0 ** -600
+    assert abs(pi_lower_bound(DiagonalTensor(coeffs, LpParams(p, k))) - exact) <= math.ulp(0.0)
 
 
 def test_pair_examples():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oadiag.numerics import (
     LpParams,
     conjugate_exponent,
+    ensure_finite,
     holder_conjugate,
     lq_norm,
     phase,
@@ -24,6 +25,34 @@ def bisect_sqrt(target: float, iters: int = 100) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("values, shape", [
+    (2.5, (1,)),
+    (1 - 2j, (1,)),
+    (np.array(3.0), (1,)),
+    ([1, -2, 3], (3,)),
+    (np.empty(0), (0,)),
+    (np.ones((2, 3), dtype=complex), (2, 3)),
+])
+def test_ensure_finite_returns_an_array_at_least_1d(values, shape):
+    arr = ensure_finite(values)
+    assert isinstance(arr, np.ndarray) and arr.shape == shape
+    assert np.array_equal(arr.reshape(-1), np.asarray(values).reshape(-1))
+
+
+@pytest.mark.parametrize("values", [
+    math.nan,
+    complex(1.0, math.inf),
+    np.array(-math.inf),
+    [1.0, math.nan, 2.0],
+    [1 + 1j, complex(math.nan, 0.0)],
+    [1 + 1j, complex(0.0, -math.inf)],
+    np.array([[0.0, 1.0], [math.inf, 2.0]]),
+])
+def test_ensure_finite_rejects_nan_and_inf_in_either_part(values):
+    with pytest.raises(ValueError, match=r"^non-finite entry \(NaN or Inf\) is not admitted$"):
+        ensure_finite(values)
 
 
 def test_lq_norm_examples():

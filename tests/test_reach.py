@@ -25,6 +25,9 @@ KEPT = {
     "rademacher._as_fraction",
     # the dual form of a diagonal tensor, on its own (ROADMAP item 4)
     "diagonal.build_dual_form",
+    # the checked pairing of a tensor with a polynomial; pi_lower_bound pairs
+    # its scaled coefficient array through diagonal._pairing, which pair calls
+    "diagonal.pair",
     # the averaging decomposition as one array of k^n pieces (the north star)
     "diagonal.averaging_decomposition",
     # wrapped by name by benchmark/layers.py
