@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .numerics import (MAX_DENSE_DEGREE, MAX_EXPANSION_ENTRIES, MAX_PIECES, CoefficientVector,
-                       LpParams, Scalar, _power_of_two_below, check_budget, lq_norm, phase)
+                       LpParams, Scalar, _phases, _power_of_two_below, check_budget, lq_norm)
 from .oapoly import OrthAddPolynomial, norm_closed_form
 
 __all__ = [
@@ -344,7 +344,7 @@ def _dual_form(a: np.ndarray, moduli: Optional[np.ndarray],
     """build_dual_form of the tensor with coefficients a, from their moduli
     or a positive multiple of them, read only when k < p: the polynomial is
     then a positive multiple of the one the moduli give, and norms as well."""
-    b = np.array([phase(z) for z in a], dtype=complex).conj()
+    b = np.array(_phases(a.tolist()), dtype=complex).conj()
     if params.k_less_than_p:
         b = b * moduli ** (params.p / params.k - 1.0)
     return OrthAddPolynomial(b, params)

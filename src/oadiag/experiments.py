@@ -14,6 +14,7 @@ import cmath
 import contextlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -172,13 +173,31 @@ class ExperimentConfig:
         if self.command == "additivity-test" and self.n is None and not self.coeffs:
             raise ConfigError("additivity-test requires --n or --coeffs")
 
+    def coeff_literals(self) -> List[str]:
+        """format_scalar of each coefficient, formed once while the
+        coefficients stay the same objects: the config echo and the records
+        of pi-norm, oa-norm and additivity-test --coeffs share the one list.
+        Objects, not values, key it: -0.0 and 0.0 compare equal but format
+        apart."""
+        coeffs = tuple(self.coeffs)
+        known, literals = self.__dict__.get("_literals", ((), None))
+        if literals is None or len(known) != len(coeffs) \
+                or not all(map(operator.is_, known, coeffs)):
+            literals = [format_scalar(z) for z in coeffs]
+            self._literals = (coeffs, literals)
+        return literals
+
     def to_dict(self) -> Dict[str, object]:
         """Every field except the output path, with coefficients as literals."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        doc = {name: getattr(self, name) for name in _ECHOED_FIELDS}
         if self.coeffs is not None:
-            doc["coeffs"] = [format_scalar(z) for z in self.coeffs]
+            doc["coeffs"] = self.coeff_literals()
         doc["tolerances"] = dict(sorted(self.tolerances.items()))
         return doc
+
+
+# The fields to_dict echoes, in declaration order.
+_ECHOED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "out")
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -357,7 +376,7 @@ def cmd_pi_norm(cfg: ExperimentConfig) -> List[Record]:
         u = DiagonalTensor(np.array(cfg.coeffs, dtype=complex), LpParams(cfg.p, cfg.k))
         with stages("pi_sandwich"):
             closed, upper, lower, sandwich = _pi_sandwich(cfg, u)
-        return ({"k": cfg.k, "p": cfg.p, "coeffs": [format_scalar(z) for z in cfg.coeffs]},
+        return ({"k": cfg.k, "p": cfg.p, "coeffs": cfg.coeff_literals()},
                 {"closed_form": closed, "upper_bound": upper, "lower_bound": lower},
                 [sandwich])
 
@@ -374,7 +393,7 @@ def cmd_oa_norm(cfg: ExperimentConfig) -> List[Record]:
                 cfg, poly, lambda: norm_numeric(poly, cfg.restarts, cfg.iters, cfg.seed))
         return ({"k": cfg.k, "p": cfg.p, "seed": cfg.seed,
                  "restarts": cfg.restarts, "iters": cfg.iters,
-                 "coeffs": [format_scalar(z) for z in cfg.coeffs],
+                 "coeffs": cfg.coeff_literals(),
                  "witness_defined": closed != 0.0},
                 {"closed_form": closed, "witness_value": witness_value,
                  "numeric_estimate": numeric},
@@ -390,14 +409,16 @@ def cmd_additivity(cfg: ExperimentConfig) -> List[Record]:
     def case(trial: int, stages: _Stages) -> Case:
         if cfg.coeffs is not None:
             c = np.array(cfg.coeffs, dtype=complex)
+            literals = cfg.coeff_literals()
         else:
             rng = np.random.default_rng([cfg.seed, trial])
             c = _random_coeffs(rng, cfg.n, complex_values=trial % 2 == 1)
+            literals = [format_scalar(z) for z in c]
         with stages("additivity"):
             additivity = _additivity(cfg, c, params, cfg.seed + trial)
         deviations = additivity[0]
         return ({"k": cfg.k, "p": cfg.p, "n": int(c.shape[0]), "seed": cfg.seed,
-                 "trial": trial, "coeffs": [format_scalar(z) for z in c]},
+                 "trial": trial, "coeffs": literals},
                 {"offdiagonal_ratio": deviations["additivity_offdiagonal"],
                  "behavioral_defect": deviations["additivity_behavioral"]},
                 [additivity])
@@ -544,6 +565,13 @@ def run_command(cfg: ExperimentConfig) -> Tuple[List[Record], Dict[str, object]]
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _json_float(value: float) -> str:
+    """The text json.dumps(value, allow_nan=False) gives a float."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
 def _json_scalar(value: object) -> Optional[str]:
     """The text json.dumps(value, allow_nan=False) gives a str, None, bool, int
     or float, with the types tested in json's order; None for any other type."""
@@ -558,10 +586,18 @@ def _json_scalar(value: object) -> Optional[str]:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
+        return _json_float(value)
     return None
+
+
+# _json_scalar for the exact types json knows, looked up by type(value): a
+# subclass (np.float64, an IntEnum, a str subclass) or a container misses
+# and goes through the isinstance chain.
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+_JSON_SCALARS: Dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
+    bool: _JSON_CONSTANTS.__getitem__, type(None): _JSON_CONSTANTS.__getitem__,
+}
 
 
 def _json_key(key: object) -> str:
@@ -575,14 +611,17 @@ def _json_key(key: object) -> str:
 def _json_text(value: object, indent: str = "") -> str:
     """A list, tuple or dict written `indent` deep, with the bytes (or the
     exception type) of json.dumps(value, indent=2, allow_nan=False), whose
-    indenting encoder is pure Python.  Scalars are formatted in place; only
-    containers recurse."""
+    indenting encoder is pure Python.  Scalars are formatted in place, by
+    their exact type where it is one of json's own; only containers recurse."""
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        pieces = [_json_scalar(item) or _json_text(item, inner) for item in value]
+        pieces = [text(item) if (text := _JSON_SCALARS.get(type(item)))
+                  else _json_scalar(item) or _json_text(item, inner) for item in value]
         brackets = "[]"
     elif isinstance(value, dict):
-        pieces = [_json_key(key) + ": " + (_json_scalar(item) or _json_text(item, inner))
+        pieces = [(encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
+                  + (text(item) if (text := _JSON_SCALARS.get(type(item)))
+                     else _json_scalar(item) or _json_text(item, inner))
                   for key, item in value.items()]
         brackets = "{}"
     else:

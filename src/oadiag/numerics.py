@@ -8,10 +8,9 @@ rejected at the boundary of every operation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -86,12 +85,6 @@ def ensure_finite(values: Union[Sequence, np.ndarray, complex, float]) -> np.nda
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("non-finite entry (NaN or Inf) is not admitted")
     return arr
-
-
-def _ensure_finite_scalar(z: complex) -> None:
-    """ensure_finite for one Python complex, without building an array."""
-    if not cmath.isfinite(z):
-        raise ValueError("non-finite entry (NaN or Inf) is not admitted")
 
 
 @dataclass(frozen=True)
@@ -186,13 +179,23 @@ def phase(a: Scalar) -> Scalar:
     component: exact, and it leaves the modulus in [1, 2^1.5) or, for a
     subnormal a, in the normal range, where abs does not round it to the
     subnormal grid (nor past the float range).  abs(a / s) is abs(a) / s
-    exactly in the normal range, so there the phase is that of a / abs(a)."""
+    exactly in the normal range, so there the phase is that of a / abs(a).
+    It is _phases on the one value."""
     z = complex(a)
-    _ensure_finite_scalar(z)
-    if z == 0:
-        return complex(1.0)
-    z /= _power_of_two_below(max(abs(z.real), abs(z.imag)))
-    return z / abs(z)
+    ensure_finite(z)
+    return _phases([z])[0]
+
+
+def _phases(values: Sequence[complex]) -> List[complex]:
+    """phase of each of the finite Python complexes values, in one loop."""
+    out = []
+    for z in values:
+        if z == 0:
+            out.append(1 + 0j)
+            continue
+        z /= _power_of_two_below(max(abs(z.real), abs(z.imag)))
+        out.append(z / abs(z))
+    return out
 
 
 def phase_root(a: Scalar, k: int) -> Scalar:
@@ -200,15 +203,25 @@ def phase_root(a: Scalar, k: int) -> Scalar:
 
     Returns 1 for a = 0 (same convention as phase).  Built from math.atan2,
     which keeps subnormal components well-defined where cmath.phase raises.
+    It is _phase_roots on the one value.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     z = complex(a)
-    _ensure_finite_scalar(z)
-    if z == 0:
-        return complex(1.0)
-    angle = math.atan2(z.imag, z.real) / k
-    return complex(math.cos(angle), math.sin(angle))
+    ensure_finite(z)
+    return _phase_roots([z], k)[0]
+
+
+def _phase_roots(values: Sequence[complex], k: int) -> List[complex]:
+    """phase_root of each of the finite Python complexes values, in one loop."""
+    out = []
+    for z in values:
+        if z == 0:
+            out.append(1 + 0j)
+            continue
+        angle = math.atan2(z.imag, z.real) / k
+        out.append(complex(math.cos(angle), math.sin(angle)))
+    return out
 
 
 def conjugate_exponent(p: float, k: int) -> float:

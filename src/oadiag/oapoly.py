@@ -47,12 +47,12 @@ from .numerics import (
     CoefficientVector,
     LpParams,
     Scalar,
+    _phase_roots,
     _power_of_two_below,
     check_budget,
     ensure_finite,
     holder_conjugate,
     lq_norm,
-    phase_root,
 )
 
 __all__ = [
@@ -212,7 +212,7 @@ def norm_witness(poly: OrthAddPolynomial) -> Tuple[np.ndarray, float]:
     ratios = mags / top
     radial = ratios ** (1.0 / (p - k))
     denom = np.add.reduce(ratios ** (p / (p - k)), axis=None) ** (1.0 / p)
-    phases = np.array([phase_root(z.conjugate(), k) for z in poly.coeffs])
+    phases = np.array(_phase_roots(poly.coeffs.conj().tolist(), k))
     witness = phases * (radial / denom)
     # top times the sum can overflow, or lose bits below the normal range,
     # where top / unit does neither: unit goes on last

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import enum
 import io
 import json
 import math
@@ -627,6 +628,55 @@ def test_pi_sandwich_validates_one_tensor(monkeypatch):
     assert len(validated) == 1
 
 
+def test_pi_and_oa_norm_format_parse_and_phase_each_coefficient_once(monkeypatch, capsys):
+    # the config echo and the record share one literal per coefficient, and
+    # each phase loop makes one pass over the coefficients
+    coeffs = ["1.5", "-2-0.5i", "0", "3i", "-0.0+1i", "1e-320", "-4"]
+    n = len(coeffs)
+    calls = {}
+
+    def count(module, name, size=lambda args: 1):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls.setdefault(name, []).append(size(args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(experiments, "format_scalar")
+    count(oadiag.cli, "parse_scalar")
+    count(oadiag.diagonal, "_phases", lambda args: len(args[0]))
+    count(oadiag.oapoly, "_phase_roots", lambda args: len(args[0]))
+    for command, loop in (("pi-norm", "_phases"), ("oa-norm", "_phase_roots")):
+        calls.clear()
+        code, out, err = run([command, "--k", "2", "--p", "4", "--coeffs=" + ",".join(coeffs)],
+                             capsys)
+        assert code == 0, err
+        assert calls == {"parse_scalar": [1] * n, "format_scalar": [1] * n, loop: [n]}
+        doc = json.loads(out)
+        assert doc["config"]["coeffs"] == doc["records"][0]["parameters"]["coeffs"]
+
+
+def test_coefficient_literals_keep_the_sign_of_zero(capsys):
+    # -0.0 and 0.0 compare and hash equal but format apart, across calls and
+    # after the coefficients change in place
+    for command, first, second in (("pi-norm", "0.0,1", "-0.0,1"),
+                                   ("oa-norm", "0.0+1i,2", "-0.0+1i,2")):
+        for coeffs in (first, second, first):
+            code, out, err = run([command, "--k", "2", "--p", "4", "--coeffs=" + coeffs], capsys)
+            assert code == 0, err
+            doc = json.loads(out)
+            expected = [format_scalar(parse_scalar(c)) for c in coeffs.split(",")]
+            assert doc["config"]["coeffs"] == doc["records"][0]["parameters"]["coeffs"] == expected
+    cfg = experiments.ExperimentConfig("pi-norm", coeffs=[0.0, 1 + 0j])
+    assert cfg.coeff_literals() == ["0.0", "1.0"]
+    cfg.coeffs[0] = -0.0
+    assert cfg.coeff_literals() == ["-0.0", "1.0"]
+    cfg.coeffs = [0.0, 1 + 0j]
+    assert cfg.to_dict()["coeffs"] == ["0.0", "1.0"]
+
+
 def test_zalduendo_box_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("oadiag.oapoly.MAX_ENCLOSURE_BOXES", 50)
     code, out, err = run(["zalduendo-check", "--k", "3", "--n", "3", "--p", "4.187",
@@ -737,6 +787,32 @@ def test_json_writer_matches_json_dumps_on_a_crafted_tree():
     # json's conversions of int, float, bool and None keys
     keys = {1: "int", 2.5: "float", False: "bool", None: "none", -0.0: "negative zero"}
     assert _json_text(keys) == json.dumps(keys, indent=2, allow_nan=False)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+def test_json_writer_matches_json_dumps_across_calls_and_key_types():
+    # str keys that read like json's other key texts, then the keys json
+    # writes as those texts, then both again in the reverse order: a type or
+    # key cache in the writer must not carry one call's text to the next
+    texts = {"1": 0, "true": 1, "null": 2, "-0.0": 3}
+    scalars = {1: 0, True: 1, None: 2, -0.0: 3}
+    subclasses = {Level.HIGH: Level.LOW, Label("1"): Label("caf\u00e9"), Level.LOW: [Label("x")],
+                  np.float64(-0.0): np.float64(2.5), "values": [Level.HIGH, Label("y"), 0.0]}
+    # keys and values that compare equal and are written apart
+    equals = [0, 0.0, -0.0, False, 1, True, 1.0, Level.LOW, np.float64(1.0)]
+    singles = [{key: key} for key in equals]
+    for tree in (texts, scalars, subclasses, singles, equals, equals[::-1], singles[::-1],
+                 subclasses, scalars, texts):
+        assert _json_text(tree) == json.dumps(tree, indent=2, allow_nan=False)
+        assert _json_text([tree]) == json.dumps([tree], indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize("bad, error", [

@@ -36,6 +36,13 @@ KEPT = {
     "oapoly.MultilinearForm._checked_vectors",
     # called once, at import, to build _CORNERS
     "oapoly._face_corners",
+    # public one-value forms of numerics._phases and numerics._phase_roots,
+    # the loops the commands run over whole coefficient lists
+    "numerics.phase",
+    "numerics.phase_root",
+    # json.dumps's text for a non-str dict key; every key a command writes is
+    # a str, and the JSON writer tests check the others against json.dumps
+    "experiments._json_key",
 }
 
 
