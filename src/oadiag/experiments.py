@@ -572,27 +572,8 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_scalar(value: object) -> Optional[str]:
-    """The text json.dumps(value, allow_nan=False) gives a str, None, bool, int
-    or float, with the types tested in json's order; None for any other type."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    return None
-
-
-# _json_scalar for the exact types json knows, looked up by type(value): a
-# subclass (np.float64, an IntEnum, a str subclass) or a container misses
-# and goes through the isinstance chain.
+# json.dumps's text for each of json's own scalar types, looked up by
+# type(value): a subclass (np.float64, an IntEnum, a str subclass) misses.
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
     str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
@@ -600,32 +581,30 @@ _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
 }
 
 
-def _json_key(key: object) -> str:
-    """A dict key as json.dumps writes it: int, float, bool and None keys as strings."""
-    text = key if isinstance(key, str) else _json_scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(text)
-
-
 def _json_text(value: object, indent: str = "") -> str:
-    """A list, tuple or dict written `indent` deep, with the bytes (or the
-    exception type) of json.dumps(value, indent=2, allow_nan=False), whose
-    indenting encoder is pure Python.  Scalars are formatted in place, by
-    their exact type where it is one of json's own; only containers recurse."""
+    """value written `indent` deep, with the bytes (or the exception type) of
+    json.dumps(value, indent=2, allow_nan=False), by one rule: a list, a
+    tuple or a dict with str keys recurses, an item of json's own exact
+    scalar types is written through _JSON_SCALARS, and any other value goes
+    whole to json.dumps, its lines moved `indent` deeper.  JSON text holds
+    no raw newline inside a string, so that move is exact."""
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        pieces = [text(item) if (text := _JSON_SCALARS.get(type(item)))
-                  else _json_scalar(item) or _json_text(item, inner) for item in value]
-        brackets = "[]"
-    elif isinstance(value, dict):
-        pieces = [(encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
-                  + (text(item) if (text := _JSON_SCALARS.get(type(item)))
-                     else _json_scalar(item) or _json_text(item, inner))
-                  for key, item in value.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    try:
+        if isinstance(value, (list, tuple)):
+            pieces = [text(item) if (text := _JSON_SCALARS.get(type(item)))
+                      else _json_text(item, inner) for item in value]
+            brackets = "[]"
+        elif isinstance(value, dict):
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            pieces = [encode_basestring_ascii(key) + ": "
+                      + (text(item) if (text := _JSON_SCALARS.get(type(item)))
+                         else _json_text(item, inner))
+                      for key, item in value.items()]
+            brackets = "{}"
+        else:
+            raise TypeError  # not a container: json.dumps writes it whole
+    except TypeError:
+        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
     if not pieces:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(pieces) + f"\n{indent}{brackets[1]}"

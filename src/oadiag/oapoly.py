@@ -371,31 +371,30 @@ _DELTA_FLOOR = 64 * 2.0 ** -53
 
 
 def _ascent(w: np.ndarray, k: int, p: float, T: np.ndarray, iters: int,
-            counts: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+            counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """norm_numeric's ascent from the unit start rows of T: the objective
     sum w t^k of each row where it stopped, and the steps it took.
 
     The rows of T belong to owners, each a polynomial: owner i owns the
-    counts[i] >= 1 rows after those of owners 0 to i-1, and counts None puts
-    every row under one owner.  w holds the weights of each owner,
-    (owners, n), or 1-D for one.  Every row's arithmetic is its own
-    (elementwise, or reduced along its own row), and each owner keeps the
-    certificate schedule it has alone: its next check comes from the
-    smallest pending delta of its own rows, and the budget is checked on
+    counts[i] >= 1 rows after those of owners 0 to i-1.  w holds the weights
+    of each owner, (owners, n), or 1-D for one.  Every row's arithmetic is
+    its own (elementwise, or reduced along its own row), and each owner
+    keeps the certificate schedule it has alone: its next check comes from
+    the smallest pending delta of its own rows, and the budget is checked on
     its own largest.  So each row stops at the step, and with the value,
     that it has in a call of its owner's rows alone, while the numpy calls
     of a step serve every owner at once.  An owner whose certificate is out
     of budget stops there, and so do the owners after it, while the owners
     before it run on.  Once no row runs, the last BudgetError recorded is
-    raised: that of the first owner out of budget, since every owner after
-    a failed one had stopped.
+    raised: that of the first owner out of budget, since every owner after a
+    failed one had stopped.
 
     Each step normalizes: between checks the iterate is not needed, but the
     unnormalized powers underflow on a face at large k."""
     certified = k < p
     # per owner with live rows, in row order: its live row count and (k < p)
     # its next check step; w gets one row per row of T
-    lengths = [T.shape[0]] if counts is None else list(counts)
+    lengths = list(counts)
     w = w.reshape(-1, T.shape[1]).repeat(lengths, axis=0)
     error = None
     if certified:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import csv
 import enum
@@ -775,6 +776,26 @@ def test_json_document_is_what_json_dumps_writes(command, timing):
                                                                 allow_nan=False) + "\n"
 
 
+@pytest.mark.parametrize("timing", [[], ["--timing"]], ids=["untimed", "timed"])
+@pytest.mark.parametrize("command", sorted(SMALL_SHAPES))
+def test_json_document_never_reaches_json_dumps(command, timing, monkeypatch):
+    # every value a command writes is of json's own exact types, so the
+    # writer formats it in place; a numpy scalar leaking into a record would
+    # go to json.dumps, which raises here
+    cfg = build_config(build_parser().parse_args([command] + SMALL_SHAPES[command] + timing))
+    records, summary = run_command(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"json.dumps reached with {args[0]!r}")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert results_to_json(cfg, records, summary).endswith("\n}\n")
+
+
+class Items(list):
+    pass
+
+
 def test_json_writer_matches_json_dumps_on_a_crafted_tree():
     tree = {
         "empty": {}, "": [], "nested": [[1, [2.5, [], {}]], [[[]]]], "tuple": (1, ("a", None)),
@@ -782,6 +803,12 @@ def test_json_writer_matches_json_dumps_on_a_crafted_tree():
         "numbers": [-0.0, 5e-324, 1e308, 2 ** 70, -(2 ** 70), 0, np.float64(0.1)],
         "strings": ['say "hi"', "back\\slash", "\x00\t\n\x1f\x7f", "caf\u00e9 \u2211 \U0001d11e"],
         "keys \"quoted\" \u00fc": {"deeper": {"deepest": [{"a": 1}, {}]}},
+        # subclasses, non-str keys and numpy scalars, two and three containers deep
+        "two deep": [collections.OrderedDict([("b", [1, {}]), ("a", 2.5)]), Items([0.5, Items()]),
+                     {3: [1, {"x": None}], "y": Items([{}])}, np.float64(-0.0)],
+        "three deep": {"in": [collections.OrderedDict([(1, "one"), ("two", [2, []])]),
+                              Items([np.float64(1e-300), {2.5: Items([1])}]),
+                              {None: {"z": [True]}}, np.float64(7.0)]},
     }
     assert _json_text(tree) == json.dumps(tree, indent=2, allow_nan=False)
     # json's conversions of int, float, bool and None keys

@@ -208,7 +208,8 @@ def test_sup_regime_matches_the_fixed_iters_loop_bitwise(k):
                 top, expected = fixed_iters_rows(poly, restarts, iters, seed)
                 assert norm_numeric(poly, restarts, iters, seed) == top * float(np.max(expected))
                 starts = _ascent_starts(len(c), p, restarts, seed)
-                values, steps = _ascent(np.abs(poly.coeffs) / top, k, p, starts, iters)
+                values, steps = _ascent(np.abs(poly.coeffs) / top, k, p, starts, iters,
+                                         [len(starts)])
                 assert np.array_equal(values, expected[:-len(c)]), (p, c, iters)
                 stopped_early += int(np.sum(steps < iters))
     assert stopped_early > 0
@@ -221,8 +222,9 @@ def test_sup_regime_matches_the_fixed_iters_loop_bitwise(k):
         for iters in (500, 501):
             top, expected = fixed_iters_rows(poly, 20, iters, 0)
             assert norm_numeric(poly, 20, iters, 0) == top * float(np.max(expected))
-            values, steps = _ascent(np.abs(poly.coeffs) / top, 3, 1.5,
-                                    _ascent_starts(6, 1.5, 20, 0), iters)
+            starts = _ascent_starts(6, 1.5, 20, 0)
+            values, steps = _ascent(np.abs(poly.coeffs) / top, 3, 1.5, starts, iters,
+                                    [len(starts)])
             assert np.array_equal(values, expected[:-6])
             assert np.all(steps < iters)
 
@@ -239,7 +241,7 @@ def test_certified_ascent_is_honest(k, gap):
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     closed = norm_closed_form(OrthAddPolynomial(c, LpParams(p, k)))
     starts = _ascent_starts(4, p, 20, k)
-    values, _ = _ascent(np.abs(c) / np.max(np.abs(c)), k, p, starts, 500)
+    values, _ = _ascent(np.abs(c) / np.max(np.abs(c)), k, p, starts, 500, [len(starts)])
     full = np.all(starts > 0, axis=1)
     assert np.all(closed * (1 - 1e-9) <= values[full] * np.max(np.abs(c)))
     assert np.all(values * np.max(np.abs(c)) <= closed * (1 + 1e-12))
@@ -301,7 +303,7 @@ def test_uniform_row_stops_where_the_contraction_predicts(k, p):
     first = math.log(1 / 0.05) / (p - 1)
     reach = second_order_reach(k, p)
     expected = 1 + math.ceil(math.log(reach / first) / math.log(r))
-    values, steps = _ascent(w, k, p, _ascent_starts(4, p, 1, 0), 500)
+    values, steps = _ascent(w, k, p, _ascent_starts(4, p, 1, 0), 500, [1])
     assert steps[0] == expected
 
 
@@ -341,7 +343,7 @@ def test_each_owner_stops_where_it_stops_alone(k, p):
         w = np.abs(poly.coeffs)
         weights.append(w / np.max(w))
         starts.append(_ascent_starts(5, p, 5 + 2 * t, t))
-    alone = [_ascent(w, k, p, rows, 250) for w, rows in zip(weights, starts)]
+    alone = [_ascent(w, k, p, rows, 250, [len(rows)]) for w, rows in zip(weights, starts)]
     counts = [len(rows) for rows in starts]
     values, steps = _ascent(np.stack(weights), k, p, np.concatenate(starts), 250, counts)
     assert np.array_equal(values, np.concatenate([v for v, _ in alone]))
@@ -365,7 +367,8 @@ def test_certified_rows_stop_at_pinned_steps():
     rng = np.random.default_rng(5)
     for (k, p, n), pin in ASCENT_STEP_PINS.items():
         w = np.abs(rng.standard_normal(n))
-        values, steps = _ascent(w / np.max(w), k, p, _ascent_starts(n, p, n + 8, 7), 500)
+        starts = _ascent_starts(n, p, n + 8, 7)
+        values, steps = _ascent(w / np.max(w), k, p, starts, 500, [len(starts)])
         assert (steps.tolist(), float(np.max(values)).hex()) == pin, (k, p, n)
 
 
@@ -420,7 +423,7 @@ def test_an_owner_out_of_budget_stops_the_owners_after_it(monkeypatch):
     for w in (a, b):
         checks.clear()
         with pytest.raises(BudgetError) as over:
-            _ascent(w, k, p, starts, 500)
+            _ascent(w, k, p, starts, 500, [len(starts)])
         alone.append((str(over.value), list(checks)))
     (a_error, a_checks), (b_error, b_checks) = alone
     assert [step for step, _ in a_checks + b_checks] == [2, 1]

@@ -40,9 +40,6 @@ KEPT = {
     # the loops the commands run over whole coefficient lists
     "numerics.phase",
     "numerics.phase_root",
-    # json.dumps's text for a non-str dict key; every key a command writes is
-    # a str, and the JSON writer tests check the others against json.dumps
-    "experiments._json_key",
 }
 
 
