@@ -21,8 +21,9 @@ restarts; its loop calls no checked method.  The enclosure bounds all its
 open box tuples a round at a time, closing the last slot by Hoelder and
 bounding the others over pyramids that touch the unit sphere to second
 order.  Tuples are arrays of ids into one table of boxes that the slots
-share, each chunk of tuples bounds its distinct boxes once, and a value the
-ascent attained, passed as the incumbent, starts the best lower bound.  When
+share, which forms each box's geometry once, when the box is made, and a
+value the ascent attained, passed as the incumbent, starts the best lower
+bound.  When
 the coefficients are symmetric in the two box slots, only one tuple of each
 mirror pair is searched.
 """
@@ -671,22 +672,26 @@ def _lq_columns(v: np.ndarray, q: float, mags: Optional[np.ndarray] = None) -> n
     return top * np.add.reduce(ratios, axis=0) ** (1.0 / q)
 
 
-def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, positive: np.ndarray,
-                         p: float) -> np.ndarray:
+def _holder_slot_witness(grad: np.ndarray, mags: np.ndarray, q: float,
+                         positive: Optional[np.ndarray] = None) -> np.ndarray:
     """Unit-l_p maximizers x of Re <g, x>, one per nonzero row g of grad,
-    mags = np.abs(grad) and positive = mags > 0; each attains ||g||_{p'}.
-    At p = 1 it is the basis vector at the first index of largest |g_i|,
-    with the phase that makes <g, x> real."""
-    if p == 1.0:
+    mags = np.abs(grad), q = p'; each attains ||g||_q.  positive is mags > 0
+    when some entry is zero, and None when none is: the phases then need no
+    guard against a zero modulus.  At p = 1 (q = inf) it is the basis
+    vector at the first index of largest |g_i|, with the phase that makes
+    <g, x> real."""
+    if q == math.inf:
         rows = np.arange(grad.shape[0])
         top = np.argmax(mags, axis=1)
         g, m = grad[rows, top], mags[rows, top]
         x = np.zeros_like(grad)
         x[rows, top] = g.real / m - 1j * (g.imag / m)
         return x
-    q = holder_conjugate(p)
     total = _lq_columns(grad.T, q, mags.T)[:, None]
-    unit_phases = np.where(positive, np.conj(grad) / np.where(positive, mags, 1.0), 0.0)
+    if positive is None:
+        unit_phases = np.conj(grad) / mags
+    else:
+        unit_phases = np.where(positive, np.conj(grad) / np.where(positive, mags, 1.0), 0.0)
     return unit_phases * (mags / total) ** (q - 1.0)
 
 
@@ -703,12 +708,14 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     The restarts run together, the l_p power method / HOPM iteration run on
     many starts at once: slot j of every live restart is one C-contiguous
     (restarts, n) array, each slot update is one einsum over the other
-    slots' arrays, and the gradient's modulus, taken once and tested once
-    for zeros, tells which restarts move and forms their update; a restart
-    whose gradient vanishes keeps that slot.  A restart leaves the live set
-    once its value has gained at most 1e-14 relative in three sweeps
-    running.  The form was validated when it was built, so the loop calls
-    no checked method.
+    slots' arrays, and the gradient's modulus, taken once, forms the update
+    with p', formed once per call.  One minimum tests the modulus for
+    zeros: with none, the usual case, the Hoelder witness is formed without
+    guards; otherwise the guarded witness updates the restarts with a
+    nonzero gradient, and a restart whose gradient vanishes keeps that
+    slot.  A restart leaves the live set once its value has gained at most
+    1e-14 relative in three sweeps running.  The form was validated when it
+    was built, so the loop calls no checked method.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -732,6 +739,7 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
     slot_specs = [",".join([letters] + ["z" + letters[i] for i in range(k) if i != j])
                   + "->z" + letters[j] for j in range(k)]
     value_spec = ",".join([letters] + ["z" + c for c in letters]) + "->z"
+    q = holder_conjugate(p)
     previous = np.full(restarts, -1.0)
     stalled = np.zeros(restarts, dtype=int)
     best = 0.0
@@ -739,13 +747,13 @@ def multilinear_norm_ascent(form: MultilinearForm, restarts: int = 20,
         for j in range(k):
             grad = np.einsum(slot_specs[j], coeffs, *(slots[:j] + slots[j + 1:]))
             mags = np.abs(grad)
-            positive = mags > 0
-            if np.logical_and.reduce(positive, axis=None):
-                slots[j] = _holder_slot_witness(grad, mags, positive, p)
+            if np.minimum.reduce(mags, axis=None) > 0:
+                slots[j] = _holder_slot_witness(grad, mags, q)
             else:
+                positive = mags > 0
                 moving = np.logical_or.reduce(positive, axis=1)
-                slots[j][moving] = _holder_slot_witness(grad[moving], mags[moving],
-                                                        positive[moving], p)
+                slots[j][moving] = _holder_slot_witness(grad[moving], mags[moving], q,
+                                                        positive[moving])
         value = np.abs(np.einsum(value_spec, coeffs, *slots))
         stalled = np.where(value - previous <= 1e-14 * np.maximum(1.0, value), stalled + 1, 0)
         previous = value
@@ -770,11 +778,14 @@ _ENCLOSURE_MARGIN = 2.0 ** -40
 # symmetrize() leaves about 2u; _ENCLOSURE_MARGIN covers it (see
 # multilinear_norm_grid).
 _MIRROR_ASYMMETRY = 8 * np.finfo(float).eps / 2
-# box tuples bounded at once: at n = k = 3 the gathered slot-0 contraction is
-# about 0.37 MB; the chunk's (n, 17, chunk) pairing array, its term array
-# and the modulus copy the pairing's l_q norms work in are 0.42 MB each; and
-# the geometry of the chunk's distinct boxes is at most 2 MB (on random forms
-# a few dozen boxes)
+# box tuples bounded at once.  A chunk forms no geometry, it gathers it from
+# the box table: at n = k = 3 the gathered slot-0 contraction is about
+# 0.37 MB and the slot-1 points 0.12 MB, and the (n, 17, chunk) pairing
+# array, its term array and the modulus copy the pairing's l_q norms work in
+# are 0.42 MB each.  The table holds 569 bytes per box at n = k = 3 (the
+# contraction 360, the points 120, the l_p norms 40, <g, u_a> 32, face,
+# width and valid 17): 0.70 MB for the 1,227 boxes of the largest of the 64
+# pool forms, and up to half again in spare columns
 _ENCLOSURE_CHUNK = 2 ** 10
 
 
@@ -792,41 +803,58 @@ _CORNERS = {n: _face_corners(n) for n in (2, 3)}
 _TWIN_PAIRS = {n: np.triu_indices(2 ** (n - 1)) for n in (2, 3)}
 
 
-class _Boxes:
-    """The slot boxes of multilinear_norm_grid, one table that every slot
-    shares, so that box tuples are arrays of box ids: per box, its face, lo
-    and hi (n, boxes) and width.  Boxes are only added.  The arrays hold
-    spare columns past the first `size`, the boxes, and double when a split
-    needs more, so a split writes only its children."""
+# the geometry columns of _Boxes, in the order _box_geometry returns them
+_GEOMETRY = ("points", "contraction", "norms", "dots", "valid")
 
-    def __init__(self, n: int):
-        # box f is the whole face f
+
+class _Boxes:
+    """The slot boxes of multilinear_norm_grid of the real coefficients
+    coeffs at p, q = p': one table that every slot shares, so that box
+    tuples are arrays of box ids.  Per box, the box axis last: its face,
+    its width and its geometry (_GEOMETRY), which _box_geometry forms once,
+    when the box is made: its points, the slot-0 contraction with coeffs,
+    the l_p norms of the points, its <g, u_a> and whether it is valid.  The
+    points hold the box's coordinates: its first vertex is lo, its last hi
+    (the face's coordinate is 1 in both) and its centre (lo + hi) / 2.  Box
+    f is the whole face f, whose geometry the constructor forms.  Boxes are
+    only added.  The arrays hold spare columns past the first `size`, the
+    boxes, and grow by half when a split needs more, so a split writes only
+    its children."""
+
+    def __init__(self, coeffs: np.ndarray, p: float, q: float):
+        n = coeffs.shape[0]
+        self.coeffs, self.p, self.q = coeffs, p, q
         self.size = n
         self.face = np.arange(n)
-        self.lo = np.where(np.eye(n, dtype=bool), 1.0, -1.0)
-        self.hi = np.ones((n, n))
         self.width = np.full(n, 2.0)
+        lo, hi = np.where(np.eye(n, dtype=bool), 1.0, -1.0), np.ones((n, n))
+        for name, column in zip(_GEOMETRY, _box_geometry(coeffs, self.face, lo, hi, p, q)):
+            setattr(self, name, column)
 
     def split(self, parents: np.ndarray) -> np.ndarray:
         """The ids of the 2^(n-1) children of each parent, (children,
-        parents), made by halving every coordinate but the face's."""
-        n = self.lo.shape[0]
+        parents), made by halving every coordinate but the face's, with
+        their geometry."""
+        n, vertices = self.points.shape[0], self.points.shape[1] - 1
         faces = self.face[parents]
         corners = _CORNERS[n].take(faces, axis=-1)
-        lo, hi = self.lo[:, None, parents], self.hi[:, None, parents]
-        mid = (lo + hi) / 2
+        points = self.points[:, :, None, parents]
+        lo, hi, mid = points[:, 0], points[:, vertices - 1], points[:, vertices]
         first, stop = self.size, self.size + corners[0].size
         if stop > self.width.size:
-            capacity = max(stop, 2 * self.width.size)
-            for name in ("face", "lo", "hi", "width"):
+            capacity = max(stop, self.width.size + self.width.size // 2)
+            for name in ("face", "width") + _GEOMETRY:
                 old = getattr(self, name)
                 new = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
                 new[..., :first] = old[..., :first]
                 setattr(self, name, new)
-        self.face[first:stop].reshape(corners.shape[1], -1)[:] = faces
-        self.lo[:, first:stop] = np.where(corners, mid, lo).reshape(n, -1)
-        self.hi[:, first:stop] = np.where(corners, hi, mid).reshape(n, -1)
-        self.width[first:stop].reshape(corners.shape[1], -1)[:] = self.width[parents] / 2
+        made = slice(first, stop)
+        self.face[made].reshape(corners.shape[1], -1)[:] = faces
+        self.width[made].reshape(corners.shape[1], -1)[:] = self.width[parents] / 2
+        for name, column in zip(_GEOMETRY, _box_geometry(
+                self.coeffs, self.face[made], np.where(corners, mid, lo).reshape(n, -1),
+                np.where(corners, hi, mid).reshape(n, -1), self.p, self.q)):
+            getattr(self, name)[..., made] = column
         self.size = stop
         return np.arange(first, stop).reshape(corners.shape[1], -1)
 
@@ -847,14 +875,15 @@ def _distinct(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  tuples: np.ndarray, p: float, q: float):
+                  p: float, q: float):
     """What every box tuple holding a box reads of it, the box axis last:
     points[i, v] is coordinate i of vertex v (the centre last), contraction
-    = sum_a coeffs[a] * points[a], and scale[s] and dots[s] hold, per vertex
-    tuple column of slot s (the tuple of centres last), the l_p norm of the
-    box's point and its <g, u_a>, g the dual functional of the box centre;
-    valid is whether every <g, u_a> is positive.  Returns (points,
-    contraction, scale, dots, valid).
+    = sum_a coeffs[a] * points[a], norms[v] the l_p norm of point v, dots[v]
+    the <g, u_v> of vertex v, g the dual functional of the box centre, and
+    valid whether every <g, u_v> is positive.  Returns (points,
+    contraction, norms, dots, valid).  Each box's columns are formed from
+    its own coordinates alone, so they do not depend on which boxes share
+    the call.
 
     The contraction is one broadcast product summed over its first axis
     by np.add.reduce, term a = 0 first, then 1, ...: the order of the sum
@@ -874,29 +903,28 @@ def _box_geometry(coeffs: np.ndarray, face: np.ndarray, lo: np.ndarray, hi: np.n
     dots = np.add.reduce(points[:, :-1] * g[:, None], axis=0)
     spread = (n,) + (1,) * (coeffs.ndim - 1) + points.shape[1:]
     contraction = np.add.reduce(coeffs[..., None, None] * points.reshape(spread), axis=0)
-    return (points, contraction, _lq_columns(points, p)[tuples], dots[tuples[:, :-1]],
+    return (points, contraction, _lq_columns(points, p), dots,
             np.logical_and.reduce(dots > 0, axis=0))
 
 
-def _tuple_bounds(coeffs: np.ndarray, boxes: _Boxes, ids: np.ndarray, tuples: np.ndarray,
-                  p: float, q: float) -> Tuple[np.ndarray, np.ndarray]:
+def _tuple_bounds(boxes: _Boxes, ids: np.ndarray,
+                  tuples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper bound of N (see multilinear_norm_grid) over each
-    tuple of slot boxes; ids is (slots, tuples) of box ids.  Each distinct
-    box is bounded once, then gathered by id."""
-    live, ids = _distinct(ids)
-    points, contraction, scale, dots, valid = _box_geometry(
-        coeffs, boxes.face[live], boxes.lo[:, live], boxes.hi[:, live], tuples, p, q)
-    values = contraction.take(ids[0], axis=-1)
+    tuple of slot boxes; ids is (slots, tuples) of box ids, tuples[s] the
+    point of slot s in each vertex tuple of multilinear_norm_grid.  The
+    boxes' geometry is gathered from the table by id; only the pairing of
+    the slots, the l_q norms and the quotients are formed here."""
+    values = boxes.contraction.take(ids[0], axis=-1)
     if len(ids) == 2:
-        values = _pair_slots(values, points.take(ids[1], axis=-1))
-    values = _lq_columns(values, q)
+        values = _pair_slots(values, boxes.points.take(ids[1], axis=-1))
+    values = _lq_columns(values, boxes.q)
     lower, upper = values, values[:-1]
     for s, box in enumerate(ids):
-        lower = lower / scale[s].take(box, axis=-1)
-        upper = upper / dots[s].take(box, axis=-1)
+        lower = lower / boxes.norms.take(box, axis=-1)[tuples[s]]
+        upper = upper / boxes.dots.take(box, axis=-1)[tuples[s, :-1]]
     upper = np.maximum.reduce(upper, axis=0) * (1.0 + _ENCLOSURE_MARGIN)
     return (np.maximum.reduce(lower, axis=0),
-            np.where(np.logical_and.reduce(valid[ids], axis=0), upper, math.inf))
+            np.where(np.logical_and.reduce(boxes.valid[ids], axis=0), upper, math.inf))
 
 
 def _pair_slots(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -937,7 +965,7 @@ def _split_widest(boxes: _Boxes, ids: np.ndarray, twin: np.ndarray) -> np.ndarra
     out = out.reshape(len(ids), -1)
     if not np.logical_or.reduce(twin):
         return out
-    i, j = _TWIN_PAIRS[boxes.lo.shape[0]]
+    i, j = _TWIN_PAIRS[boxes.points.shape[0]]
     halves = children[:, twin]
     return np.concatenate([out, np.stack([halves[i].reshape(-1), halves[j].reshape(-1)])], axis=1)
 
@@ -988,21 +1016,23 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     box slot and no mirror.
 
     Box table.  A box sits in many tuples (on random forms at n = k = 3, a
-    chunk holds about 256 tuples over 43 distinct boxes), so open tuples are
-    arrays of ids into one table of box coordinates (_Boxes) that every
-    slot shares.  The table keeps spare columns, doubled when a split needs
-    more, so a round writes the children it makes and copies no table.
-    Each chunk finds its distinct boxes by a mask over the range of its ids,
-    not by a sort (_distinct), and bounds each once: vertices, centre, g,
-    l_p norms, <g, u_a> and the slot-0 contraction with the form.  The
-    pass over the tuples gathers these by id and forms only the pairing of
-    the slots, the l_q norms and the quotients.  At k = 3 the pairing is
-    summed term by term into one array per chunk, and each chunk writes
-    its bounds into the round's lower and upper arrays.  A round splits
-    each chosen box once, whichever tuples chose it, and the other slots
-    keep their ids.  Every element is formed by the same operations, in
-    the same order, as when each tuple is bounded from its own boxes'
-    coordinates, so neither the table nor the chunk size changes a bit of
+    chunk holds about 256 tuples over 43 distinct boxes) and stays open for
+    several rounds, so open tuples are arrays of ids into one table of
+    boxes (_Boxes) that every slot shares, and the table forms each box's
+    geometry once, when a split makes it: vertices, centre, g, l_p norms,
+    <g, u_a> and the slot-0 contraction with the form, for all of a round's
+    children in one call.  The table keeps spare columns, grown by half
+    when a split needs more, so a round writes the children it makes and
+    copies no table.  The pass over the tuples, a chunk at a time, gathers
+    the geometry by id and forms only the pairing of the slots, the l_q
+    norms and the quotients.  At k = 3 the pairing is summed term by term
+    into one array per chunk, and each chunk writes its bounds into the
+    round's lower and upper arrays.  A round splits each chosen box once,
+    whichever tuples chose it, and the other slots keep their ids.  Every
+    element is formed by the same operations, in the same order, as when
+    each tuple is bounded from its own boxes' coordinates, and a box's
+    geometry does not depend on the boxes made with it, so neither the
+    table, the batch a box is made in nor the chunk size changes a bit of
     the result.
 
     Incumbent.  incumbent must be a value |phi| attains at unit vectors,
@@ -1056,7 +1086,7 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
     asymmetry = np.maximum.reduce(np.abs(coeffs - coeffs.swapaxes(0, 1)), axis=None)
     mirror = k == 3 and bool(asymmetry <= _MIRROR_ASYMMETRY
                              * np.maximum.reduce(np.abs(coeffs), axis=None))
-    boxes = _Boxes(n)
+    boxes = _Boxes(coeffs, p, q)
     # box f is the whole face f
     ids = np.array([f for f in itertools.product(range(n), repeat=k - 1)
                     if not mirror or list(f) == sorted(f)]).T
@@ -1074,7 +1104,7 @@ def multilinear_norm_grid(form: MultilinearForm, incumbent: float = 0.0) -> Tupl
         lower, bound = np.empty(count), np.empty(count)
         for start in range(0, count, _ENCLOSURE_CHUNK):
             part = slice(start, start + _ENCLOSURE_CHUNK)
-            lower[part], bound[part] = _tuple_bounds(coeffs, boxes, ids[:, part], tuples, p, q)
+            lower[part], bound[part] = _tuple_bounds(boxes, ids[:, part], tuples)
         best = max(best, float(np.maximum.reduce(lower)))
         done = bound <= max(best, incumbent) * (1.0 + _ENCLOSURE_GAP)
         upper = max(upper, float(np.maximum.reduce(bound[done], initial=0.0)))

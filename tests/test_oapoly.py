@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 
@@ -22,11 +21,13 @@ from oadiag.oapoly import (
     _MIRROR_ASYMMETRY,
     _Boxes,
     _CORNERS,
+    _GEOMETRY,
     _ascent,
     _ascent_starts,
     _box_geometry,
     _norms_numeric,
     _disjoint_pairs,
+    _holder_slot_witness,
     _distinct,
     _tuple_bounds,
 )
@@ -910,10 +911,10 @@ def test_enclosure_is_bitwise_pinned(chunk, monkeypatch):
 def test_enclosure_splits_the_faces_before_bounding(monkeypatch):
     whole = []
 
-    def recording(coeffs, boxes, ids, *rest):
+    def recording(boxes, ids, *rest):
         # a box of width 2 is a whole face
         whole.append(int(np.count_nonzero((boxes.width[ids] == 2.0).all(axis=0))))
-        return _tuple_bounds(coeffs, boxes, ids, *rest)
+        return _tuple_bounds(boxes, ids, *rest)
 
     monkeypatch.setattr("oadiag.oapoly._tuple_bounds", recording)
     for form in enclosure_pin_forms():
@@ -929,25 +930,26 @@ def test_enclosure_splits_the_faces_before_bounding(monkeypatch):
 def test_box_contraction_matches_python_sum(n, p):
     # _box_geometry sums the slot-0 terms with one np.add.reduce in Python
     # sum's order: checked on random dyadic boxes of every face, split mostly
-    # from the newest boxes so that many are deep
+    # from the newest boxes so that many are deep, as the table holds them
+    # and as _box_geometry forms them again from the boxes' coordinates
     rng = np.random.default_rng([30, n])
-    boxes = _Boxes(n)
-    for _ in range(20):
-        boxes.split(np.unique(rng.integers(max(boxes.size - 40, 0), boxes.size, size=12)))
-    face, lo, hi = boxes.face[:boxes.size], boxes.lo[:, :boxes.size], boxes.hi[:, :boxes.size]
-    assert set(face.tolist()) == set(range(n)) and boxes.width[:boxes.size].min() < 2.0 ** -8
-    vertices = 2 ** (n - 1)
-    # the vertex tuples and the tuple of centres of multilinear_norm_grid at k = 3
-    tuples = np.array(list(itertools.product(range(vertices), repeat=2))
-                      + [(vertices, vertices)]).T
     coeffs = rng.standard_normal((n, n, n))
     coeffs[:, 0] = 0.0  # all-zero terms, so some contraction sums are zeros
-    points, contraction, _, _, _ = _box_geometry(coeffs, face, lo, hi, tuples, p,
-                                                 holder_conjugate(p))
+    boxes = _Boxes(coeffs, p, holder_conjugate(p))
+    for _ in range(20):
+        boxes.split(np.unique(rng.integers(max(boxes.size - 40, 0), boxes.size, size=12)))
+    size = boxes.size
+    face, points = boxes.face[:size], boxes.points[..., :size]
+    assert set(face.tolist()) == set(range(n)) and boxes.width[:size].min() < 2.0 ** -8
+    # a box's first vertex is its lo and its last its hi
+    vertices = 2 ** (n - 1)
+    _, contraction, _, _, _ = _box_geometry(coeffs, face, points[:, 0], points[:, vertices - 1],
+                                            p, holder_conjugate(p))
     # equal, and bitwise equal in modulus (the sign of an all-zero sum may differ)
     summed = sum(coeffs[a][..., None, None] * points[a] for a in range(n))
-    assert np.array_equal(contraction, summed) and np.any(contraction == 0.0)
-    assert np.abs(contraction).tobytes() == np.abs(summed).tobytes()
+    for got in (contraction, boxes.contraction[..., :size]):
+        assert np.array_equal(got, summed) and np.any(got == 0.0)
+        assert np.abs(got).tobytes() == np.abs(summed).tobytes()
 
 
 @pytest.mark.parametrize("ids", [
@@ -968,40 +970,89 @@ def test_distinct_is_unique_with_inverse(ids):
     assert np.array_equal(distinct[inverse], ids)
 
 
-def concatenated_split(table, parents):
+def face_table(coeffs, p, q):
+    """The table of _Boxes(coeffs, p, q) before any split, built column by
+    column: (face, lo, hi, width) of the n whole faces, then their geometry."""
+    n = coeffs.shape[0]
+    face, lo, hi = np.arange(n), np.where(np.eye(n, dtype=bool), 1.0, -1.0), np.ones((n, n))
+    return (face, lo, hi, np.full(n, 2.0)) + _box_geometry(coeffs, face, lo, hi, p, q)
+
+
+def concatenated_split(table, parents, coeffs, p, q):
     """_Boxes.split as a table rebuilt by concatenation: (face, lo, hi,
-    width) with the children of parents appended, and their ids."""
-    face, lo, hi, width = table
+    width) and the geometry columns, with the children of parents appended,
+    and their ids.  The children's geometry is formed by one _box_geometry
+    call on the children alone."""
+    face, lo, hi, width = table[:4]
     n = lo.shape[0]
     corners = np.take(_CORNERS[n], face[parents], axis=-1)
     plo, phi = lo[:, None, parents], hi[:, None, parents]
     mid = (plo + phi) / 2
-    table = (np.concatenate([face, np.tile(face[parents], corners.shape[1])]),
-             np.concatenate([lo, np.where(corners, mid, plo).reshape(n, -1)], axis=1),
-             np.concatenate([hi, np.where(corners, phi, mid).reshape(n, -1)], axis=1),
-             np.concatenate([width, np.tile(width[parents] / 2, corners.shape[1])]))
+    made = (np.tile(face[parents], corners.shape[1]),
+            np.where(corners, mid, plo).reshape(n, -1), np.where(corners, phi, mid).reshape(n, -1),
+            np.tile(width[parents] / 2, corners.shape[1]))
+    made += _box_geometry(coeffs, *made[:3], p, q)
+    table = tuple(np.concatenate([old, new], axis=-1) for old, new in zip(table, made))
     return table, np.arange(face.size, table[0].size).reshape(corners.shape[1], -1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_growable_box_table_matches_concatenation(n):
     rng = np.random.default_rng(29)
-    boxes = _Boxes(n)
-    table = (boxes.face.copy(), boxes.lo.copy(), boxes.hi.copy(), boxes.width.copy())
-    spare = False
-    for _ in range(12):
-        parents = np.unique(rng.integers(0, boxes.size, size=rng.integers(0, 40)))
-        children = boxes.split(parents)
-        table, expected = concatenated_split(table, parents)
-        assert np.array_equal(children, expected)
-        size = boxes.size
-        assert size == table[0].size
-        spare |= boxes.width.size > size
-        for got, want in zip((boxes.face[:size], boxes.lo[:, :size], boxes.hi[:, :size],
-                              boxes.width[:size]), table):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-    assert spare  # some split left spare columns for the next
+    p = 4.5
+    q = holder_conjugate(p)
+    vertices = 2 ** (n - 1)
+    for k in (2, 3):
+        coeffs = rng.standard_normal((n,) * k)
+        boxes = _Boxes(coeffs, p, q)
+        table = face_table(coeffs, p, q)
+        spare = False
+        for _ in range(12):
+            parents = np.unique(rng.integers(0, boxes.size, size=rng.integers(0, 40)))
+            children = boxes.split(parents)
+            table, expected = concatenated_split(table, parents, coeffs, p, q)
+            assert np.array_equal(children, expected)
+            size = boxes.size
+            assert size == table[0].size
+            spare |= boxes.width.size > size
+            # the table keeps no lo and hi: a box's first vertex is its lo
+            # and its last its hi
+            got = (boxes.face[:size], boxes.points[:, 0, :size],
+                   boxes.points[:, vertices - 1, :size], boxes.width[:size])
+            got += tuple(getattr(boxes, name)[..., :size] for name in _GEOMETRY)
+            assert len(got) == len(table)
+            for column, want in zip(got, table):
+                assert column.dtype == want.dtype and column.shape == want.shape
+                assert column.tobytes() == want.tobytes()
+        assert spare  # some split left spare columns for the next
+
+
+def test_stored_box_geometry_is_that_of_each_box_alone(monkeypatch):
+    # the table forms the geometry of a round's children in one call: every
+    # box's columns must be, bitwise, what a call on that box alone gives
+    tables = []
+
+    def recording(boxes, ids, *rest):
+        tables.append(boxes)
+        return _tuple_bounds(boxes, ids, *rest)
+
+    monkeypatch.setattr("oadiag.oapoly._tuple_bounds", recording)
+    rng = np.random.default_rng(33)
+    forms = enclosure_pin_forms() + [
+        MultilinearForm(rng.standard_normal((3, 3, 3)).astype(complex), LpParams(p, 3)).symmetrize()
+        for p in (4.1, 6.6)]
+    for form in forms:
+        multilinear_norm_grid(form)
+        boxes = tables[-1]
+        vertices = 2 ** (form.dim - 1)
+        assert boxes.size > form.dim
+        for b in range(boxes.size):
+            one = slice(b, b + 1)
+            alone = _box_geometry(boxes.coeffs, boxes.face[one], boxes.points[:, 0, one],
+                                  boxes.points[:, vertices - 1, one], boxes.p, boxes.q)
+            for name, column in zip(_GEOMETRY, alone):
+                stored = getattr(boxes, name)[..., one]
+                assert stored.shape == column.shape and stored.tobytes() == column.tobytes(), name
 
 
 def sampled_sup(form, points, rng):
@@ -1042,9 +1093,9 @@ def test_enclosure_of_a_non_symmetric_form_bounds_the_ascent():
 def test_mirror_agrees_with_the_full_tree(monkeypatch):
     counts = []
 
-    def counting(coeffs, boxes, ids, *rest):
+    def counting(boxes, ids, *rest):
         counts[-1] += ids.shape[1]
-        return _tuple_bounds(coeffs, boxes, ids, *rest)
+        return _tuple_bounds(boxes, ids, *rest)
 
     def enclose(form):
         counts.append(0)
@@ -1179,6 +1230,46 @@ def test_ascent_makes_no_checked_calls(monkeypatch):
     monkeypatch.setattr(MultilinearForm, "apply", refuse)
     monkeypatch.setattr(MultilinearForm, "partial_gradient", refuse)
     assert multilinear_norm_ascent(form, restarts=5, iters=10, seed=1) > 0.0
+
+
+@pytest.mark.parametrize("complex_grad", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 9])
+@pytest.mark.parametrize("p", [1.5, 4.0, 7.3])
+def test_guard_free_witness_matches_the_guarded_one(complex_grad, n, p):
+    # with no zero entry the guards select every entry, so the witness
+    # formed without them must give the guarded rows bit for bit; at n = 9
+    # the l_q norms' sums over the rows' contiguous axis run pairwise
+    rng = np.random.default_rng([34, n])
+    grad = rng.standard_normal((40, n))
+    if complex_grad:
+        grad = grad + 1j * rng.standard_normal((40, n))
+    mags = np.abs(grad)
+    assert np.minimum.reduce(mags, axis=None) > 0
+    q = holder_conjugate(p)
+    free = _holder_slot_witness(grad, mags, q)
+    guarded = _holder_slot_witness(grad, mags, q, mags > 0)
+    assert free.dtype == guarded.dtype == grad.dtype
+    assert free.tobytes() == guarded.tobytes()
+
+
+def test_a_zero_gradient_entry_takes_the_guarded_witness(monkeypatch):
+    # coordinate 0 lies outside the form's support, so every gradient has a
+    # zero entry 0: its phase is 0 / 0 without the guards, and 0 with them
+    calls = []
+
+    def recording(grad, mags, q, positive=None):
+        x = _holder_slot_witness(grad, mags, q, positive)
+        calls.append(positive is not None and np.array_equal(x[:, 0], np.zeros(len(x)))
+                     and bool(np.isfinite(x).all()))
+        return x
+
+    monkeypatch.setattr("oadiag.oapoly._holder_slot_witness", recording)
+    coeffs = np.zeros((3, 3, 3))
+    coeffs[1:, 1:, 1:] = np.random.default_rng(35).standard_normal((2, 2, 2))
+    form = MultilinearForm(coeffs.astype(complex), LpParams(4.0, 3)).symmetrize()
+    value = multilinear_norm_ascent(form, restarts=6, iters=30, seed=3)
+    assert calls and all(calls)
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_ascent_is_deterministic():
